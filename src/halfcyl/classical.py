@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exact import QC, QC_I, coerce, conj_scalar, is_exact, scalar_is_zero
+from .exact import QC, ModeSeries
 
 __all__ = [
     "PhasePoint", "CoveringElement", "TrigPoly", "MomentumFunction",
@@ -40,6 +40,8 @@ TWO_PI = 2.0 * math.pi
 # once from {p, p sin phi} = -p cos phi and asserted stable by the suite.
 MOMENTUM_MAP_SIGN = -1
 
+_MINUS_I = QC(0, -1)
+
 
 # ---------------------------------------------------------------------------
 # points and group elements
@@ -53,8 +55,10 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
         object.__setattr__(self, "p", float(self.p))
 
@@ -173,32 +177,30 @@ def transport(a: PhasePoint, b: PhasePoint, l: int = 1) -> CoveringElement:
 # trigonometric polynomials and momentum functions
 # ---------------------------------------------------------------------------
 
-class TrigPoly:
+class TrigPoly(ModeSeries):
     """Real trigonometric polynomial sum_j c_j e^{ij phi}, c_{-j} = conj(c_j).
 
-    Coefficients stay exact (complex rationals) when the inputs are; the
-    bracket engine below then runs with no floating error at all.
+    A ``ModeSeries`` whose constructor checks reality.  Coefficients stay
+    exact (complex rationals) when the inputs are; the bracket engine then
+    runs with no floating error at all.  Scalars must be real to keep the
+    result real.
     """
 
-    __slots__ = ("modes",)
+    __slots__ = ()
 
-    def __init__(self, modes=None, _checked=False):
-        clean = {}
-        for j, c in (modes or {}).items():
-            c = coerce(c)
-            if not scalar_is_zero(c):
-                clean[int(j)] = c
-        if any(not is_exact(c) for c in clean.values()):
-            clean = {j: complex(c) for j, c in clean.items() if complex(c) != 0}
-        if not _checked:
-            for j, c in clean.items():
-                d = clean.get(-j)
-                mismatch = (d is None) or not _scalar_close(conj_scalar(c), d)
-                if mismatch:
-                    raise ValueError(f"not a real polynomial: modes {j}/{-j}")
-        self.modes = clean
+    def __init__(self, modes=None):
+        super().__init__(modes)
+        exact = self.is_exact
+        for j, c in self.coeffs.items():
+            d = self.coeffs.get(-j)
+            if d is None or (c.conjugate() != d if exact
+                             else abs(c.conjugate() - d) > 1e-12):
+                raise ValueError(f"not a real polynomial: modes {j}/{-j}")
 
-    # constructors ------------------------------------------------------
+    @property
+    def modes(self):
+        return self.coeffs
+
     @staticmethod
     def const(c=1):
         return TrigPoly({0: c})
@@ -213,68 +215,8 @@ class TrigPoly:
         h = QC(Fraction(1, 2))
         return TrigPoly({l: h, -l: h})
 
-    # algebra -------------------------------------------------------------
-    @property
-    def support(self):
-        return tuple(sorted(self.modes))
-
-    @property
-    def is_zero(self):
-        return not self.modes
-
-    @property
-    def is_exact(self):
-        return all(is_exact(c) for c in self.modes.values())
-
-    def __add__(self, other):
-        out = dict(self.modes)
-        for j, c in other.modes.items():
-            out[j] = out[j] + c if j in out else c
-        return TrigPoly(out, _checked=True)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, s):
-        # real scalars only, to preserve reality
-        return TrigPoly({j: s * c for j, c in self.modes.items()}, _checked=True)
-
-    __mul__ = __rmul__
-
-    def derivative(self):
-        return TrigPoly({j: QC_I * j * c if is_exact(c) else 1j * j * c
-                         for j, c in self.modes.items()}, _checked=True)
-
-    def product(self, other):
-        out = {}
-        for j, cj in self.modes.items():
-            for k, dk in other.modes.items():
-                m = j + k
-                term = cj * dk
-                out[m] = out[m] + term if m in out else term
-        return TrigPoly(out, _checked=True)
-
     def __call__(self, phi: float) -> float:
-        val = sum(complex(c) * cmath.exp(1j * j * phi)
-                  for j, c in self.modes.items())
-        return val.real if self.modes else 0.0
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        if self.support != other.support:
-            return False
-        return all(complex(self.modes[j]) == complex(other.modes[j])
-                   for j in self.modes)
-
-    def __repr__(self):
-        return f"TrigPoly({ {j: repr(c) for j, c in sorted(self.modes.items())} })"
-
-
-def _scalar_close(a, b):
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(complex(a) - complex(b)) <= 1e-12
+        return super().__call__(phi).real
 
 
 @dataclass(frozen=True)
@@ -301,11 +243,6 @@ class MomentumFunction:
     def __call__(self, x: PhasePoint) -> float:
         return x.p * self.base(x.phi)
 
-    def __eq__(self, other):
-        if not isinstance(other, MomentumFunction):
-            return NotImplemented
-        return self.base == other.base
-
 
 def lift_hamiltonian(v: TrigPoly) -> MomentumFunction:
     """Momentum-map Hamiltonian p * f(phi) of the base field f(phi) d/dphi."""
@@ -313,9 +250,9 @@ def lift_hamiltonian(v: TrigPoly) -> MomentumFunction:
 
 
 def poisson_bracket(F: MomentumFunction, G: MomentumFunction) -> MomentumFunction:
-    """{p f, p g} = p (f' g - f g'), exact on mode coefficients."""
-    f, g = F.base, G.base
-    return MomentumFunction(f.derivative().product(g) - f.product(g.derivative()))
+    """{p f, p g} = p (f' g - f g') = -i p sum_{j,k} (k - j) f_j g_k e^{i(j+k) phi}:
+    -i times the Witt bracket of the mode coefficients, exact on exact input."""
+    return MomentumFunction(_MINUS_I * F.base.bracket(G.base))
 
 
 def hamiltonian_vector_field(F: MomentumFunction, x: PhasePoint):

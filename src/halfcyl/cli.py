@@ -102,7 +102,7 @@ def _parse_point(text: str) -> cl.PhasePoint:
 
 def _emit_report(report: CheckReport, config_echo, out_path=None) -> int:
     doc = report.to_dict(config_echo=config_echo, header=report_header())
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -182,8 +182,10 @@ def _cmd_equiv(args) -> int:
         raise ConfigError(str(exc))
     if args.mmin > args.m // 2:
         raise ConfigError("mmin must not exceed half the window width")
-    report = identification_report(ident, M=args.m,
-                                   N=min(args.n, args.m - args.mmin - 2))
+    n = min(args.n, args.m - args.mmin - 2)
+    if n < 4:
+        raise ConfigError(f"weight-basis cutoff min(n, m - mmin - 2) = {n} is below 4")
+    report = identification_report(ident, M=args.m, N=n)
     echo = {"theta": args.theta, "m_min": args.mmin, "k": ident.k,
             "M": args.m, "N": args.n}
     return _emit_report(report, echo)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import QC, QC_I, coerce, is_exact, scalar_is_zero
+from .exact import QC, QC_I, ModeSeries
 
 __all__ = [
     "WittElement", "L", "witt_T", "witt_S", "witt_C",
@@ -33,82 +33,20 @@ DEFAULT_DIM_BOUND = 12
 FLOAT_RANK_THRESHOLD = 1e-10
 
 
-class WittElement:
-    """Finite complex combination of Witt modes, exact when possible.
+class WittElement(ModeSeries):
+    """Finite complex combination of Witt modes ``L_j``, exact when possible.
 
-    Coefficients given as ints or Fractions are stored exactly; a float or
-    complex coefficient anywhere demotes the element to complex floats.
-    Zero coefficients are dropped on construction.
+    All arithmetic is ``ModeSeries``'; this class adds the printed form
+    ``WittElement[(c)*L(j) + ...]`` that the CLI reports.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for j, c in (coeffs or {}).items():
-            c = coerce(c)
-            if not scalar_is_zero(c):
-                clean[int(j)] = c
-        if any(not is_exact(c) for c in clean.values()):
-            clean = {j: complex(c) for j, c in clean.items() if complex(c) != 0}
-        self.coeffs = clean
-
-    # -- queries --------------------------------------------------------
-    @property
-    def support(self):
-        return tuple(sorted(self.coeffs))
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def is_exact(self):
-        return all(is_exact(c) for c in self.coeffs.values())
-
-    def get(self, j):
-        return self.coeffs.get(j, QC(0) if self.is_exact else 0j)
-
-    # -- linear structure -------------------------------------------------
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out[j] + c if j in out else c
-        return WittElement(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        scalar = coerce(scalar)
-        return WittElement({j: scalar * c for j, c in self.coeffs.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        if self.support != other.support:
-            return False
-        return all(complex(self.coeffs[j]) == complex(other.coeffs[j])
-                   for j in self.coeffs)
-
-    def __hash__(self):
-        return hash(tuple((j, complex(c)) for j, c in sorted(self.coeffs.items())))
+    __slots__ = ()
 
     def __repr__(self):
         if self.is_zero:
             return "WittElement(0)"
         terms = " + ".join(f"({c!r})*L({j})" for j, c in sorted(self.coeffs.items()))
         return f"WittElement[{terms}]"
-
-    def _sort_key(self):
-        return (self.support,
-                tuple((complex(c).real, complex(c).imag)
-                      for _, c in sorted(self.coeffs.items())))
 
 
 def L(j: int) -> WittElement:
@@ -135,15 +73,7 @@ def witt_C(l: int) -> WittElement:
 
 def witt_bracket(a: WittElement, b: WittElement) -> WittElement:
     """[a, b] with [L_j, L_k] = (k - j) L_{j+k}; bilinear and antisymmetric."""
-    out = {}
-    for j, aj in a.coeffs.items():
-        for k, bk in b.coeffs.items():
-            if j == k:
-                continue
-            term = (k - j) * (aj * bk)
-            m = j + k
-            out[m] = out[m] + term if m in out else term
-    return WittElement(out)
+    return a.bracket(b)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +99,12 @@ class ClosureResult:
         return len(self.basis) if self.basis is not None else None
 
 
+def _sort_key(elem: WittElement):
+    return (elem.support,
+            tuple((complex(c).real, complex(c).imag)
+                  for _, c in sorted(elem.coeffs.items())))
+
+
 def _top_mode(elem: WittElement) -> int:
     """Mode of largest |index| (ties resolved positive)."""
     return max(elem.support, key=lambda j: (abs(j), j))
@@ -183,7 +119,7 @@ class _ExactSpan:
     def reduce(self, elem):
         for pivot in sorted(self.rows, key=lambda j: (abs(j), j), reverse=True):
             c = elem.coeffs.get(pivot)
-            if c is not None and not scalar_is_zero(c):
+            if c:
                 elem = elem - c * self.rows[pivot]
         return elem
 
@@ -247,7 +183,7 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
         Closed basis if the span stabilized, else a witness mode.
     """
     gens = sorted((g for g in generators if not g.is_zero),
-                  key=WittElement._sort_key)
+                  key=_sort_key)
     if not gens:
         raise ValueError("generators must contain a nonzero element")
     top = max(max(abs(j) for j in g.support) for g in gens)

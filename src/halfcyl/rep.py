@@ -116,7 +116,8 @@ def interior_residual(expr: TruncatedOperator, target=None,
 
     ``target`` may be a TruncatedOperator, an ndarray, or None (zero).
     ``trim_bottom`` additionally drops low columns, for windows truncated
-    at both ends.
+    at both ends.  An empty interior raises: a check that compares no
+    column must not pass.
     """
     mat = expr.matrix
     if isinstance(target, TruncatedOperator):
@@ -125,7 +126,8 @@ def interior_residual(expr: TruncatedOperator, target=None,
         mat = mat - np.asarray(target)
     hi = expr.interior
     if hi <= trim_bottom:
-        return 0.0
+        raise ValueError(f"no interior columns to compare (interior {hi}, "
+                         f"trim_bottom {trim_bottom})")
     return float(np.abs(mat[:, trim_bottom:hi]).max())
 
 

@@ -12,7 +12,8 @@ class CheckRecord:
     """One identity check: residual against a pinned tolerance.
 
     ``reported_only`` marks diagnostics (truncation leakage, hermiticity
-    symptoms) that are carried in the report but never affect the verdict.
+    symptoms) that are carried in the report but never affect the verdict;
+    no tolerance applies to them, so they serialise with ``"tol": null``.
     """
 
     name: str
@@ -28,7 +29,7 @@ class CheckRecord:
             "name": self.name,
             "anchor": self.anchor,
             "residual": self.residual,
-            "tol": self.tol,
+            "tol": None if self.reported_only else self.tol,
             "pass": self.passed,
         }
         if self.reported_only:

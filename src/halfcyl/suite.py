@@ -46,8 +46,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# m_min values of the identification check in each profile's theta cell
+THETA_M_MINS = {"physical": (0,), "full": (0, 1, 3)}
+
+
 class ConfigError(ValueError):
     """Raised for schema violations in a suite config (CLI exit code 2)."""
+
+
+def _finite(name, value) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -71,17 +85,22 @@ class SuiteConfig:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        for k in self.k_values:
-            if not k > 0:
-                raise ConfigError("k must be positive")
-        for t in self.theta_values:
+        k_values = tuple(_finite("k", k) for k in self.k_values)
+        if not all(k > 0 for k in k_values):
+            raise ConfigError("k must be positive")
+        theta_values = tuple(_finite("theta", t) for t in self.theta_values)
+        for t in theta_values:
             if not 0 < t <= 1:
                 raise ConfigError(f"theta must lie in (0, 1], got {t}")
-        if self.N < 4:
-            raise ConfigError(f"N must be >= 4, got {self.N}")
-        if self.M < 8:
-            raise ConfigError(f"M must be >= 8, got {self.M}")
-        if not self.hbar > 0:
+        if not (isinstance(self.N, int) and self.N >= 4):
+            raise ConfigError(f"N must be an integer >= 4, got {self.N!r}")
+        if not (isinstance(self.M, int) and self.M >= 8):
+            raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
+        m_min = max(THETA_M_MINS[self.profile])
+        if self.M - m_min - 2 < 4:
+            raise ConfigError(f"M must be >= {m_min + 6} for the identification at "
+                              f"m_min = {m_min} ({self.profile} profile), got {self.M}")
+        if not _finite("hbar", self.hbar) > 0:
             raise ConfigError("hbar must be positive")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
@@ -89,10 +108,10 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
         merged = dict(DEFAULT_TOLERANCES)
-        merged.update({k: float(v) for k, v in self.tolerances.items()})
+        merged.update({k: _finite(f"tolerance {k}", v) for k, v in self.tolerances.items()})
         object.__setattr__(self, "tolerances", merged)
-        object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
-        object.__setattr__(self, "theta_values", tuple(float(t) for t in self.theta_values))
+        object.__setattr__(self, "k_values", k_values)
+        object.__setattr__(self, "theta_values", theta_values)
 
     @property
     def active_k_values(self):
@@ -110,10 +129,10 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        for key in ("k_values", "theta_values"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         try:
+            for key in ("k_values", "theta_values"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
             return SuiteConfig(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -434,9 +453,8 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     out.append(check(f"projected_isometries[{lab}]",
                      "U*U = 1, UU* = 1 - P_min after projection",
                      worst, t["phase"]))
-    m_mins = (0,) if cfg.profile == "physical" else (0, 1, 3)
     worst = 0.0
-    for m_min in m_mins:
+    for m_min in THETA_M_MINS[cfg.profile]:
         ident = identify(theta, m_min)
         rep = identification_report(ident, M=cfg.M, N=min(cfg.N, cfg.M - m_min - 2),
                                     hbar=cfg.hbar)
@@ -473,8 +491,10 @@ def run_suite(config: SuiteConfig) -> CheckReport:
 
 def emit_spectrum(k: float, N: int, hbar: float = 1.0, fmt: str = "table"):
     """Render the momentum spectrum hbar (k + n), n = 0..N."""
-    if not k > 0:
+    if not _finite("k", k) > 0:
         raise ConfigError("k must be positive")
+    if not _finite("hbar", hbar) > 0:
+        raise ConfigError("hbar must be positive")
     if N < 0:
         raise ConfigError("N must be nonnegative")
     values = [hbar * (k + n) for n in range(N + 1)]

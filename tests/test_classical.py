@@ -45,6 +45,13 @@ def test_phase_point_validation():
     assert abs(x.phi - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("phi,p", [(math.nan, 1.0), (math.inf, 1.0),
+                                   (0.0, math.nan), (0.0, math.inf)])
+def test_phase_point_rejects_non_finite(phi, p):
+    with pytest.raises(ValueError, match="finite"):
+        PhasePoint(phi, p)
+
+
 def test_covering_element_validation():
     with pytest.raises(ValueError):
         CoveringElement(1.0, 0.0, 1)
@@ -199,6 +206,16 @@ def test_poisson_antisymmetric_and_real(f, g):
     br = poisson_bracket(F, G).base
     for j, c in br.modes.items():
         assert complex(br.modes[-j]).conjugate() == complex(c)
+
+
+@settings(max_examples=60)
+@given(small_trig, small_trig)
+def test_poisson_matches_derivative_product_form(f, g):
+    # the bracket kernel against {p f, p g} = p (f' g - f g') built directly
+    got = poisson_bracket(lift_hamiltonian(f), lift_hamiltonian(g)).base
+    want = f.derivative().product(g) - f.product(g.derivative())
+    assert got == want
+    assert got.is_exact and got.coeffs == want.coeffs
 
 
 def test_momentum_map_sign_stable():

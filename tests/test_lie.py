@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfcyl.exact import QC
 from halfcyl.lie import (
     L, So12Element, WittElement, algebra_isomorphism, killing_form,
     so12_bracket, vector_field_to_so12, witt_bracket, witt_closure,
@@ -74,6 +75,13 @@ def test_exactness_demotion():
     assert not (WittElement({0: 1}) + WittElement({0: 0.5})).is_exact
 
 
+def test_exact_scalar_times_element_stays_exact():
+    for prod in (QC(2, 1) * WittElement({1: 1}), WittElement({1: 1}) * QC(2, 1)):
+        assert type(prod) is WittElement and prod.is_exact
+        assert prod.coeffs == {1: QC(2, 1)}
+    assert (QC(1, 3) * WittElement({1: 1, -2: Fraction(1, 2)}) - WittElement({})).is_exact
+
+
 # ---------------------------------------------------------------------------
 # witt_closure
 # ---------------------------------------------------------------------------
@@ -132,6 +140,46 @@ def test_four_dim_spans_diverge(ms, flip):
     res = witt_closure([L(0), L(a), L(b), L(c + 10)], dim_bound=12)
     assert not res.closed
     assert res.witness_mode is not None
+
+
+def _det(rows):
+    """Exact determinant by cofactor expansion (at most 3x3 here)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** i * rows[0][i] * _det([r[:i] + r[i + 1:] for r in rows[1:]])
+               for i in range(len(rows)))
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def recombinations(draw):
+    """Full-rank rational recombination of <L_-l, L_0, L_l> or <L_0, L_l>."""
+    l = draw(st.integers(1, 8))
+    modes = draw(st.sampled_from([(-l, 0, l), (0, l), (0, -l)]))
+    n = len(modes)
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                         min_size=n, max_size=n).filter(lambda r: _det(r) != 0))
+    return [WittElement(dict(zip(modes, row))) for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(recombinations())
+def test_rational_recombinations_close_exactly(gens):
+    res = witt_closure(gens)
+    assert res.closed and res.dimension == len(gens)
+    assert all(b.is_exact for b in res.basis)
+
+
+def test_closure_exact_recombination_regression():
+    # three rational combinations of L_-4, L_0, L_4 span exactly that sl(2)
+    gens = [WittElement({0: Fraction(2, 3), 4: 2}),
+            WittElement({-4: -4, 0: -1, 4: 3}),
+            WittElement({-4: 2, 0: -1, 4: -1})]
+    res = witt_closure(gens)
+    assert res.closed and res.dimension == 3
+    assert all(b.is_exact for b in res.basis)
 
 
 def test_closure_float_path():

@@ -95,6 +95,16 @@ def test_so12_relations(k):
     assert interior_residual(commutator(gs.T1, gs.T2) + gs.T0) < budget
 
 
+def test_interior_residual_rejects_empty_interior():
+    # a check that compares no column must not pass with residual 0
+    op = TruncatedOperator(np.ones((4, 4)), reach=4)
+    with pytest.raises(ValueError, match="no interior columns"):
+        interior_residual(op)
+    with pytest.raises(ValueError, match="no interior columns"):
+        interior_residual(TruncatedOperator(np.ones((4, 4)), reach=2), trim_bottom=2)
+    assert interior_residual(TruncatedOperator(np.ones((4, 4)), reach=3)) == 1.0
+
+
 def test_t012_built_from_ladder():
     gs = fock(0.6, N=16)
     assert np.abs(gs.T0.matrix - 1j * gs.H.matrix).max() == 0.0

@@ -1,6 +1,9 @@
 import json
+import math
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -45,6 +48,34 @@ def test_config_defaults_valid():
     cfg = SuiteConfig()
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.profile == "physical"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k_values": (math.inf,)}, {"k_values": (math.nan,)},
+    {"theta_values": (math.nan,)}, {"hbar": math.inf}, {"hbar": math.nan},
+    {"tolerances": {"ladder": math.inf}}, {"tolerances": {"phase": math.nan}},
+])
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ConfigError, match="finite"):
+        SuiteConfig(**kwargs)
+
+
+@pytest.mark.parametrize("raw", [{"N": 5.5}, {"M": "48"}, {"k_values": 3}])
+def test_config_rejects_wrong_types(raw):
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict(raw)
+
+
+def test_config_checks_window_against_largest_m_min():
+    SuiteConfig(N=5, M=8)  # physical: identification only at m_min = 0
+    with pytest.raises(ConfigError, match="M must be >= 9"):
+        SuiteConfig(N=5, M=8, profile="full")
+    SuiteConfig(N=4, M=9, profile="full")
+
+
+def test_reported_only_record_has_null_tol():
+    assert metric("leak", "info only", 0.5).to_dict()["tol"] is None
+    assert check("a", "x = y", 0.0, 1e-9).to_dict()["tol"] == 1e-9
 
 
 def test_config_rejects_bad_values():
@@ -142,6 +173,66 @@ def test_cli_closure(capsys):
     assert main(["closure", "--generators", "L1,L2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert not doc["closed"] and doc["witness_mode"] == 3
+
+
+def test_cli_closure_exact_recombination(capsys):
+    gens = "2/3*L0 + 2*L4, -4*L-4 - L0 + 3*L4, 2*L-4 - L0 - L4"
+    assert main(["closure", "--generators", gens]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closed"] is True and doc["dimension"] == 3
+    for text in doc["basis"]:
+        terms = re.findall(r"\(([^()]*)\)\*L\((-?\d+)\)", text)
+        assert terms and {int(m) for _, m in terms} <= {-4, 0, 4}
+        for coef, _ in terms:
+            Fraction(coef)  # exact rationals print as p/q, never as floats
+
+
+def _run_cli(*args, config=None, tmp_path=None):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        args = args + ("--config", str(path))
+    return subprocess.run([sys.executable, "-m", "halfcyl.cli", *args],
+                          capture_output=True, text=True)
+
+
+def _assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stdout == ""
+
+
+def test_cli_equiv_rejects_small_cutoff():
+    _assert_usage_error(_run_cli("equiv", "--theta", "0.5", "--mmin", "4", "--m", "8"))
+
+
+def test_cli_orbit_rejects_nan_point():
+    _assert_usage_error(_run_cli("orbit", "--from", "nan,1", "--to", "0,1"))
+
+
+def test_cli_verify_rejects_window_too_small_for_full(tmp_path):
+    _assert_usage_error(_run_cli("verify", "--profile", "full",
+                                 config='{"N": 5, "M": 8}', tmp_path=tmp_path))
+
+
+def test_cli_verify_rejects_infinite_k(tmp_path):
+    _assert_usage_error(_run_cli("verify", config='{"k_values": [Infinity], "profile": "full"}',
+                                 tmp_path=tmp_path))
+
+
+def test_cli_verify_stdout_is_strict_json(tmp_path, capsys):
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in report")
+
+    cfg = {"k_values": [0.5, 1.5], "theta_values": [1.0], "N": 16, "M": 16,
+           "profile": "full"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    info = [c for c in doc["checks"] if c.get("reported_only")]
+    assert info and all(c["tol"] is None for c in info)
 
 
 def test_cli_orbit(capsys):
