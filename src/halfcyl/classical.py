@@ -166,9 +166,18 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float = 1e-5) -> floa
 
 def transport(a: PhasePoint, b: PhasePoint, l: int = 1) -> CoveringElement:
     """Covering element mapping a to b: rotation aligning the angles, then a
-    boost along the fiber (base flow tan(l phi/2) -> e^t tan(l phi/2))."""
+    boost along the fiber (base flow tan(l phi/2) -> e^t tan(l phi/2)).
+
+    Raises ValueError when the momentum ratio b.p / a.p is so far from 1
+    (beyond about 3.5e16 either way) that the boost parameter tanh(s)
+    rounds to +-1 and no covering element represents it.
+    """
+    s = 0.5 * (math.log(b.p) - math.log(a.p))
+    if not abs(math.tanh(s)) < 1.0:
+        raise ValueError(f"momentum ratio {b.p:.3g}/{a.p:.3g} is beyond the range of a "
+                         f"representable boost (tanh of {s:.3g} rounds to +-1)")
     rot_in = rotation_element(l, -a.phi)
-    boost = boost_element(l, 0.5 * math.log(b.p / a.p))
+    boost = boost_element(l, s)
     rot_out = rotation_element(l, b.phi)
     return compose(rot_out, compose(boost, rot_in))
 

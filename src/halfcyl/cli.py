@@ -156,7 +156,10 @@ def _cmd_orbit(args) -> int:
     if args.l < 1:
         raise ConfigError("l must be a positive integer")
     a, b = _parse_point(args.src), _parse_point(args.dst)
-    g = cl.transport(a, b, args.l)
+    try:
+        g = cl.transport(a, b, args.l)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     y = cl.act_lifted(g, a)
     import math
     res_phi = abs((y.phi - b.phi + math.pi) % (2 * math.pi) - math.pi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import build_theta_quantization, project_positive
-from .report import CheckReport, check
+from .report import CheckReport, check, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   gram_weights, interior_residual, tol)
 
@@ -61,15 +61,15 @@ def phase_operator(gs: GeneratorSet) -> TruncatedOperator:
     In the creation_plus gauge U is the unit shift e_n -> e_{n+1}; in either
     gauge U*U = 1 and UU* = 1 - P_0 hold on the interior.
     """
-    prod = (gs.Tminus @ gs.Tplus).matrix
-    d = np.diag(prod).real.copy()
-    off = np.abs(prod - np.diag(np.diag(prod))).max()
+    prod = gs.Tminus @ gs.Tplus
+    d = prod.bands[0].real
+    off = worst_of(np.abs(b).max() for k, b in prod.bands.items() if k != 0)
     if off > tol(gs.config.N):
         raise ValueError(f"T- T+ is not diagonal (off-diagonal {off:.2e})")
     if d[:-1].min() <= 0:
         raise ValueError("T- T+ must be positive on the interior (needs k > 0)")
     inv_root = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    return TruncatedOperator(gs.Tplus.matrix @ np.diag(inv_root), 1)
+    return gs.Tplus @ TruncatedOperator.diag(inv_root)
 
 
 def tplus_from_phase(gs: GeneratorSet, uhat: TruncatedOperator) -> TruncatedOperator:
@@ -85,8 +85,7 @@ def tplus_from_phase(gs: GeneratorSet, uhat: TruncatedOperator) -> TruncatedOper
     fac = (p + (cfg.k - 1.0) * cfg.hbar) * (p - cfg.k * cfg.hbar)
     root = np.sqrt(np.maximum(fac, 0.0))
     sign = -1.0 if cfg.phase_convention == "disc_minus" else 1.0
-    mat = sign / cfg.hbar * (np.diag(root) @ uhat.matrix)
-    return TruncatedOperator(mat, uhat.reach)
+    return sign / cfg.hbar * (TruncatedOperator.diag(root) @ uhat)
 
 
 def sincos_operators(gs: GeneratorSet):
@@ -101,16 +100,13 @@ def sincos_operators(gs: GeneratorSet):
     u = phase_operator(gs)
     s = -0.5j * (u - u.adjoint())
     c = 0.5 * (u + u.adjoint())
-    eye = np.eye(cfg.N + 1)
-    p0 = np.zeros_like(eye)
-    p0[0, 0] = 1.0
+    eye = TruncatedOperator.diag(np.ones(cfg.N + 1))
+    p0 = TruncatedOperator.diag(np.eye(1, cfg.N + 1)[0])
 
     rep = CheckReport(meta={"k": cfg.k, "N": cfg.N,
                             "phase_convention": cfg.phase_convention})
-    rep.add(check("sin_hermitean", "s = s*",
-                  float(np.abs(s.matrix - s.matrix.conj().T).max()), 1e-14))
-    rep.add(check("cos_hermitean", "c = c*",
-                  float(np.abs(c.matrix - c.matrix.conj().T).max()), 1e-14))
+    rep.add(check("sin_hermitean", "s = s*", (s - s.adjoint()).max_abs(), 1e-14))
+    rep.add(check("cos_hermitean", "c = c*", (c - c.adjoint()).max_abs(), 1e-14))
     rep.add(check("sincos_square_anomaly", "s^2 + c^2 = 1 - P_0/2",
                   interior_residual(s @ s + c @ c, eye - 0.5 * p0), 1e-10))
     rep.add(check("sincos_commutator_anomaly", "[s, c] = (i/2) P_0",
@@ -139,18 +135,17 @@ def conjugate_realizations(config: RepConfig) -> CheckReport:
     boundary = build_generators("boundary", config)
     hardy = build_generators("hardy", config)
     c = normalization_diagonal(config)
-    d_inv_md = lambda m: (m.T / c).T * c  # D^{-1} M D without forming D
+    d, d_inv = TruncatedOperator.diag(c), TruncatedOperator.diag(1.0 / c)
 
     rep = CheckReport(meta={"k": config.k, "N": config.N})
     budget = tol(config.N)
     for name, b_op, h_op in (("H", boundary.H, hardy.H),
                              ("T+", boundary.Tplus, hardy.Tplus),
                              ("T-", boundary.Tminus, hardy.Tminus)):
-        conj = TruncatedOperator(d_inv_md(np.asarray(b_op.matrix)), b_op.reach)
         rep.add(check(f"conjugation_{name}", f"D^-1 {name}_boundary D = {name}_hardy",
-                      interior_residual(conj - h_op), budget))
+                      interior_residual(d_inv @ b_op @ d - h_op), budget))
     rep.add(check("T0_invariant", "T0 identical in both realizations",
-                  float(np.abs(boundary.T0.matrix - hardy.T0.matrix).max()), 0.0))
+                  (boundary.T0 - hardy.T0).max_abs(), 0.0))
     if config.k == 0.5:
         rep.add(check("identity_similarity_at_half", "D = 1 at k = 1/2",
                       float(np.abs(c - 1.0).max()), 0.0))
@@ -171,17 +166,14 @@ def identification_report(ident: Identification, M: int = 48, N: int = 32,
     gs = build_generators("fock", cfg)
 
     # stay at least 4 indices clear of the window's truncation edge
-    n = max(min(ps.dim - 4, cfg.N + 1), 1)
-    p_proj = ps.momentum().matrix[:n, :n]
-    p_rep = (hbar * gs.H.matrix)[:n, :n]
-    u_proj = ps.shift().matrix[:n, :n]
-    u_rep = phase_operator(gs).matrix[:n, :n]
+    n = min(ps.dim - 4, cfg.N + 1)
+    if n < 2:
+        raise ValueError(f"common index window too small to compare ({n})")
+    p_res = (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()
+    u_res = (ps.shift().block(0, n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()
 
     rep = CheckReport(meta={"theta": ident.theta, "m_min": ident.m_min,
                             "k": ident.k, "M": M, "N": N})
-    rep.add(check("spectra_match", "projected p = hbar H entrywise",
-                  float(np.abs(p_proj - p_rep).max()), 1e-12))
-    rep.add(check("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}",
-                  float(np.abs(u_proj[:n - 1, :n - 1] - u_rep[:n - 1, :n - 1]).max()),
-                  1e-12))
+    rep.add(check("spectra_match", "projected p = hbar H entrywise", p_res, 1e-12))
+    rep.add(check("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", u_res, 1e-12))
     return rep

@@ -138,9 +138,10 @@ class _FloatSpan:
 
     def __init__(self):
         self.vectors = []
+        self.rank = 0  # rank of ``vectors``, updated on append
 
-    def _matrix(self, extra=None):
-        elems = self.vectors + ([extra] if extra is not None else [])
+    def _matrix(self, extra):
+        elems = self.vectors + [extra]
         modes = sorted({j for e in elems for j in e.support})
         mat = np.zeros((len(elems), max(len(modes), 1)), dtype=complex)
         for i, e in enumerate(elems):
@@ -157,8 +158,10 @@ class _FloatSpan:
         return int(np.sum(sv > FLOAT_RANK_THRESHOLD * sv[0]))
 
     def insert(self, elem):
-        if self._rank(self._matrix(extra=elem)) > self._rank(self._matrix()):
+        rank = self._rank(self._matrix(elem))
+        if rank > self.rank:
             self.vectors.append(elem)
+            self.rank = rank
             return True
         return False
 

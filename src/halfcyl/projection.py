@@ -3,10 +3,11 @@
 The theta-family quantization of T*S^1 lives on the quasi-periodic modes
 f_{theta,m} = exp(i (m + theta) phi), m in Z, on which the momentum is
 diagonal with eigenvalues hbar (m + theta).  Restricting to the maximal
-subspace with positive momentum (m >= 0 for theta in (0,1]) is implemented
-by a pair of partial isometries pi and iota; operators are transported as
-pi o O o iota.  A projected unitary is only isometric: the shift acquires
-a rank-one defect on the lowest state.
+subspace with positive momentum (m >= 0 for theta in (0,1]) transports an
+operator as pi o O o iota for the partial isometries pi and iota; on the
+stored diagonals that is index slicing of the trailing block.  A projected
+unitary is only isometric: the shift acquires a rank-one defect on the
+lowest state.
 """
 
 from __future__ import annotations
@@ -53,14 +54,12 @@ class ThetaSpace:
     # -- operators on the window ---------------------------------------
     def momentum(self) -> TruncatedOperator:
         """p f_{theta,m} = hbar (m + theta) f_{theta,m}."""
-        return TruncatedOperator(np.diag(self.hbar * (self.modes + self.theta)), 0)
+        return TruncatedOperator.diag(self.hbar * (self.modes + self.theta))
 
     def shift(self) -> TruncatedOperator:
         """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
-        mat = np.zeros((self.dim, self.dim))
-        idx = np.arange(self.dim - 1)
-        mat[idx + 1, idx] = 1.0
-        return TruncatedOperator(mat, 1)
+        return TruncatedOperator.from_bands({-1: np.ones(self.dim - 1, complex)},
+                                            self.dim, 1)
 
     def sin_op(self) -> TruncatedOperator:
         u = self.shift()
@@ -82,7 +81,8 @@ class ProjectedSpace:
 
     ``iota`` includes the subspace into the window, ``pi`` projects back;
     pi o iota is the identity on the subspace and iota o pi the spectral
-    projector on the parent, both exactly (integer index maps).
+    projector on the parent, both exactly (integer index maps).  The three
+    are dense views; ``project`` slices the operator's diagonals instead.
     """
 
     parent: ThetaSpace
@@ -116,8 +116,8 @@ class ProjectedSpace:
         return self.iota() @ self.pi()
 
     def project(self, op: TruncatedOperator) -> TruncatedOperator:
-        """Transported operator pi o O o iota."""
-        return TruncatedOperator(self.pi() @ op.matrix @ self.iota(), op.reach)
+        """Transported operator pi o O o iota: the trailing principal block."""
+        return op.block(self.m_min + self.parent.M, self.parent.dim)
 
     # -- the transported elementary operators ---------------------------
     def momentum(self) -> TruncatedOperator:
@@ -126,10 +126,8 @@ class ProjectedSpace:
     def shift(self) -> TruncatedOperator:
         return self.project(self.parent.shift())
 
-    def lowest_projector(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim))
-        mat[0, 0] = 1.0
-        return mat
+    def lowest_projector(self) -> TruncatedOperator:
+        return TruncatedOperator.diag(np.eye(1, self.dim)[0])
 
 
 def project_positive(space: ThetaSpace, m_min: int = 0) -> ProjectedSpace:
@@ -146,32 +144,37 @@ def isometry_report(ps: ProjectedSpace) -> CheckReport:
     """Check the partial-isometry identities of the projected shift."""
     rep = CheckReport(meta={"theta": ps.parent.theta, "m_min": ps.m_min})
     u = ps.shift()
-    eye = np.eye(ps.dim)
+    eye = TruncatedOperator.diag(np.ones(ps.dim))
     p0 = ps.lowest_projector()
 
     uu = u.adjoint() @ u
     rep.add(check("projected_shift_isometry", "U*U = 1",
                   interior_residual(uu, eye), 1e-12))
     rep.add(check("projected_shift_defect", "UU* = 1 - P_min",
-                  float(np.abs((u @ u.adjoint()).matrix - (eye - p0)).max()),
-                  1e-12))
-    defect = eye - (u @ u.adjoint()).matrix
-    rank = int(np.linalg.matrix_rank(defect, tol=1e-9))
+                  (u @ u.adjoint() - (eye - p0)).max_abs(), 1e-12))
+    defect = eye - u @ u.adjoint()
+    # every nonzero entry (row or column t + |d| of diagonal d) lies in the
+    # leading top x top block, which therefore carries the rank and column 0
+    top = 1 + max((int(np.flatnonzero(b).max()) + abs(d)
+                   for d, b in defect.bands.items() if b.any()), default=0)
+    head = defect.block(0, top).matrix
+    rank = int(np.linalg.matrix_rank(head, tol=1e-9))
     rep.add(check("defect_rank_one", "rank(1 - UU*) = 1",
                   abs(rank - 1), 0))
     rep.add(check("defect_on_lowest", "(1 - UU*) e_0 = e_0",
-                  float(np.abs(defect[:, 0] - p0[:, 0]).max()), 1e-12))
+                  float(np.abs(head[:, 0] - np.eye(top)[:, 0]).max()), 1e-12))
 
     # hermiticity survives the projection for the sin/cos multiplications
     for name, op in (("sin", ps.parent.sin_op()), ("cos", ps.parent.cos_op())):
-        m = ps.project(op).matrix
+        m = ps.project(op)
         rep.add(check(f"projected_{name}_hermitean", f"{name} = {name}*",
-                      float(np.abs(m - m.conj().T).max()), 1e-12))
+                      (m - m.adjoint()).max_abs(), 1e-12))
 
     # before projection the shift is unitary on the window interior
     pu = ps.parent.shift()
     rep.add(check("parent_shift_unitary", "UU* = 1 (parent interior)",
-                  interior_residual(pu @ pu.adjoint(), np.eye(ps.parent.dim),
+                  interior_residual(pu @ pu.adjoint(),
+                                    TruncatedOperator.diag(np.ones(ps.parent.dim)),
                                     trim_bottom=2), 1e-12))
     return rep
 

@@ -10,23 +10,27 @@ with s = +1 (creation_plus) or s = -1 (disc_minus); the two gauges are
 exchanged by the diagonal (-1)^n similarity.  T0 = iH, T1 = (T+ - T-)/2,
 T2 = i(T+ + T-)/2, and the Casimir T0^2 - T1^2 - T2^2 is the scalar k(1-k).
 
-Truncation contract: every operator carries a reach (its band displacement);
-identities are asserted only on the interior columns n <= N - total reach,
-where the finite shadow agrees with the infinite operator exactly.
+Operators are stored as their diagonals (the generators are diagonal or
+tridiagonal).  Truncation contract: every operator carries a reach (its band
+displacement); identities are asserted only on the interior columns
+n <= N - total reach, where the finite shadow agrees with the infinite
+operator exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+
+from .report import worst_of
 
 __all__ = [
     "RepConfig", "TruncatedOperator", "GeneratorSet",
     "build_generators", "casimir", "spectrum_p", "rotation_rep",
-    "exp_generator", "gram_weights", "toeplitz_measure_test",
+    "exp_generator", "boost_norm", "gram_weights", "toeplitz_measure_test",
     "interior_residual", "commutator", "parity_similarity", "tol",
     "REALIZATIONS", "PHASE_CONVENTIONS",
 ]
@@ -60,50 +64,128 @@ class RepConfig:
             raise ValueError(f"unknown phase convention {self.phase_convention!r}")
 
 
-@dataclass(frozen=True)
 class TruncatedOperator:
-    """Finite operator shadow: matrix plus its band reach.
+    """Finite operator shadow: its diagonals plus its band reach.
 
-    Composites add reaches, sums take the max; the interior span where
-    identities are exact consists of the columns 0..dim-1-reach.
+    ``bands`` maps an offset d to the diagonal M[i, i + d] in numpy's
+    ``diagonal(d)`` order, so a tridiagonal ladder is three vectors and a
+    product of banded operators costs O(dim * bands * bands).  Composites
+    add reaches, sums take the max; the interior span where identities are
+    exact consists of the columns 0..dim-1-reach.  ``matrix`` is a cached,
+    read-only dense view for tests and inherently dense results.
     """
 
-    matrix: np.ndarray
-    reach: int
+    __slots__ = ("_bands", "dim", "reach", "_dense")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix, reach: int):
+        """Operator with the nonzero diagonals of a square dense ``matrix``.
+
+        The diagonals are read out on first use; an inherently dense
+        result (a boost exponential) that is only ever used as a matrix
+        never pays for them.
+        """
+        m = np.array(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._bands, self.dim, self.reach, self._dense = None, m.shape[0], reach, m
+
+    @classmethod
+    def from_bands(cls, bands: dict, dim: int, reach: int) -> "TruncatedOperator":
+        """Operator with the given diagonals; the arrays are frozen, not copied."""
+        for b in bands.values():
+            b.setflags(write=False)
+        op = cls.__new__(cls)
+        op._bands, op.dim, op.reach, op._dense = bands, dim, reach, None
+        return op
+
+    @classmethod
+    def diag(cls, values, reach: int = 0) -> "TruncatedOperator":
+        """Diagonal operator diag(values)."""
+        values = np.asarray(values, dtype=complex)
+        return cls.from_bands({0: values}, values.size, reach)
 
     @property
-    def dim(self):
-        return self.matrix.shape[0]
+    def bands(self) -> dict:
+        if self._bands is None:
+            m, n = self._dense, self.dim
+            rows, cols = np.nonzero(m)
+            offsets = np.flatnonzero(np.bincount(cols - rows + n - 1)) - (n - 1)
+            self._bands = {int(d): m.diagonal(d) for d in offsets}  # read-only views
+        return self._bands
 
     @property
     def interior(self):
         """Number of interior columns for this reach."""
         return max(self.dim - self.reach, 0)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._dense is None:
+            n = self.dim
+            m = np.zeros((n, n), dtype=complex)
+            flat = m.reshape(-1)
+            for d, b in self.bands.items():
+                start = d if d >= 0 else -d * n
+                flat[start:start + b.size * (n + 1):n + 1] = b
+            m.setflags(write=False)
+            self._dense = m
+        return self._dense
+
+    def max_abs(self) -> float:
+        """Largest entry modulus; NaN if any entry is NaN."""
+        return worst_of(np.abs(b).max() for b in self.bands.values())
+
+    def block(self, lo: int, hi: int) -> "TruncatedOperator":
+        """Principal submatrix on the indices lo..hi-1, same reach."""
+        return TruncatedOperator.from_bands(
+            {d: b[lo:hi - abs(d)] for d, b in self.bands.items() if abs(d) < hi - lo},
+            hi - lo, self.reach)
+
+    def _check_dim(self, other):
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return self.dim
+
     def __matmul__(self, other):
-        return TruncatedOperator(self.matrix @ other.matrix,
-                                 self.reach + other.reach)
+        # (A @ B)[i, i + p + q] += A[i, i + p] * B[i + p, i + p + q] over the
+        # rows i where all three indices lie in 0..n-1
+        n = self._check_dim(other)
+        out = {}
+        for p, a in self.bands.items():
+            for q, b in other.bands.items():
+                r = p + q
+                lo, hi = max(0, -p, -r), min(n, n - p, n - r)
+                if lo >= hi:
+                    continue
+                if r not in out:
+                    out[r] = np.zeros(n - abs(r), complex)
+                ra, rb, rr = max(0, -p), max(0, -q) - p, max(0, -r)
+                out[r][lo - rr:hi - rr] += a[lo - ra:hi - ra] * b[lo - rb:hi - rb]
+        return TruncatedOperator.from_bands(out, n, self.reach + other.reach)
+
+    def _merge(self, other, op):
+        self._check_dim(other)
+        out = dict(self.bands)
+        for d, b in other.bands.items():
+            out[d] = op(out[d], b) if d in out else op(0, b)
+        return TruncatedOperator.from_bands(out, self.dim, max(self.reach, other.reach))
 
     def __add__(self, other):
-        return TruncatedOperator(self.matrix + other.matrix,
-                                 max(self.reach, other.reach))
+        return self._merge(other, np.add)
 
     def __sub__(self, other):
-        return TruncatedOperator(self.matrix - other.matrix,
-                                 max(self.reach, other.reach))
+        return self._merge(other, np.subtract)
 
     def __rmul__(self, scalar):
-        return TruncatedOperator(scalar * self.matrix, self.reach)
+        return TruncatedOperator.from_bands(
+            {d: scalar * b for d, b in self.bands.items()}, self.dim, self.reach)
 
     __mul__ = __rmul__
 
     def adjoint(self):
-        return TruncatedOperator(self.matrix.conj().T, self.reach)
+        return TruncatedOperator.from_bands(
+            {-d: b.conj() for d, b in self.bands.items()}, self.dim, self.reach)
 
 
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
@@ -116,19 +198,25 @@ def interior_residual(expr: TruncatedOperator, target=None,
 
     ``target`` may be a TruncatedOperator, an ndarray, or None (zero).
     ``trim_bottom`` additionally drops low columns, for windows truncated
-    at both ends.  An empty interior raises: a check that compares no
-    column must not pass.
+    at both ends.  Only the interior columns of each diagonal are read.
+    An empty interior raises: a check that compares no column must not
+    pass.
     """
-    mat = expr.matrix
-    if isinstance(target, TruncatedOperator):
-        mat = mat - target.matrix
-    elif target is not None:
-        mat = mat - np.asarray(target)
     hi = expr.interior
     if hi <= trim_bottom:
         raise ValueError(f"no interior columns to compare (interior {hi}, "
                          f"trim_bottom {trim_bottom})")
-    return float(np.abs(mat[:, trim_bottom:hi]).max())
+    if target is not None:
+        if not isinstance(target, TruncatedOperator):
+            target = TruncatedOperator(target, 0)
+        expr = expr - target
+    parts = []
+    for d, b in expr.bands.items():
+        col = max(d, 0)  # column of the first entry of the diagonal
+        seg = b[max(trim_bottom - col, 0):max(hi - col, 0)]
+        if seg.size:
+            parts.append(np.abs(seg).max())
+    return worst_of(parts)
 
 
 def parity_similarity(N: int) -> np.ndarray:
@@ -156,36 +244,35 @@ def _log_norm_ratio(k: float, n: np.ndarray) -> np.ndarray:
     return np.sqrt((n + 1.0) / (2.0 * k + n))
 
 
-def _ladder_matrices(realization: str, config: RepConfig):
-    """Raw H, T+, T- matrices of one realization, in its native sign gauge."""
+def _ladder_bands(realization: str, config: RepConfig):
+    """Raw H diagonal and T+ / T- off-diagonals, in the native sign gauge.
+
+    T+ e_n has its coefficient on the subdiagonal (offset -1), T- e_{n+1}
+    on the superdiagonal (offset +1); entry n of each belongs to e_n.
+    """
     k, N = config.k, config.N
-    n = np.arange(N + 1, dtype=float)
-    h = np.diag(k + n)
-    up = np.zeros((N + 1, N + 1))
-    dn = np.zeros((N + 1, N + 1))
+    h = k + np.arange(N + 1, dtype=float)
     lo = np.arange(N, dtype=float)  # source index of the raising shift
 
     if realization == "fock":
         # abstract ladder: sqrt(q + lambda(lambda +- 1)) at lambda = k + n
-        up[np.arange(1, N + 1), np.arange(N)] = np.sqrt((2 * k + lo) * (lo + 1))
-        dn[np.arange(N), np.arange(1, N + 1)] = np.sqrt((lo + 1) * (2 * k + lo))
+        up = np.sqrt((2 * k + lo) * (lo + 1))
+        dn = np.sqrt((lo + 1) * (2 * k + lo))
         sign = 1.0
     elif realization == "disc":
         # differential action -2k zbar - zbar^2 d/dzbar on the normalized basis
-        up[np.arange(1, N + 1), np.arange(N)] = (2 * k + lo) * _log_norm_ratio(k, lo)
-        dn[np.arange(N), np.arange(1, N + 1)] = (lo + 1) / _log_norm_ratio(k, lo)
+        up = (2 * k + lo) * _log_norm_ratio(k, lo)
+        dn = (lo + 1) / _log_norm_ratio(k, lo)
         sign = -1.0
     elif realization == "boundary":
         # exp(i phi)(-2k + i d/dphi) on the unnormalized Fourier basis
-        up[np.arange(1, N + 1), np.arange(N)] = 2 * k + lo
-        dn[np.arange(N), np.arange(1, N + 1)] = lo + 1
+        up = 2 * k + lo
+        dn = lo + 1
         sign = -1.0
     elif realization == "hardy":
         # shift composed with the entrywise root of the positive diagonal
         # (2k - i d/dphi)(1 - i d/dphi) on the orthonormal Fourier basis
-        root = np.sqrt((2 * k + lo) * (1 + lo))
-        up[np.arange(1, N + 1), np.arange(N)] = root
-        dn[np.arange(N), np.arange(1, N + 1)] = root
+        up = dn = np.sqrt((2 * k + lo) * (1 + lo))
         sign = -1.0
     else:
         raise ValueError(f"unknown realization {realization!r}")
@@ -193,7 +280,7 @@ def _ladder_matrices(realization: str, config: RepConfig):
 
 
 def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
-    """Truncated generator matrices of one realization.
+    """Truncated generators of one realization, stored as their bands.
 
     fock, disc and hardy live on orthonormal bases and come out
     entry-identical; boundary uses the unnormalized Fourier basis and is
@@ -201,15 +288,16 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     equivalence module).  The requested phase convention is applied as the
     (-1)^n gauge on top of the construction.
     """
-    h, up, dn = _ladder_matrices(realization, config)
+    h, up, dn = _ladder_bands(realization, config)
     native_sign = 1.0 if realization == "fock" else -1.0
     wanted_sign = 1.0 if config.phase_convention == "creation_plus" else -1.0
     if native_sign != wanted_sign:
         up, dn = -up, -dn
 
-    H = TruncatedOperator(h, 0)
-    Tp = TruncatedOperator(up, 1)
-    Tm = TruncatedOperator(dn, 1)
+    dim = config.N + 1
+    H = TruncatedOperator.diag(h)
+    Tp = TruncatedOperator.from_bands({-1: up.astype(complex)}, dim, 1)
+    Tm = TruncatedOperator.from_bands({1: dn.astype(complex)}, dim, 1)
     T0 = 1j * H
     T1 = 0.5 * (Tp - Tm)
     T2 = 0.5j * (Tp + Tm)
@@ -237,30 +325,57 @@ def rotation_rep(omega: float, config: RepConfig) -> TruncatedOperator:
     the covering group.
     """
     n = np.arange(config.N + 1)
-    return TruncatedOperator(np.diag(np.exp(-2j * (config.k + n) * omega)), 0)
+    return TruncatedOperator.diag(np.exp(-2j * (config.k + n) * omega))
 
 
 _BOOST_T_MAX = 2.0
+
+# i^m for m mod 4, exact
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@functools.lru_cache(maxsize=1)
+def _boost_eigh(config: RepConfig):
+    """eigh of the real Jacobi matrix J = (T+ + T-)/2 of the fock ladder.
+
+    Both boost generators are unitarily equivalent to J: i T2 = -J and
+    i T1 = D J D*, D = diag(i^n).  One decomposition per config therefore
+    serves every boost exponential, in either direction, at any t.
+    """
+    off = 0.5 * build_generators("fock", config).Tplus.bands[-1].real
+    return np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+
+
+def boost_norm(config: RepConfig) -> float:
+    """Spectral norm of the truncated T1 (and T2): max |eigenvalue of J|."""
+    return float(np.abs(_boost_eigh(config)[0]).max())
 
 
 def exp_generator(direction: str, t: float, config: RepConfig) -> TruncatedOperator:
     """Truncated matrix exponential exp(t * T_direction).
 
-    T0 exponentials are exactly unitary (diagonal phases).  For the boost
-    directions T1/T2 the parameter is capped at |t| <= 2 to keep truncation
-    leakage confined to the top rows; the interior unitarity defect decays
-    rapidly with N and is reported by the suite, not asserted.
+    T0 exponentials are diagonal phases.  The boosts come from the cached
+    eigendecomposition J = V diag(w) V^T (see ``_boost_eigh``):
+    exp(t T2) = cos(tJ) + i sin(tJ) and exp(t T1) = D (cos(tJ) - i sin(tJ)) D*,
+    unitary up to rounding; cos(tJ) and sin(tJ) are separate real products,
+    so they stay exactly even and odd in t.  For the boost directions the
+    parameter is capped at |t| <= 2 to keep truncation leakage confined to
+    the top rows.
     """
     if direction not in ("T0", "T1", "T2"):
         raise ValueError(f"unknown direction {direction!r}")
-    if direction != "T0" and abs(t) > _BOOST_T_MAX:
+    n = np.arange(config.N + 1)
+    if direction == "T0":  # T0 = iH
+        return TruncatedOperator.diag(np.exp(1j * t * (config.k + n)), config.N)
+    if abs(t) > _BOOST_T_MAX:
         raise ValueError(f"|t| <= {_BOOST_T_MAX} required for boost directions")
-    gs = build_generators("fock", config)
-    gen = {"T0": gs.T0, "T1": gs.T1, "T2": gs.T2}[direction]
-    if direction == "T0":
-        mat = np.diag(np.exp(t * np.diag(gen.matrix)))
+    w, v = _boost_eigh(config)
+    cos = (v * np.cos(t * w)) @ v.T
+    sin = (v * np.sin(t * w)) @ v.T
+    if direction == "T2":
+        mat = cos + 1j * sin
     else:
-        mat = expm(t * gen.matrix)
+        mat = _I_POWERS[(n[:, None] - n[None, :]) % 4] * (cos - 1j * sin)
     return TruncatedOperator(mat, config.N)
 
 

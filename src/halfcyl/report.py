@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
@@ -14,6 +15,7 @@ class CheckRecord:
     ``reported_only`` marks diagnostics (truncation leakage, hermiticity
     symptoms) that are carried in the report but never affect the verdict;
     no tolerance applies to them, so they serialise with ``"tol": null``.
+    A non-finite residual serialises as ``null`` with ``"pass": false``.
     """
 
     name: str
@@ -25,12 +27,13 @@ class CheckRecord:
     note: str = ""
 
     def to_dict(self):
+        finite = math.isfinite(self.residual)
         d = {
             "name": self.name,
             "anchor": self.anchor,
-            "residual": self.residual,
+            "residual": self.residual if finite else None,
             "tol": None if self.reported_only else self.tol,
-            "pass": self.passed,
+            "pass": self.passed and finite,
         }
         if self.reported_only:
             d["reported_only"] = True
@@ -39,11 +42,23 @@ class CheckRecord:
         return d
 
 
+def worst_of(residuals) -> float:
+    """Largest of ``residuals`` (0.0 if none); NaN if any is NaN.
+
+    Plain ``max`` keeps its first argument when a later one is NaN, so a
+    NaN residual would vanish from an aggregate depending on its position.
+    """
+    values = [float(r) for r in residuals]
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=0.0)
+
+
 def check(name, anchor, residual, tol, note=""):
-    """Asserted record: passes iff residual <= tol."""
+    """Asserted record: passes iff residual is finite and <= tol."""
     residual = float(residual)
     return CheckRecord(name, anchor, residual, float(tol),
-                       bool(residual <= tol), note=note)
+                       math.isfinite(residual) and residual <= tol, note=note)
 
 
 def metric(name, anchor, value, note=""):

@@ -430,3 +430,9 @@ def test_affine_generator_bracket():
     # and {q, p} = 1, {qp, p} = p
     assert poisson_bracket_poly({(1, 0): 1}, {(0, 1): 1}) == {(0, 0): 1}
     assert poisson_bracket_poly({(1, 1): 1}, {(0, 1): 1}) == {(0, 1): 1}
+
+
+@pytest.mark.parametrize("p_to", [1e17, 1e-17, 1e300])
+def test_transport_rejects_unrepresentable_momentum_ratio(p_to):
+    with pytest.raises(ValueError, match="momentum ratio"):
+        transport(PhasePoint(0.0, 1.0), PhasePoint(0.0, p_to), 1)

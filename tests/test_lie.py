@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfcyl import lie
 from halfcyl.exact import QC
 from halfcyl.lie import (
     L, So12Element, WittElement, algebra_isomorphism, killing_form,
@@ -187,6 +188,27 @@ def test_closure_float_path():
     assert res.closed and res.dimension == 3
     res = witt_closure([WittElement({1: 1.0}), WittElement({2: 0.3})])
     assert not res.closed and res.witness_mode == 3
+
+
+def test_float_closure_ranks_each_candidate_once(monkeypatch):
+    # the span keeps its own rank, so an insert costs one SVD, not two
+    calls = {"rank": 0, "insert": 0}
+    rank, insert = lie._FloatSpan._rank, lie._FloatSpan.insert
+
+    def counted_rank(self, mat):
+        calls["rank"] += 1
+        return rank(self, mat)
+
+    def counted_insert(self, elem):
+        calls["insert"] += 1
+        return insert(self, elem)
+
+    monkeypatch.setattr(lie._FloatSpan, "_rank", counted_rank)
+    monkeypatch.setattr(lie._FloatSpan, "insert", counted_insert)
+    res = witt_closure([WittElement({-2: 1.0}), WittElement({0: 0.5}),
+                        WittElement({2: 2.0, 0: 0.25})])
+    assert res.closed and res.dimension == 3
+    assert calls["insert"] > 3 and calls["rank"] == calls["insert"]
 
 
 def test_closure_preconditions():

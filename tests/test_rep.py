@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halfcyl.rep import (
-    REALIZATIONS, RepConfig, TruncatedOperator, build_generators, casimir,
+    REALIZATIONS, RepConfig, TruncatedOperator, boost_norm, build_generators, casimir,
     commutator, exp_generator, gram_weights, interior_residual,
     parity_similarity, rotation_rep, spectrum_p, toeplitz_measure_test, tol,
 )
@@ -344,3 +344,104 @@ def test_interior_residual_ignores_truncation_edge():
     # full-matrix residual sees the cutoff defect, the interior does not
     assert np.abs(expr.matrix).max() > 1.0
     assert interior_residual(expr) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# banded storage against the dense reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def banded_operators(draw, dim):
+    """A TruncatedOperator with random diagonals and reach, plus its dense matrix."""
+    offsets = draw(st.sets(st.integers(-(dim - 1), dim - 1), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bands = {d: rng.normal(size=dim - abs(d)) + 1j * rng.normal(size=dim - abs(d))
+             for d in offsets}
+    dense = np.zeros((dim, dim), complex)
+    for d, b in bands.items():
+        dense += np.diag(b, d)
+    return TruncatedOperator.from_bands(bands, dim, draw(st.integers(0, dim))), dense
+
+
+@st.composite
+def operator_pairs(draw):
+    dim = draw(st.integers(1, 9))
+    return draw(banded_operators(dim)), draw(banded_operators(dim))
+
+
+@given(operator_pairs(),
+       st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+       st.integers(0, 3))
+def test_banded_arithmetic_matches_dense(pair, scalar, trim):
+    (a, ma), (b, mb) = pair
+    assert np.array_equal(a.matrix, ma)
+    assert np.array_equal(TruncatedOperator(ma, a.reach).matrix, ma)
+    prod = a @ b
+    assert np.allclose(prod.matrix, ma @ mb, rtol=0, atol=1e-12 * (1 + np.abs(ma @ mb).max()))
+    assert np.array_equal((a + b).matrix, ma + mb)
+    assert np.array_equal((a - b).matrix, ma - mb)
+    assert np.array_equal((scalar * a).matrix, scalar * ma)
+    assert np.array_equal((a * scalar).matrix, scalar * ma)
+    assert np.array_equal(a.adjoint().matrix, ma.conj().T)
+    assert prod.reach == a.reach + b.reach
+    assert (a + b).reach == (a - b).reach == max(a.reach, b.reach)
+    assert (scalar * a).reach == a.adjoint().reach == a.reach
+
+    hi = a.interior
+    if hi <= trim:
+        with pytest.raises(ValueError, match="no interior columns"):
+            interior_residual(a, b, trim_bottom=trim)
+        return
+    want = np.abs((ma - mb)[:, trim:hi]).max()
+    assert interior_residual(a, b, trim_bottom=trim) == want
+    assert interior_residual(a, mb, trim_bottom=trim) == want
+    assert interior_residual(a, trim_bottom=trim) == np.abs(ma[:, trim:hi]).max()
+
+
+def test_dense_constructor_keeps_only_nonzero_diagonals():
+    op = TruncatedOperator(np.diag([1.0, 2.0, 3.0], 0) + np.diag([5.0], -2), 1)
+    assert sorted(op.bands) == [-2, 0]
+    assert not op.matrix.flags.writeable
+
+
+def test_max_abs_and_interior_residual_propagate_nan():
+    op = TruncatedOperator.from_bands({0: np.array([0.0, np.nan, 5.0]), 1: np.ones(2)},
+                                      3, 0)
+    assert np.isnan(op.max_abs())
+    assert np.isnan(interior_residual(op))
+
+
+# ---------------------------------------------------------------------------
+# boost exponentials against a numpy-only reference
+# ---------------------------------------------------------------------------
+
+def _expm_reference(a):
+    """Scaling and squaring with a 20-term Taylor series (numpy only)."""
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
+    b = a / 2.0 ** squarings
+    out = term = np.eye(len(a), dtype=complex)
+    for j in range(1, 21):
+        term = term @ b / j
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("convention", ["creation_plus", "disc_minus"])
+@pytest.mark.parametrize("direction", ["T1", "T2"])
+def test_boost_exponential_matches_taylor_reference(direction, convention):
+    cfg = RepConfig(k=0.7, N=32, phase_convention=convention)
+    gen = getattr(build_generators("fock", cfg), direction).matrix
+    for t in (-2.0, -0.3, 0.05, 1.1, 2.0):
+        u = exp_generator(direction, t, cfg).matrix
+        assert np.abs(u - _expm_reference(t * gen)).max() < 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(33)).max() < 1e-13
+
+
+def test_boost_norm_is_spectral_norm():
+    cfg = RepConfig(k=1.5, N=40)
+    gs = build_generators("fock", cfg)
+    for gen in (gs.T1, gs.T2):
+        assert abs(boost_norm(cfg) - np.linalg.norm(gen.matrix, 2)) < 1e-12 * boost_norm(cfg)

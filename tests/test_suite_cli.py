@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfcyl import suite
 from halfcyl.cli import main, parse_generators, parse_witt_expression
 from halfcyl.lie import L, WittElement
 from halfcyl.report import CheckReport, check, metric
@@ -328,3 +329,56 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].split()[1] == "1"
+
+
+def test_cli_orbit_rejects_unrepresentable_momentum_ratio():
+    proc = _run_cli("orbit", "--from", "0,1", "--to", "0,1e17")
+    _assert_usage_error(proc)
+    assert "momentum ratio" in proc.stderr
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, halfcyl; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_non_finite_residual_serialises_as_failed_null():
+    doc = check("a", "x = y", math.nan, 1e-9).to_dict()
+    assert doc["residual"] is None and doc["pass"] is False
+    doc = metric("leak", "info only", math.inf).to_dict()
+    assert doc["residual"] is None and doc["pass"] is False
+    assert not check("b", "x = y", -math.inf, 1e-9).passed
+
+
+def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tmp_path,
+                                                                capsys):
+    # a NaN from the second of the three ladder residuals: plain max() kept
+    # the first value and dropped it
+    real = suite.interior_residual
+    calls = []
+
+    def nan_on_second_call(*args, **kwargs):
+        calls.append(1)
+        return math.nan if len(calls) == 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "interior_residual", nan_on_second_call)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k_values": [0.5], "theta_values": [1.0],
+                                "N": 16, "M": 16}))
+    assert main(["verify", "--config", str(path)]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in report")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    rec = next(c for c in doc["checks"] if c["name"] == "ladder_algebra[k=0.5]")
+    assert rec["residual"] is None and rec["pass"] is False
+    assert doc["verdict"] == "fail"
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["ladder_algebra[k=0.5]"]
+
+
+def test_full_suite_passes_at_large_cutoff():
+    report = run_suite(SuiteConfig(N=512, M=512, profile="full"))
+    failed = [r.name for r in report.checks if not r.passed]
+    assert not failed and report.verdict
