@@ -84,10 +84,6 @@ class CoveringElement:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "omega", float(self.omega) % (self.l * math.pi))
 
-    @property
-    def is_identity(self):
-        return self.gamma == 0 and self.omega == 0.0
-
     def su11_matrix(self) -> np.ndarray:
         """Projected SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]]."""
         aa = cmath.exp(1j * self.omega) / math.sqrt(1.0 - abs(self.gamma) ** 2)

@@ -75,7 +75,10 @@ def parse_witt_expression(text: str) -> lie.WittElement:
         if not m:
             raise ConfigError(f"cannot parse Witt term at: {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ConfigError(f"zero denominator in Witt term {m.group(0).strip()!r}") from None
         mode = int(m.group("mode"))
         coeffs[mode] = coeffs.get(mode, Fraction(0)) + sign * coef
         pos = m.end()

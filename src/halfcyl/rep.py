@@ -234,7 +234,6 @@ class GeneratorSet:
     T0: TruncatedOperator
     T1: TruncatedOperator
     T2: TruncatedOperator
-    C: TruncatedOperator
     realization: str
     config: RepConfig
 
@@ -301,8 +300,7 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     T0 = 1j * H
     T1 = 0.5 * (Tp - Tm)
     T2 = 0.5j * (Tp + Tm)
-    C = T0 @ T0 - T1 @ T1 - T2 @ T2
-    return GeneratorSet(H, Tp, Tm, T0, T1, T2, C,
+    return GeneratorSet(H, Tp, Tm, T0, T1, T2,
                         realization=realization, config=config)
 
 

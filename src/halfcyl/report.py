@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = "1"
 
@@ -61,6 +61,18 @@ def check(name, anchor, residual, tol, note=""):
                        math.isfinite(residual) and residual <= tol, note=note)
 
 
+def splice(report, label, tol):
+    """The records of a module's ``report``, renamed ``name[label]``.
+
+    Each asserted record is judged again under ``min(its own tol, tol)``:
+    a configured tolerance can tighten a record's pinned one but never
+    loosen it.  Reported-only records keep their residual and stay unjudged.
+    """
+    return [replace(r, name=f"{r.name}[{label}]") if r.reported_only
+            else check(f"{r.name}[{label}]", r.anchor, r.residual, min(r.tol, tol), r.note)
+            for r in report.checks]
+
+
 def metric(name, anchor, value, note=""):
     """Reported-only record; never affects the verdict."""
     return CheckRecord(name, anchor, float(value), float("inf"), True,
@@ -79,8 +91,7 @@ class CheckReport:
         return record
 
     def extend(self, records):
-        for r in records:
-            self.add(r)
+        self.checks.extend(records)
 
     @property
     def verdict(self) -> bool:

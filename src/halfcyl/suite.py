@@ -1,9 +1,11 @@
 """Batch verification: run every module's check suite over a config grid.
 
 Each grid cell (one k or one theta) is a pure function of the config and
-the seed, so cells are independent and could run in parallel; the report
-assembly is a single sequential reduction.  Identical config and seed give
-a byte-identical JSON report up to the timestamp header.
+the seed.  A module's sub-report joins the suite record by record through
+``report.splice``: ``sin_hermitean`` becomes ``sin_hermitean[k=0.5]`` and
+keeps its own pinned tolerance, which the cell's configured tolerance can
+tighten but never loosen.  Identical config and seed give a byte-identical
+JSON report up to the timestamp header.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import cmath
 import datetime
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from . import lie
 from .equivalence import (conjugate_realizations, identification_report, identify,
                           phase_operator, sincos_operators, tplus_from_phase)
 from .projection import halfline_demo, isometry_report, build_theta_quantization, project_positive
-from .report import CheckReport, check, metric, worst_of
+from .report import CheckReport, check, metric, splice, worst_of
 from .rep import (RepConfig, TruncatedOperator, boost_norm, build_generators,
                   casimir, commutator, exp_generator, gram_weights,
                   interior_residual, rotation_rep, spectrum_p,
@@ -56,10 +59,12 @@ class ConfigError(ValueError):
 
 
 def _finite(name, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return x
@@ -90,9 +95,8 @@ class SuiteConfig:
         if not all(k > 0 for k in k_values):
             raise ConfigError("k must be positive")
         theta_values = tuple(_finite("theta", t) for t in self.theta_values)
-        for t in theta_values:
-            if not 0 < t <= 1:
-                raise ConfigError(f"theta must lie in (0, 1], got {t}")
+        if not (theta_values and all(0 < t <= 1 for t in theta_values)):
+            raise ConfigError(f"theta_values must be nonempty in (0, 1], got {theta_values}")
         if not (isinstance(self.N, int) and self.N >= 4):
             raise ConfigError(f"N must be an integer >= 4, got {self.N!r}")
         if not (isinstance(self.M, int) and self.M >= 8):
@@ -101,18 +105,24 @@ class SuiteConfig:
         if self.M - m_min - 2 < 4:
             raise ConfigError(f"M must be >= {m_min + 6} for the identification at "
                               f"m_min = {m_min} ({self.profile} profile), got {self.M}")
-        if not _finite("hbar", self.hbar) > 0:
+        hbar = _finite("hbar", self.hbar)
+        if not hbar > 0:
             raise ConfigError("hbar must be positive")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
         merged = dict(DEFAULT_TOLERANCES)
         merged.update({k: _finite(f"tolerance {k}", v) for k, v in self.tolerances.items()})
         object.__setattr__(self, "tolerances", merged)
+        object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "k_values", k_values)
         object.__setattr__(self, "theta_values", theta_values)
+        if not self.active_k_values:
+            raise ConfigError(f"no k_values to check (physical keeps k <= 1), got {k_values}")
 
     @property
     def active_k_values(self):
@@ -124,25 +134,16 @@ class SuiteConfig:
     def from_dict(raw: dict) -> "SuiteConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"k_values", "theta_values", "N", "M", "hbar", "tolerances",
-                 "seed", "profile"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(SuiteConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        try:
-            for key in ("k_values", "theta_values"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return SuiteConfig(**kwargs)
+        try:  # k_values or theta_values that is not a list
+            return SuiteConfig(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
     def echo(self) -> dict:
-        d = asdict(self)
-        d["k_values"] = list(self.k_values)
-        d["theta_values"] = list(self.theta_values)
-        return d
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +423,8 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
                      "T+ = -(1/hbar) sqrt((p+(k-1)hbar)(p-k hbar)) U",
                      interior_residual(rec - gm.Tplus), t["tplus"]))
     _, _, screp = sincos_operators(gs)
-    out.append(check(f"sincos_anomalies[{lab}]",
-                     "s^2+c^2 = 1 - P_0/2, [s,c] = i P_0/2, [H,s] = -ic",
-                     worst_of(r.residual for r in screp.checks), t["sincos"]))
-    conj = conjugate_realizations(rc)
-    out.append(check(f"realization_conjugation[{lab}]",
-                     "normalization diagonal maps boundary to Hardy",
-                     worst_of(r.residual for r in conj.checks), t["conjugation"]))
+    out += splice(screp, lab, t["sincos"])
+    out += splice(conjugate_realizations(rc), lab, t["conjugation"])
     return out
 
 
@@ -441,20 +437,11 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     out.append(check(f"cylinder_commutator[{lab}]", "[U, p] = -hbar U",
                      interior_residual((u @ p - p @ u) + cfg.hbar * u, trim_bottom=1),
                      1e-12))
-    ps = project_positive(space, 0)
-    iso = isometry_report(ps)
-    out.append(check(f"projected_isometries[{lab}]",
-                     "U*U = 1, UU* = 1 - P_min after projection",
-                     worst_of(r.residual for r in iso.checks if not r.reported_only),
-                     t["phase"]))
-    ident = []
+    out += splice(isometry_report(project_positive(space, 0)), lab, t["phase"])
     for m_min in THETA_M_MINS[cfg.profile]:
         rep = identification_report(identify(theta, m_min), M=cfg.M,
                                     N=min(cfg.N, cfg.M - m_min - 2), hbar=cfg.hbar)
-        ident += [r.residual for r in rep.checks]
-    out.append(check(f"identification[{lab}]",
-                     "projected (p, U) = (hbar H, phase operator) at k = theta + m_min",
-                     worst_of(ident), t["identification"]))
+        out += splice(rep, f"{lab},m_min={m_min}", t["identification"])
     return out
 
 
@@ -491,11 +478,13 @@ def emit_spectrum(k: float, N: int, hbar: float = 1.0, fmt: str = "table"):
     if N < 0:
         raise ConfigError("N must be nonnegative")
     values = [hbar * (k + n) for n in range(N + 1)]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"the levels hbar (k + n) overflow at k = {k}, hbar = {hbar}")
     if fmt == "table":
         return "\n".join(f"{n:4d}  {v:.12g}" for n, v in enumerate(values))
     if fmt == "json":
         import json
-        return json.dumps({"k": k, "N": N, "hbar": hbar, "spectrum": values})
+        return json.dumps({"k": k, "N": N, "hbar": hbar, "spectrum": values}, allow_nan=False)
     raise ConfigError(f"unknown format {fmt!r}")
 
 

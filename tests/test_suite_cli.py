@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -6,11 +8,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfcyl import suite
 from halfcyl.cli import main, parse_generators, parse_witt_expression
 from halfcyl.lie import L, WittElement
-from halfcyl.report import CheckReport, check, metric
+from halfcyl.report import CheckReport, check, metric, splice
 from halfcyl.suite import (ConfigError, DEFAULT_TOLERANCES, SuiteConfig,
                            emit_spectrum, run_suite)
 
@@ -55,14 +59,32 @@ def test_config_defaults_valid():
     {"k_values": (math.inf,)}, {"k_values": (math.nan,)},
     {"theta_values": (math.nan,)}, {"hbar": math.inf}, {"hbar": math.nan},
     {"tolerances": {"ladder": math.inf}}, {"tolerances": {"phase": math.nan}},
+    {"hbar": 10 ** 400},
 ])
 def test_config_rejects_non_finite(kwargs):
     with pytest.raises(ConfigError, match="finite"):
         SuiteConfig(**kwargs)
 
 
-@pytest.mark.parametrize("raw", [{"N": 5.5}, {"M": "48"}, {"k_values": 3}])
+@pytest.mark.parametrize("raw", [{"N": 5.5}, {"M": "48"}, {"k_values": 3},
+                                 {"tolerances": ["ladder"]}, {"tolerances": "ladder"},
+                                 {"hbar": "1"}, {"k_values": ["0.5"]},
+                                 {"tolerances": {"ladder": True}}, {"seed": True}])
 def test_config_rejects_wrong_types(raw):
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict(raw)
+
+
+def test_config_stores_the_validated_numbers():
+    cfg = SuiteConfig.from_dict({"hbar": 2, "k_values": [1], "tolerances": {"ladder": 1}})
+    assert type(cfg.hbar) is float and type(cfg.k_values[0]) is float
+    assert type(cfg.tolerances["ladder"]) is float
+
+
+@pytest.mark.parametrize("raw", [{"k_values": []}, {"k_values": [5.0]},
+                                 {"theta_values": []},
+                                 {"theta_values": [], "profile": "full"}])
+def test_config_rejects_empty_grid(raw):
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict(raw)
 
@@ -133,6 +155,53 @@ def test_emit_spectrum_formats():
         emit_spectrum(-1.0, 3)
     with pytest.raises(ConfigError):
         emit_spectrum(1.0, 3, fmt="yaml")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_emit_spectrum_rejects_overflowing_levels(fmt):
+    with pytest.raises(ConfigError, match="overflow"):
+        emit_spectrum(1e308, 5, 10.0, fmt)
+    assert main(["spectrum", "--k", "1e308", "--n", "5", "--hbar", "10",
+                 "--format", fmt]) == 2
+
+
+# ---------------------------------------------------------------------------
+# spliced module sub-reports
+# ---------------------------------------------------------------------------
+
+def test_splice_tightens_but_never_loosens():
+    rep = CheckReport()
+    rep.add(check("a", "x = y", 1e-12, 1e-14))
+    rep.add(check("b", "x = z", 1e-12, 1e-9))
+    rep.add(metric("leak", "info only", 5.0))
+    a, b, leak = splice(rep, "k=1", 1e-10)
+    assert (a.name, a.tol, a.passed) == ("a[k=1]", 1e-14, False)
+    assert (b.name, b.tol, b.passed) == ("b[k=1]", 1e-10, True)
+    assert leak == metric("leak[k=1]", "info only", 5.0)
+
+
+def _sin_hermitean(report):
+    return next(r for r in report.checks if r.name == "sin_hermitean[k=0.5]")
+
+
+def test_spliced_record_keeps_its_pinned_tolerance(monkeypatch):
+    assert _sin_hermitean(run_suite(SuiteConfig())).tol == 1e-14
+    loose = SuiteConfig(tolerances={"sincos": 1.0})
+    assert _sin_hermitean(run_suite(loose)).tol == 1e-14
+
+    real = suite.sincos_operators
+
+    def noisy_sin(gs):
+        s, c, rep = real(gs)
+        rep.checks = [check(r.name, r.anchor, 1e-12, r.tol) if r.name == "sin_hermitean"
+                      else r for r in rep.checks]
+        return s, c, rep
+
+    monkeypatch.setattr(suite, "sincos_operators", noisy_sin)
+    report = run_suite(SuiteConfig())
+    assert not report.verdict
+    assert {r.name for r in report.failures()} == {
+        f"sin_hermitean[k={k:g}]" for k in SuiteConfig().active_k_values}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +284,10 @@ def test_cli_orbit_rejects_nan_point():
 def test_cli_verify_rejects_window_too_small_for_full(tmp_path):
     _assert_usage_error(_run_cli("verify", "--profile", "full",
                                  config='{"N": 5, "M": 8}', tmp_path=tmp_path))
+
+
+def test_cli_verify_rejects_string_number(tmp_path):
+    _assert_usage_error(_run_cli("verify", config='{"hbar": "1"}', tmp_path=tmp_path))
 
 
 def test_cli_verify_rejects_infinite_k(tmp_path):
@@ -382,3 +455,83 @@ def test_full_suite_passes_at_large_cutoff():
     report = run_suite(SuiteConfig(N=512, M=512, profile="full"))
     failed = [r.name for r in report.checks if not r.passed]
     assert not failed and report.verdict
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs and command lines
+# ---------------------------------------------------------------------------
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-200, 200),
+                          st.floats(), st.text(max_size=6))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)) | st.text(max_size=4),
+                        inner, max_size=3)),
+    max_leaves=8)
+# a valid value or any JSON value for each known key, so that one wrong
+# value often meets an otherwise valid config
+_unit = st.floats(0.05, 1.0)
+_config = st.fixed_dictionaries({}, optional={
+    key: valid | _json_values for key, valid in {
+        "k_values": st.lists(_unit, min_size=1, max_size=3),
+        "theta_values": st.lists(_unit, min_size=1, max_size=3),
+        "N": st.integers(4, 200), "M": st.integers(9, 200),
+        "hbar": st.floats(0.1, 10.0),
+        "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+                                      st.floats(1e-12, 1.0), max_size=3),
+        "seed": st.integers(0, 200), "profile": st.sampled_from(("physical", "full")),
+    }.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config)
+def test_fuzzed_config_is_a_config_or_a_config_error(raw):
+    try:
+        cfg = SuiteConfig.from_dict(raw)
+    except ConfigError:
+        return
+    numbers = (cfg.hbar, *cfg.k_values, *cfg.theta_values, *cfg.tolerances.values())
+    assert all(type(x) is float for x in numbers)
+    assert type(cfg.seed) is int and cfg.active_k_values and cfg.theta_values
+
+
+_number = st.one_of(st.floats().map(repr), st.text(max_size=4))
+_size = st.one_of(st.integers(-200, 200).map(str), st.text(max_size=3))
+_point = st.one_of(st.builds("{},{}".format, _number, _number), st.text(max_size=6))
+_term = st.builds("{}{}*L{}".format, st.sampled_from(("", "-", "+")),
+                  st.from_regex(r"\A\d{1,2}(/\d{1,2})?\Z"), st.integers(-20, 20))
+_generators = (st.lists(_term, min_size=1, max_size=3).map(", ".join)
+               | st.text(alphabet="L0123456789-+*/(), ", max_size=16))
+_argv = st.one_of(
+    st.builds(lambda k, n, hbar, fmt: ["spectrum", f"--k={k}", f"--n={n}",
+                                       f"--hbar={hbar}", f"--format={fmt}"],
+              _number, _size, _number, st.sampled_from(("table", "json"))),
+    st.builds(lambda gens, mb, db: ["closure", f"--generators={gens}",
+                                    f"--mode-bound={mb}", f"--dim-bound={db}"],
+              _generators, st.integers(-5, 20), st.integers(-5, 20)),
+    st.builds(lambda l, a, b: ["orbit", f"--l={l}", f"--from={a}", f"--to={b}"],
+              _size, _point, _point),
+    st.builds(lambda theta, mmin, m, n: ["equiv", f"--theta={theta}", f"--mmin={mmin}",
+                                         f"--m={m}", f"--n={n}"],
+              _number, _size, _size, _size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv)
+def test_fuzzed_cli_exits_with_a_code_and_finite_output(argv):
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in output")
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    text = out.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert text == ""
+    elif argv[-1] == "--format=table":
+        assert all(math.isfinite(float(line.split()[1])) for line in text.splitlines())
+    else:
+        json.loads(text, parse_constant=reject)
