@@ -15,8 +15,8 @@ from .equivalence import (Identification, conjugate_realizations, identify,
 from .lie import (ClosureResult, L, So12Element, WittElement,
                   algebra_isomorphism, so12_bracket, vector_field_to_so12,
                   witt_bracket, witt_closure)
-from .projection import (ProjectedSpace, ThetaSpace, build_theta_quantization,
-                         halfline_demo, isometry_report, project_positive)
+from .projection import (ProjectedSpace, ThetaSpace, halfline_demo,
+                         isometry_report)
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   casimir, exp_generator, gram_weights, rotation_rep,
                   spectrum_p, toeplitz_measure_test)

@@ -122,10 +122,10 @@ def _emit_report(report: CheckReport, config_echo, out_path=None) -> int:
 def _cmd_verify(args) -> int:
     raw = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}")
     if args.profile:
         raw["profile"] = args.profile
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable config, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import build_theta_quantization, project_positive
+from .projection import ProjectedSpace, ThetaSpace
 from .report import CheckReport, check, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   gram_weights, interior_residual, tol)
@@ -160,8 +160,7 @@ def identification_report(ident: Identification, M: int = 48, N: int = 32,
     the projected shift matches the phase operator entrywise, over the
     common index window (both in the creation_plus gauge).
     """
-    space = build_theta_quantization(ident.theta, M, hbar)
-    ps = project_positive(space, ident.m_min)
+    ps = ProjectedSpace(ThetaSpace(ident.theta, M, hbar), ident.m_min)
     cfg = RepConfig(k=ident.k, N=N, hbar=hbar, phase_convention="creation_plus")
     gs = build_generators("fock", cfg)
 

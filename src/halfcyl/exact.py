@@ -19,14 +19,16 @@ class QC:
 
     Arithmetic with a float or complex operand gives a complex float;
     with an operand that is not a number it returns NotImplemented, so
-    that ``c * series`` reaches the series' own exact ``__rmul__``.
+    that ``c * series`` reaches the series' own exact ``__rmul__``.  Parts
+    that are ``int`` stay ``int`` (Gaussian-integer arithmetic allocates
+    no ``Fraction``); only a division makes a ``Fraction``.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else Fraction(re)
+        self.im = im if type(im) is int else Fraction(im)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -66,7 +68,7 @@ class QC:
             d = other.re * other.re + other.im * other.im
             if d == 0:
                 raise ZeroDivisionError("division by exact zero")
-            return self * QC(other.re / d, -other.im / d)
+            return self * QC(Fraction(other.re, d), Fraction(-other.im, d))
         return other if other is NotImplemented else complex(self) / other
 
     # -- structure ----------------------------------------------------
@@ -186,9 +188,7 @@ class ModeSeries:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.coeffs.keys() == other.coeffs.keys()
-                and all(complex(c) == complex(other.coeffs[j])
-                        for j, c in self.coeffs.items()))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(tuple((j, complex(c)) for j, c in sorted(self.coeffs.items())))

@@ -4,7 +4,7 @@ The theta-family quantization of T*S^1 lives on the quasi-periodic modes
 f_{theta,m} = exp(i (m + theta) phi), m in Z, on which the momentum is
 diagonal with eigenvalues hbar (m + theta).  Restricting to the maximal
 subspace with positive momentum (m >= 0 for theta in (0,1]) transports an
-operator as pi o O o iota for the partial isometries pi and iota; on the
+operator as pi o O o iota for the inclusion iota and its adjoint pi; on the
 stored diagonals that is index slicing of the trailing block.  A projected
 unitary is only isometric: the shift acquires a rank-one defect on the
 lowest state.
@@ -21,8 +21,7 @@ from .report import CheckReport, check, metric
 from .rep import TruncatedOperator, interior_residual
 
 __all__ = [
-    "ThetaSpace", "ProjectedSpace",
-    "build_theta_quantization", "project_positive", "isometry_report",
+    "ThetaSpace", "ProjectedSpace", "isometry_report",
     "halfline_demo", "halfline_commutator_residual",
 ]
 
@@ -58,8 +57,7 @@ class ThetaSpace:
 
     def shift(self) -> TruncatedOperator:
         """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
-        return TruncatedOperator.from_bands({-1: np.ones(self.dim - 1, complex)},
-                                            self.dim, 1)
+        return TruncatedOperator({-1: np.ones(self.dim - 1, complex)}, self.dim, 1)
 
     def sin_op(self) -> TruncatedOperator:
         u = self.shift()
@@ -70,19 +68,15 @@ class ThetaSpace:
         return 0.5 * (u + u.adjoint())
 
 
-def build_theta_quantization(theta: float, M: int, hbar: float = 1.0) -> ThetaSpace:
-    """Window of the theta-quantization; see ThetaSpace for the operators."""
-    return ThetaSpace(theta=theta, M=M, hbar=hbar)
-
-
 @dataclass(frozen=True)
 class ProjectedSpace:
     """Positive-momentum subspace spanned by f_{theta,m}, m >= m_min.
 
-    ``iota`` includes the subspace into the window, ``pi`` projects back;
-    pi o iota is the identity on the subspace and iota o pi the spectral
-    projector on the parent, both exactly (integer index maps).  The three
-    are dense views; ``project`` slices the operator's diagonals instead.
+    For theta in (0, 1] the set {m : hbar (m + theta) > 0} is exactly
+    {m >= 0}, so m_min = 0 is the maximal positive subspace, the range of
+    the spectral projector of the positive-momentum inequality.  Basis
+    vector j sits at parent window index m_min + M + j; ``project`` slices
+    an operator's diagonals to that trailing block.
     """
 
     parent: ThetaSpace
@@ -98,23 +92,6 @@ class ProjectedSpace:
     def dim(self):
         return self.parent.M - self.m_min + 1
 
-    @property
-    def parent_indices(self):
-        """Parent window index of each projected basis vector."""
-        return np.arange(self.m_min + self.parent.M, 2 * self.parent.M + 1)
-
-    def iota(self) -> np.ndarray:
-        mat = np.zeros((self.parent.dim, self.dim))
-        mat[self.parent_indices, np.arange(self.dim)] = 1.0
-        return mat
-
-    def pi(self) -> np.ndarray:
-        return self.iota().T
-
-    def projector(self) -> np.ndarray:
-        """P = iota o pi on the parent window (Theta(p) for m_min = 0)."""
-        return self.iota() @ self.pi()
-
     def project(self, op: TruncatedOperator) -> TruncatedOperator:
         """Transported operator pi o O o iota: the trailing principal block."""
         return op.block(self.m_min + self.parent.M, self.parent.dim)
@@ -128,16 +105,6 @@ class ProjectedSpace:
 
     def lowest_projector(self) -> TruncatedOperator:
         return TruncatedOperator.diag(np.eye(1, self.dim)[0])
-
-
-def project_positive(space: ThetaSpace, m_min: int = 0) -> ProjectedSpace:
-    """Restrict to m >= m_min; m_min = 0 is the maximal positive subspace.
-
-    For theta in (0, 1] the set {m : hbar (m + theta) > 0} is exactly
-    {m >= 0}, so m_min = 0 reproduces the spectral projector of the
-    positive-momentum inequality.
-    """
-    return ProjectedSpace(parent=space, m_min=m_min)
 
 
 def isometry_report(ps: ProjectedSpace) -> CheckReport:

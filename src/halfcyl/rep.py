@@ -20,7 +20,6 @@ operator exactly.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,48 +70,24 @@ class TruncatedOperator:
     ``diagonal(d)`` order, so a tridiagonal ladder is three vectors and a
     product of banded operators costs O(dim * bands * bands).  Composites
     add reaches, sums take the max; the interior span where identities are
-    exact consists of the columns 0..dim-1-reach.  ``matrix`` is a cached,
-    read-only dense view for tests and inherently dense results.
+    exact consists of the columns 0..dim-1-reach.  Bands are the only
+    storage; ``matrix`` is a cached, read-only dense view built from them,
+    for tests and inherently dense results (the boost exponentials).
     """
 
-    __slots__ = ("_bands", "dim", "reach", "_dense")
+    __slots__ = ("bands", "dim", "reach", "_dense")
 
-    def __init__(self, matrix, reach: int):
-        """Operator with the nonzero diagonals of a square dense ``matrix``.
-
-        The diagonals are read out on first use; an inherently dense
-        result (a boost exponential) that is only ever used as a matrix
-        never pays for them.
-        """
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        m.setflags(write=False)
-        self._bands, self.dim, self.reach, self._dense = None, m.shape[0], reach, m
-
-    @classmethod
-    def from_bands(cls, bands: dict, dim: int, reach: int) -> "TruncatedOperator":
+    def __init__(self, bands: dict, dim: int, reach: int):
         """Operator with the given diagonals; the arrays are frozen, not copied."""
         for b in bands.values():
             b.setflags(write=False)
-        op = cls.__new__(cls)
-        op._bands, op.dim, op.reach, op._dense = bands, dim, reach, None
-        return op
+        self.bands, self.dim, self.reach, self._dense = bands, dim, reach, None
 
     @classmethod
     def diag(cls, values, reach: int = 0) -> "TruncatedOperator":
         """Diagonal operator diag(values)."""
         values = np.asarray(values, dtype=complex)
-        return cls.from_bands({0: values}, values.size, reach)
-
-    @property
-    def bands(self) -> dict:
-        if self._bands is None:
-            m, n = self._dense, self.dim
-            rows, cols = np.nonzero(m)
-            offsets = np.flatnonzero(np.bincount(cols - rows + n - 1)) - (n - 1)
-            self._bands = {int(d): m.diagonal(d) for d in offsets}  # read-only views
-        return self._bands
+        return cls({0: values}, values.size, reach)
 
     @property
     def interior(self):
@@ -138,7 +113,7 @@ class TruncatedOperator:
 
     def block(self, lo: int, hi: int) -> "TruncatedOperator":
         """Principal submatrix on the indices lo..hi-1, same reach."""
-        return TruncatedOperator.from_bands(
+        return TruncatedOperator(
             {d: b[lo:hi - abs(d)] for d, b in self.bands.items() if abs(d) < hi - lo},
             hi - lo, self.reach)
 
@@ -162,14 +137,14 @@ class TruncatedOperator:
                     out[r] = np.zeros(n - abs(r), complex)
                 ra, rb, rr = max(0, -p), max(0, -q) - p, max(0, -r)
                 out[r][lo - rr:hi - rr] += a[lo - ra:hi - ra] * b[lo - rb:hi - rb]
-        return TruncatedOperator.from_bands(out, n, self.reach + other.reach)
+        return TruncatedOperator(out, n, self.reach + other.reach)
 
     def _merge(self, other, op):
         self._check_dim(other)
         out = dict(self.bands)
         for d, b in other.bands.items():
             out[d] = op(out[d], b) if d in out else op(0, b)
-        return TruncatedOperator.from_bands(out, self.dim, max(self.reach, other.reach))
+        return TruncatedOperator(out, self.dim, max(self.reach, other.reach))
 
     def __add__(self, other):
         return self._merge(other, np.add)
@@ -178,13 +153,13 @@ class TruncatedOperator:
         return self._merge(other, np.subtract)
 
     def __rmul__(self, scalar):
-        return TruncatedOperator.from_bands(
+        return TruncatedOperator(
             {d: scalar * b for d, b in self.bands.items()}, self.dim, self.reach)
 
     __mul__ = __rmul__
 
     def adjoint(self):
-        return TruncatedOperator.from_bands(
+        return TruncatedOperator(
             {-d: b.conj() for d, b in self.bands.items()}, self.dim, self.reach)
 
 
@@ -196,7 +171,7 @@ def interior_residual(expr: TruncatedOperator, target=None,
                       trim_bottom: int = 0) -> float:
     """Max-abs deviation of ``expr`` from ``target`` on interior columns.
 
-    ``target`` may be a TruncatedOperator, an ndarray, or None (zero).
+    ``target`` is a TruncatedOperator or None (zero).
     ``trim_bottom`` additionally drops low columns, for windows truncated
     at both ends.  Only the interior columns of each diagonal are read.
     An empty interior raises: a check that compares no column must not
@@ -207,8 +182,6 @@ def interior_residual(expr: TruncatedOperator, target=None,
         raise ValueError(f"no interior columns to compare (interior {hi}, "
                          f"trim_bottom {trim_bottom})")
     if target is not None:
-        if not isinstance(target, TruncatedOperator):
-            target = TruncatedOperator(target, 0)
         expr = expr - target
     parts = []
     for d, b in expr.bands.items():
@@ -295,8 +268,8 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
 
     dim = config.N + 1
     H = TruncatedOperator.diag(h)
-    Tp = TruncatedOperator.from_bands({-1: up.astype(complex)}, dim, 1)
-    Tm = TruncatedOperator.from_bands({1: dn.astype(complex)}, dim, 1)
+    Tp = TruncatedOperator({-1: up.astype(complex)}, dim, 1)
+    Tm = TruncatedOperator({1: dn.astype(complex)}, dim, 1)
     T0 = 1j * H
     T1 = 0.5 * (Tp - Tm)
     T2 = 0.5j * (Tp + Tm)
@@ -374,7 +347,9 @@ def exp_generator(direction: str, t: float, config: RepConfig) -> TruncatedOpera
         mat = cos + 1j * sin
     else:
         mat = _I_POWERS[(n[:, None] - n[None, :]) % 4] * (cos - 1j * sin)
-    return TruncatedOperator(mat, config.N)
+    N = config.N
+    return TruncatedOperator({d: mat.diagonal(d) for d in range(-N, N + 1)},
+                             N + 1, N)
 
 
 def gram_weights(config: RepConfig) -> np.ndarray:
@@ -384,10 +359,11 @@ def gram_weights(config: RepConfig) -> np.ndarray:
     w_0 = 1; strictly increasing for k < 1/2, constant at k = 1/2,
     strictly decreasing for k > 1/2 (the finite shadow of the function-space
     inclusions between the weighted spaces and the flat Hardy space).
+    Built as the running product of the ratios w_{n+1} / w_n =
+    (n + 1) / (2k + n): n rounded factors and no cancellation.
     """
-    k, n = config.k, np.arange(config.N + 1)
-    lg = math.lgamma
-    return np.exp([lg(2 * k) + lg(m + 1) - lg(2 * k + m) for m in n])
+    k, n = config.k, np.arange(config.N, dtype=float)
+    return np.concatenate(([1.0], np.cumprod((n + 1) / (2 * k + n))))
 
 
 def toeplitz_measure_test(config: RepConfig) -> bool:

@@ -22,7 +22,7 @@ from . import classical as cl
 from . import lie
 from .equivalence import (conjugate_realizations, identification_report, identify,
                           phase_operator, sincos_operators, tplus_from_phase)
-from .projection import halfline_demo, isometry_report, build_theta_quantization, project_positive
+from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
 from .report import CheckReport, check, metric, splice, worst_of
 from .rep import (RepConfig, TruncatedOperator, boost_norm, build_generators,
                   casimir, commutator, exp_generator, gram_weights,
@@ -432,12 +432,12 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     t = cfg.tolerances
     out = []
     lab = f"theta={theta:g}"
-    space = build_theta_quantization(theta, cfg.M, cfg.hbar)
+    space = ThetaSpace(theta, cfg.M, cfg.hbar)
     u, p = space.shift(), space.momentum()
     out.append(check(f"cylinder_commutator[{lab}]", "[U, p] = -hbar U",
                      interior_residual((u @ p - p @ u) + cfg.hbar * u, trim_bottom=1),
                      1e-12))
-    out += splice(isometry_report(project_positive(space, 0)), lab, t["phase"])
+    out += splice(isometry_report(ProjectedSpace(space, 0)), lab, t["phase"])
     for m_min in THETA_M_MINS[cfg.profile]:
         rep = identification_report(identify(theta, m_min), M=cfg.M,
                                     N=min(cfg.N, cfg.M - m_min - 2), hbar=cfg.hbar)

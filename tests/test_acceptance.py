@@ -18,9 +18,8 @@ from halfcyl.classical import (
 from halfcyl.equivalence import (identify, phase_operator, sincos_operators,
                                  tplus_from_phase, normalization_diagonal)
 from halfcyl.lie import L, witt_closure
-from halfcyl.projection import (build_theta_quantization,
-                                halfline_commutator_residual, halfline_demo,
-                                project_positive)
+from halfcyl.projection import (ProjectedSpace, ThetaSpace,
+                                halfline_commutator_residual, halfline_demo)
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators,
                          casimir, commutator, interior_residual, spectrum_p,
                          toeplitz_measure_test)
@@ -43,7 +42,7 @@ def fock(k, convention="creation_plus"):
 def test_criterion_01_spectra_exact():
     spec = spectrum_p(RepConfig(k=1.0, N=N, hbar=1.0))
     want = np.arange(1, N + 2, dtype=float)
-    ps = project_positive(build_theta_quantization(1.0, N, hbar=1.0), 0)
+    ps = ProjectedSpace(ThetaSpace(1.0, N, hbar=1.0), 0)
     proj = np.diag(ps.momentum().matrix).real
     ok = np.array_equal(spec, want) and np.array_equal(proj[:N + 1], want)
     _criterion(1, "momentum spectra (group picture = projected picture)", ok,
@@ -86,15 +85,17 @@ def test_criterion_04_phase_operator_both_pictures():
         p0 = np.zeros_like(eye)
         p0[0, 0] = 1.0
         worst = max(worst,
-                    interior_residual(u_rep.adjoint() @ u_rep, eye),
+                    interior_residual(u_rep.adjoint() @ u_rep,
+                                      TruncatedOperator.diag(np.ones(N + 1))),
                     float(np.abs((u_rep @ u_rep.adjoint()).matrix - (eye - p0)).max()))
-        ps = project_positive(build_theta_quantization(theta, N + m_min + 4), m_min)
+        ps = ProjectedSpace(ThetaSpace(theta, N + m_min + 4), m_min)
         u_proj = ps.shift()
         eye_p = np.eye(ps.dim)
         p0p = np.zeros_like(eye_p)
         p0p[0, 0] = 1.0
         worst = max(worst,
-                    interior_residual(u_proj.adjoint() @ u_proj, eye_p),
+                    interior_residual(u_proj.adjoint() @ u_proj,
+                                      TruncatedOperator.diag(np.ones(ps.dim))),
                     float(np.abs((u_proj @ u_proj.adjoint()).matrix - (eye_p - p0p)).max()))
         n = min(ps.dim, N + 1) - 1
         agree = max(agree, float(np.abs(u_rep.matrix[:n, :n]
@@ -120,9 +121,8 @@ def test_criterion_06_sincos_anomalies():
     for k in (0.25, 0.5, 1.0, 1.5, 3.0):
         gs = fock(k)
         s, c, _ = sincos_operators(gs)
-        eye = np.eye(N + 1)
-        p0 = np.zeros_like(eye)
-        p0[0, 0] = 1.0
+        eye = TruncatedOperator.diag(np.ones(N + 1))
+        p0 = TruncatedOperator.diag(np.eye(1, N + 1)[0])
         worst = max(worst,
                     interior_residual(s @ s + c @ c, eye - 0.5 * p0),
                     interior_residual(s @ c - c @ s, 0.5j * p0),
@@ -141,7 +141,8 @@ def test_criterion_07_realization_conjugation():
         c = normalization_diagonal(cfg)
         for name in ("H", "Tplus", "Tminus"):
             bm = getattr(b, name)
-            conj = TruncatedOperator((bm.matrix.T / c).T * c, bm.reach)
+            m = (bm.matrix.T / c).T * c
+            conj = TruncatedOperator({d: m.diagonal(d) for d in bm.bands}, N + 1, bm.reach)
             worst = max(worst, interior_residual(conj - getattr(h, name)))
     c_half = normalization_diagonal(RepConfig(k=0.5, N=N))
     exact_half = float(np.abs(c_half - 1.0).max())

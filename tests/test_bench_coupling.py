@@ -1,0 +1,56 @@
+"""The package names that the benchmark under bench/ traces or calls.
+
+bench/spans.py patches functions and methods by name, and
+bench/workloads.py calls into the package directly.  Renaming or deleting
+one of those names breaks a traced benchmark run, which no other test
+exercises.
+"""
+
+import importlib.util
+import pathlib
+from fractions import Fraction
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_on_every_target_and_uninstalls():
+    from halfcyl import rep
+
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    original = rep.build_generators
+    try:
+        tracer.install()
+        rep.build_generators("fock", rep.RepConfig(k=0.5, N=8))
+        assert tracer.stats["rep.build_generators"]["calls"] == 1
+        assert rep.build_generators is not original
+    finally:
+        tracer.uninstall()
+    assert rep.build_generators is original
+    assert not hasattr(rep.TruncatedOperator.__matmul__, "__wrapped__")
+
+
+def test_workload_entry_points_exist():
+    from halfcyl import classical, exact, rep, suite
+
+    half = exact.QC(Fraction(1, 2), Fraction(-1, 2))
+    poly = classical.TrigPoly({0: 1, 1: half, -1: half.conjugate()})
+    assert poly.modes == {0: 1, 1: half, -1: half.conjugate()}
+    bracket = classical.poisson_bracket(classical.lift_hamiltonian(poly),
+                                        classical.lift_hamiltonian(classical.TrigPoly.sin(1)))
+    assert isinstance(bracket.base.modes, dict)
+
+    config = suite.SuiteConfig(N=16, M=16, profile="full", seed=1)
+    assert config.active_k_values and callable(suite.run_suite)
+    assert isinstance(config.echo(), dict)
+
+    gs = rep.build_generators("fock", rep.RepConfig(k=0.5, N=12))
+    for op in (gs.H, gs.Tplus, gs.Tminus):
+        assert op.matrix.shape == (13, 13)

@@ -5,8 +5,8 @@ from halfcyl.equivalence import (
     conjugate_realizations, identification_report, identify,
     normalization_diagonal, phase_operator, sincos_operators, tplus_from_phase,
 )
-from halfcyl.projection import build_theta_quantization, project_positive
-from halfcyl.rep import (RepConfig, build_generators, gram_weights,
+from halfcyl.projection import ProjectedSpace, ThetaSpace
+from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators, gram_weights,
                          interior_residual, parity_similarity)
 
 
@@ -54,7 +54,7 @@ def test_identification_diagram_commutes(theta, m_min):
 
 def test_identified_spectra_entrywise():
     ident = identify(0.25, 0)
-    ps = project_positive(build_theta_quantization(0.25, 24), 0)
+    ps = ProjectedSpace(ThetaSpace(0.25, 24), 0)
     proj = np.diag(ps.momentum().matrix).real
     rep = 0.25 + np.arange(25)
     assert np.array_equal(proj, rep)
@@ -84,7 +84,7 @@ def test_phase_operator_isometry(k, convention):
     eye = np.eye(33)
     p0 = np.zeros_like(eye)
     p0[0, 0] = 1.0
-    assert interior_residual(u.adjoint() @ u, eye) < 1e-12
+    assert interior_residual(u.adjoint() @ u, TruncatedOperator.diag(np.ones(33))) < 1e-12
     assert np.abs((u @ u.adjoint()).matrix - (eye - p0)).max() < 1e-12
 
 
@@ -101,7 +101,7 @@ def test_phase_operator_input_diagonal_values():
 def test_phase_operator_matches_projected_shift():
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 2)):
         ident = identify(theta, m_min)
-        ps = project_positive(build_theta_quantization(theta, 40), m_min)
+        ps = ProjectedSpace(ThetaSpace(theta, 40), m_min)
         gs = fock(ident.k, N=24)
         u_rep = phase_operator(gs).matrix
         u_proj = ps.shift().matrix

@@ -83,6 +83,26 @@ def test_exact_scalar_times_element_stays_exact():
     assert (QC(1, 3) * WittElement({1: 1, -2: Fraction(1, 2)}) - WittElement({})).is_exact
 
 
+def test_exact_division_gives_fractions_and_integers_stay_integers():
+    third = QC(1) / QC(3)
+    assert third.re == Fraction(1, 3) and type(third.re) is Fraction
+    assert type((QC(1, 2) / QC(0, 1)).im) is Fraction
+    prod = QC(2, 1) * QC(3, -1) + 4
+    assert (type(prod.re), type(prod.im)) == (int, int)
+    assert prod == QC(11, 1) and hash(prod) == hash(QC(Fraction(11), Fraction(1)))
+    assert repr(prod) == repr(QC(Fraction(11), Fraction(1))) == "(11 + 1*i)"
+
+
+def test_exact_series_compare_exactly():
+    a = WittElement({1: Fraction(1, 3)})
+    b = WittElement({1: Fraction(1, 3) + Fraction(1, 10 ** 20)})
+    assert complex(a.coeffs[1]) == complex(b.coeffs[1])  # equal as floats
+    assert not (b - a).is_zero
+    assert a != b and not a == b
+    same = WittElement({1: Fraction(2, 6)})
+    assert a == same and hash(a) == hash(same)
+
+
 # ---------------------------------------------------------------------------
 # witt_closure
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfcyl.projection import (
-    build_theta_quantization, halfline_commutator_residual, halfline_demo,
-    isometry_report, project_positive,
+    ProjectedSpace, ThetaSpace, halfline_commutator_residual, halfline_demo,
+    isometry_report,
 )
-from halfcyl.rep import interior_residual
+from halfcyl.rep import TruncatedOperator, interior_residual
 
 
 # ---------------------------------------------------------------------------
@@ -18,22 +18,22 @@ from halfcyl.rep import interior_residual
 
 def test_theta_validation():
     with pytest.raises(ValueError):
-        build_theta_quantization(0.0, 16)
+        ThetaSpace(0.0, 16)
     with pytest.raises(ValueError):
-        build_theta_quantization(1.2, 16)
+        ThetaSpace(1.2, 16)
     with pytest.raises(ValueError):
-        build_theta_quantization(0.5, 4)
-    build_theta_quantization(1.0, 8)  # theta = 1 is the canonical endpoint
+        ThetaSpace(0.5, 4)
+    ThetaSpace(1.0, 8)  # theta = 1 is the canonical endpoint
 
 
 def test_momentum_eigenvalues():
-    ts = build_theta_quantization(0.25, 12, hbar=2.0)
+    ts = ThetaSpace(0.25, 12, hbar=2.0)
     assert np.allclose(np.diag(ts.momentum().matrix).real,
                        2.0 * (ts.modes + 0.25))
 
 
 def test_shift_moves_modes_up():
-    ts = build_theta_quantization(0.5, 10)
+    ts = ThetaSpace(0.5, 10)
     u = ts.shift().matrix
     e = np.zeros(ts.dim)
     e[3] = 1.0
@@ -42,17 +42,17 @@ def test_shift_moves_modes_up():
 
 
 def test_shift_momentum_commutator():
-    ts = build_theta_quantization(0.7, 16, hbar=1.5)
+    ts = ThetaSpace(0.7, 16, hbar=1.5)
     u, p = ts.shift(), ts.momentum()
     assert interior_residual((u @ p - p @ u) + 1.5 * u, trim_bottom=1) < 1e-12
     # exact for dyadic parameters
-    ts = build_theta_quantization(0.25, 16)
+    ts = ThetaSpace(0.25, 16)
     u, p = ts.shift(), ts.momentum()
     assert interior_residual((u @ p - p @ u) + 1.0 * u, trim_bottom=1) == 0.0
 
 
 def test_sincos_are_hermitean_tridiagonal():
-    ts = build_theta_quantization(0.3, 12)
+    ts = ThetaSpace(0.3, 12)
     for op in (ts.sin_op(), ts.cos_op()):
         m = op.matrix
         assert np.abs(m - m.conj().T).max() == 0.0
@@ -68,41 +68,50 @@ def test_sincos_are_hermitean_tridiagonal():
 @settings(max_examples=40)
 def test_maximality_of_mmin_zero(theta):
     # {m : hbar(m + theta) > 0} is exactly {m >= 0} for theta in (0, 1]
-    ts = build_theta_quantization(theta, 12)
+    ts = ThetaSpace(theta, 12)
     positive = set(int(m) for m in ts.modes if (m + theta) > 0)
     assert positive == set(range(0, 13))
 
 
 def test_projected_spectrum_positive():
-    ps = project_positive(build_theta_quantization(0.25, 16), 0)
+    ps = ProjectedSpace(ThetaSpace(0.25, 16), 0)
     diag = np.diag(ps.momentum().matrix).real
     assert np.allclose(diag, 0.25 + np.arange(17))
     assert diag.min() > 0
 
 
 def test_partial_isometry_identities():
-    ps = project_positive(build_theta_quantization(0.6, 16), 2)
-    assert np.abs(ps.pi() @ ps.iota() - np.eye(ps.dim)).max() == 0.0
-    want = np.diag((ps.parent.modes >= 2).astype(float))
-    assert np.abs(ps.projector() - want).max() == 0.0
+    # iota maps projected basis vector j to the parent mode m_min + j
+    ts = ThetaSpace(0.6, 16)
+    rng = np.random.default_rng(7)
+    op = TruncatedOperator({d: rng.normal(size=ts.dim - abs(d))
+                            + 1j * rng.normal(size=ts.dim - abs(d))
+                            for d in (-5, -2, -1, 0, 1, 3, 7)}, ts.dim, 7)
+    for m_min in (0, 2):
+        ps = ProjectedSpace(ts, m_min)
+        iota = np.zeros((ts.dim, ps.dim))
+        iota[np.flatnonzero(ts.modes >= m_min), np.arange(ps.dim)] = 1.0
+        assert np.array_equal(iota.T @ iota, np.eye(ps.dim))
+        assert np.array_equal(iota @ iota.T, np.diag((ts.modes >= m_min).astype(float)))
+        assert np.array_equal(ps.project(op).matrix, iota.T @ op.matrix @ iota)
 
 
 def test_mmin_bounds():
-    ts = build_theta_quantization(0.5, 16)
+    ts = ThetaSpace(0.5, 16)
     with pytest.raises(ValueError):
-        project_positive(ts, -1)
+        ProjectedSpace(ts, -1)
     with pytest.raises(ValueError):
-        project_positive(ts, 9)  # above M/2
+        ProjectedSpace(ts, 9)  # above M/2
 
 
 def test_projected_shift_isometry_report():
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 3)):
-        rep = isometry_report(project_positive(build_theta_quantization(theta, 24), m_min))
+        rep = isometry_report(ProjectedSpace(ThetaSpace(theta, 24), m_min))
         assert rep.verdict, [r.name for r in rep.failures()]
 
 
 def test_projected_shift_rank_one_defect():
-    ps = project_positive(build_theta_quantization(0.25, 16), 0)
+    ps = ProjectedSpace(ThetaSpace(0.25, 16), 0)
     u = ps.shift()
     defect = np.eye(ps.dim) - (u @ u.adjoint()).matrix
     assert np.linalg.matrix_rank(defect, tol=1e-9) == 1
@@ -112,15 +121,15 @@ def test_projected_shift_rank_one_defect():
 
 
 def test_projection_of_unitary_is_isometric_not_unitary():
-    ps = project_positive(build_theta_quantization(0.5, 20), 0)
+    ps = ProjectedSpace(ThetaSpace(0.5, 20), 0)
     u = ps.shift()
-    assert interior_residual(u.adjoint() @ u, np.eye(ps.dim)) == 0.0
+    assert interior_residual(u.adjoint() @ u, TruncatedOperator.diag(np.ones(ps.dim))) == 0.0
     assert np.abs((u @ u.adjoint()).matrix - np.eye(ps.dim)).max() == 1.0
 
 
 def test_projected_spectra_classify_by_sum():
     def spec(theta, m_min):
-        ps = project_positive(build_theta_quantization(theta, 20), m_min)
+        ps = ProjectedSpace(ThetaSpace(theta, 20), m_min)
         return np.diag(ps.momentum().matrix).real[:10]
 
     assert np.array_equal(spec(1.0, 1), spec(1.0, 1))
@@ -133,7 +142,7 @@ def test_projected_spectra_classify_by_sum():
 
 
 def test_transported_operator_shape():
-    ps = project_positive(build_theta_quantization(0.5, 16), 1)
+    ps = ProjectedSpace(ThetaSpace(0.5, 16), 1)
     op = ps.project(ps.parent.cos_op())
     assert op.matrix.shape == (ps.dim, ps.dim)
     assert np.abs(op.matrix - op.matrix.conj().T).max() == 0.0

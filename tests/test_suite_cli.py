@@ -295,6 +295,17 @@ def test_cli_verify_rejects_infinite_k(tmp_path):
                                  tmp_path=tmp_path))
 
 
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",
+                                  "out_is_directory"])
+def test_cli_verify_file_errors_are_usage_errors(case, tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"profile": "physical", "note": "caf\xe9"}')
+    args = {"config_is_directory": ("--config", str(tmp_path)),
+            "config_not_utf8": ("--config", str(latin1)),
+            "out_is_directory": ("--out", str(tmp_path))}[case]
+    _assert_usage_error(_run_cli("verify", *args))
+
+
 def test_cli_verify_stdout_is_strict_json(tmp_path, capsys):
     def reject(token):
         raise ValueError(f"non-finite token {token} in report")
