@@ -9,9 +9,8 @@ from .classical import (AdmissibilityReport, CoveringElement, MomentumFunction,
                         admissibility_audit, check_symplectic, compose,
                         lift_hamiltonian, lightcone_inverse, lightcone_map,
                         poisson_bracket, transport)
-from .equivalence import (Identification, conjugate_realizations, identify,
-                          identification_report, phase_operator,
-                          sincos_operators, tplus_from_phase)
+from .equivalence import (conjugate_realizations, identification_report,
+                          phase_operator, sincos_operators, tplus_from_phase)
 from .lie import (ClosureResult, L, So12Element, WittElement,
                   algebra_isomorphism, so12_bracket, vector_field_to_so12,
                   witt_bracket, witt_closure)

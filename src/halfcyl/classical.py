@@ -26,6 +26,7 @@ __all__ = [
     "PhasePoint", "CoveringElement", "TrigPoly", "MomentumFunction",
     "AdmissibilityReport",
     "act_lifted", "compose", "inverse", "rotation_element", "boost_element",
+    "angle_gap",
     "lift_hamiltonian", "poisson_bracket", "hamiltonian_vector_field",
     "check_symplectic", "admissibility_audit", "transport",
     "lightcone_map", "lightcone_inverse", "lightcone_equivariance_residual",
@@ -137,6 +138,11 @@ def act_lifted(g: CoveringElement, x: PhasePoint) -> PhasePoint:
     """Lifted covering-group action on the half-cylinder."""
     return PhasePoint(x.phi + _angle_displacement(g, x.phi),
                       x.p * _momentum_factor(g, x.phi))
+
+
+def angle_gap(a: float, b: float) -> float:
+    """Distance of two angles on the circle, in [0, pi]."""
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
 
 
 def check_symplectic(g: CoveringElement, x: PhasePoint, h: float = 1e-5) -> float:
@@ -401,43 +407,36 @@ def lightcone_equivariance_residual(g: CoveringElement, x: PhasePoint) -> float:
 # ---------------------------------------------------------------------------
 
 def act_auxiliary(model: str, g, x):
-    """Auxiliary group actions.
+    """Auxiliary group actions, both of the form (q, p) -> (lam q, p / lam + a).
 
-    affine_halfline : g = (a, lam), lam > 0, acting on (q, p), q > 0, by
-                      (q, p) -> (lam q, p / lam + a).
+    affine_halfline : g = (a, lam), lam > 0, acting on (q, p), q > 0.
     plane_punctured : g = (alpha, beta), beta != 0 complex, acting on (z, p),
-                      z != 0, by (z, p) -> (beta z, p / beta + alpha); the
-                      complex momentum is p = p_x - i p_y so the map is
-                      symplectic on (x, y, p_x, p_y).
+                      z != 0; the complex momentum is p = p_x - i p_y so the
+                      map is symplectic on (x, y, p_x, p_y).
     """
     if model == "affine_halfline":
-        a, lam = g
-        q, p = x
+        (a, lam), (q, p) = g, x
         if not lam > 0:
             raise ValueError("affine dilation factor must be positive")
         if not q > 0:
             raise ValueError("affine_halfline needs q > 0")
-        return (lam * q, p / lam + a)
-    if model == "plane_punctured":
-        alpha, beta = complex(g[0]), complex(g[1])
-        z, p = complex(x[0]), complex(x[1])
-        if beta == 0:
+    elif model == "plane_punctured":
+        (a, lam), (q, p) = map(complex, g), map(complex, x)
+        if lam == 0:
             raise ValueError("beta must be nonzero")
-        if z == 0:
+        if q == 0:
             raise ValueError("plane_punctured needs z != 0")
-        return (beta * z, p / beta + alpha)
-    raise ValueError(f"unknown auxiliary model {model!r}")
+    else:
+        raise ValueError(f"unknown auxiliary model {model!r}")
+    return (lam * q, p / lam + a)
 
 
 def compose_auxiliary(model: str, g1, g2):
     """Product compatible with act_auxiliary as a left action."""
-    if model == "affine_halfline":
-        (a1, l1), (a2, l2) = g1, g2
-        return (a1 + a2 / l1, l1 * l2)
-    if model == "plane_punctured":
-        (a1, b1), (a2, b2) = g1, g2
-        return (a1 + a2 / b1, b1 * b2)
-    raise ValueError(f"unknown auxiliary model {model!r}")
+    if model not in ("affine_halfline", "plane_punctured"):
+        raise ValueError(f"unknown auxiliary model {model!r}")
+    (a1, l1), (a2, l2) = g1, g2
+    return (a1 + a2 / l1, l1 * l2)
 
 
 def auxiliary_symplectic_residual(model: str, g, x, h: float = 1e-5) -> float:

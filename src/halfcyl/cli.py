@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import classical as cl
 from . import lie
-from .equivalence import identification_report, identify
+from .equivalence import identification_report
+from .projection import ProjectedSpace, ThetaSpace
 from .report import CheckReport
 from .suite import ConfigError, SuiteConfig, emit_spectrum, report_header, run_suite
 
@@ -164,8 +165,7 @@ def _cmd_orbit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     y = cl.act_lifted(g, a)
-    import math
-    res_phi = abs((y.phi - b.phi + math.pi) % (2 * math.pi) - math.pi)
+    res_phi = cl.angle_gap(y.phi, b.phi)
     res_p = abs(y.p - b.p)
     symp = cl.check_symplectic(g, a)
     doc = {
@@ -183,16 +183,14 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_equiv(args) -> int:
     try:
-        ident = identify(args.theta, args.mmin)
+        ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if args.mmin > args.m // 2:
-        raise ConfigError("mmin must not exceed half the window width")
     n = min(args.n, args.m - args.mmin - 2)
     if n < 4:
         raise ConfigError(f"weight-basis cutoff min(n, m - mmin - 2) = {n} is below 4")
-    report = identification_report(ident, M=args.m, N=n)
-    echo = {"theta": args.theta, "m_min": args.mmin, "k": ident.k,
+    report = identification_report(ps, N=n)
+    echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,
             "M": args.m, "N": args.n}
     return _emit_report(report, echo)
 

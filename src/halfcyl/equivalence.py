@@ -1,55 +1,28 @@
 """Bridge between the projected cylinder picture and the lowest-weight series.
 
 The identification is k = theta + m_min with basis map
-f_{theta, n + m_min} <-> e_n: the projected momentum becomes hbar H, the
-projected shift becomes the phase operator U = T+ (T- T+)^{-1/2}, and
-T+ is recovered from (p, U) as -(1/hbar) sqrt((p + (k-1) hbar)(p - k hbar)) U.
-The identification is asserted in the creation_plus gauge, where U is the
-plain nonnegative shift; the (-1)^n similarity carries everything to the
-disc_minus gauge.
+f_{theta, n + m_min} <-> e_n (``ProjectedSpace.k`` and ``.modes``): the
+projected momentum becomes hbar H, the projected shift becomes the phase
+operator U = T+ (T- T+)^{-1/2}, and T+ is recovered from (p, U) as
+-(1/hbar) sqrt((p + (k-1) hbar)(p - k hbar)) U.  The identification is
+asserted in the creation_plus gauge, where U is the plain nonnegative
+shift; the (-1)^n similarity carries everything to the disc_minus gauge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .projection import ProjectedSpace, ThetaSpace
+from .projection import ProjectedSpace
 from .report import CheckReport, check, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
-                  gram_weights, interior_residual, tol)
+                  gram_weights, interior_residual, sin_cos, tol)
 
 __all__ = [
-    "Identification", "identify", "identification_report",
+    "identification_report",
     "phase_operator", "tplus_from_phase", "sincos_operators",
     "conjugate_realizations", "normalization_diagonal",
 ]
-
-
-@dataclass(frozen=True)
-class Identification:
-    """Parameters (theta, m_min) matched to the weight k = theta + m_min."""
-
-    theta: float
-    m_min: int
-    k: float
-
-    def theta_mode(self, n: int) -> int:
-        """Cylinder mode index paired with the weight-basis index n."""
-        return n + self.m_min
-
-    def basis_map(self, count: int) -> np.ndarray:
-        return np.arange(self.m_min, self.m_min + count)
-
-
-def identify(theta: float, m_min: int) -> Identification:
-    """The Hilbert-space identification theta + m_min = k."""
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if m_min < 0:
-        raise ValueError(f"m_min must be nonnegative, got {m_min}")
-    return Identification(theta=theta, m_min=int(m_min), k=theta + m_min)
 
 
 def phase_operator(gs: GeneratorSet) -> TruncatedOperator:
@@ -97,9 +70,7 @@ def sincos_operators(gs: GeneratorSet):
     commutators [H, sin] = -i cos and [H, cos] = i sin hold identically.
     """
     cfg = gs.config
-    u = phase_operator(gs)
-    s = -0.5j * (u - u.adjoint())
-    c = 0.5 * (u + u.adjoint())
+    s, c = sin_cos(phase_operator(gs))
     eye = TruncatedOperator.diag(np.ones(cfg.N + 1))
     p0 = TruncatedOperator.diag(np.eye(1, cfg.N + 1)[0])
 
@@ -152,16 +123,15 @@ def conjugate_realizations(config: RepConfig) -> CheckReport:
     return rep
 
 
-def identification_report(ident: Identification, M: int = 48, N: int = 32,
-                          hbar: float = 1.0) -> CheckReport:
+def identification_report(ps: ProjectedSpace, N: int = 32) -> CheckReport:
     """Full-diagram commutativity under the k = theta + m_min identification.
 
     Checks that the projected momentum matches hbar H entrywise, and that
     the projected shift matches the phase operator entrywise, over the
     common index window (both in the creation_plus gauge).
     """
-    ps = ProjectedSpace(ThetaSpace(ident.theta, M, hbar), ident.m_min)
-    cfg = RepConfig(k=ident.k, N=N, hbar=hbar, phase_convention="creation_plus")
+    theta, M, hbar = ps.parent.theta, ps.parent.M, ps.parent.hbar
+    cfg = RepConfig(k=ps.k, N=N, hbar=hbar, phase_convention="creation_plus")
     gs = build_generators("fock", cfg)
 
     # stay at least 4 indices clear of the window's truncation edge
@@ -171,8 +141,8 @@ def identification_report(ident: Identification, M: int = 48, N: int = 32,
     p_res = (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()
     u_res = (ps.shift().block(0, n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()
 
-    rep = CheckReport(meta={"theta": ident.theta, "m_min": ident.m_min,
-                            "k": ident.k, "M": M, "N": N})
+    rep = CheckReport(meta={"theta": theta, "m_min": ps.m_min,
+                            "k": ps.k, "M": M, "N": N})
     rep.add(check("spectra_match", "projected p = hbar H entrywise", p_res, 1e-12))
     rep.add(check("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", u_res, 1e-12))
     return rep

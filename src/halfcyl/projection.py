@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import CheckReport, check, metric
-from .rep import TruncatedOperator, interior_residual
+from .rep import TruncatedOperator, interior_residual, sin_cos
 
 __all__ = [
     "ThetaSpace", "ProjectedSpace", "isometry_report",
@@ -59,14 +59,6 @@ class ThetaSpace:
         """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
         return TruncatedOperator({-1: np.ones(self.dim - 1, complex)}, self.dim, 1)
 
-    def sin_op(self) -> TruncatedOperator:
-        u = self.shift()
-        return -0.5j * (u - u.adjoint())
-
-    def cos_op(self) -> TruncatedOperator:
-        u = self.shift()
-        return 0.5 * (u + u.adjoint())
-
 
 @dataclass(frozen=True)
 class ProjectedSpace:
@@ -75,8 +67,10 @@ class ProjectedSpace:
     For theta in (0, 1] the set {m : hbar (m + theta) > 0} is exactly
     {m >= 0}, so m_min = 0 is the maximal positive subspace, the range of
     the spectral projector of the positive-momentum inequality.  Basis
-    vector j sits at parent window index m_min + M + j; ``project`` slices
-    an operator's diagonals to that trailing block.
+    vector e_j is the mode m_min + j (``modes``), at parent window index
+    m_min + M + j; ``project`` slices an operator's diagonals to that
+    trailing block.  The subspace is the lowest-weight series of weight
+    k = theta + m_min under e_j <-> f_{theta, m_min + j}.
     """
 
     parent: ThetaSpace
@@ -92,8 +86,21 @@ class ProjectedSpace:
     def dim(self):
         return self.parent.M - self.m_min + 1
 
+    @property
+    def k(self):
+        """Lowest weight theta + m_min of the identified series."""
+        return self.parent.theta + self.m_min
+
+    @property
+    def modes(self):
+        """Cylinder modes m_min..M, paired with e_0, e_1, ... in order."""
+        return np.arange(self.m_min, self.parent.M + 1)
+
     def project(self, op: TruncatedOperator) -> TruncatedOperator:
         """Transported operator pi o O o iota: the trailing principal block."""
+        if op.dim != self.parent.dim:
+            raise ValueError(f"operator of dim {op.dim} does not act on the "
+                             f"window of dim {self.parent.dim}")
         return op.block(self.m_min + self.parent.M, self.parent.dim)
 
     # -- the transported elementary operators ---------------------------
@@ -103,16 +110,13 @@ class ProjectedSpace:
     def shift(self) -> TruncatedOperator:
         return self.project(self.parent.shift())
 
-    def lowest_projector(self) -> TruncatedOperator:
-        return TruncatedOperator.diag(np.eye(1, self.dim)[0])
-
 
 def isometry_report(ps: ProjectedSpace) -> CheckReport:
     """Check the partial-isometry identities of the projected shift."""
     rep = CheckReport(meta={"theta": ps.parent.theta, "m_min": ps.m_min})
     u = ps.shift()
     eye = TruncatedOperator.diag(np.ones(ps.dim))
-    p0 = ps.lowest_projector()
+    p0 = TruncatedOperator.diag(np.eye(1, ps.dim)[0])
 
     uu = u.adjoint() @ u
     rep.add(check("projected_shift_isometry", "U*U = 1",
@@ -132,7 +136,7 @@ def isometry_report(ps: ProjectedSpace) -> CheckReport:
                   float(np.abs(head[:, 0] - np.eye(top)[:, 0]).max()), 1e-12))
 
     # hermiticity survives the projection for the sin/cos multiplications
-    for name, op in (("sin", ps.parent.sin_op()), ("cos", ps.parent.cos_op())):
+    for name, op in zip(("sin", "cos"), sin_cos(ps.parent.shift())):
         m = ps.project(op)
         rep.add(check(f"projected_{name}_hermitean", f"{name} = {name}*",
                       (m - m.adjoint()).max_abs(), 1e-12))
@@ -161,18 +165,16 @@ def _log_grid_operators(n_points: int, box_width: float, hbar: float):
     h = box_width / n_points
     x = -0.5 * box_width + h * np.arange(n_points)
     q = np.diag(np.exp(x))
-    fwd = np.roll(np.eye(n_points), 1, axis=0)   # psi(x) -> psi(x - h) rows
-    dil = fwd                                    # permutation: exactly unitary
-    diff = (fwd - fwd.T) / (2 * h)
-    qp = -1j * hbar * (fwd.T - fwd) / (2 * h)    # -i hbar d/dx, central
+    dil = np.roll(np.eye(n_points), 1, axis=0)   # psi(x) -> psi(x - h): unitary
+    qp = -1j * hbar * (dil.T - dil) / (2 * h)    # -i hbar d/dx, central
     mom = np.diag(np.exp(-x)) @ qp               # -i hbar d/dq, the symptom
-    return x, h, q, dil, qp, mom
+    return x, q, dil, qp, mom
 
 
 def halfline_commutator_residual(n_points: int, box_width: float,
                                  hbar: float = 1.0) -> float:
     """Interior residual of [q, qp] - i hbar q on a smooth test function."""
-    x, h, q, dil, qp, _ = _log_grid_operators(n_points, box_width, hbar)
+    x, q, _, qp, _ = _log_grid_operators(n_points, box_width, hbar)
     psi = np.exp(np.cos(2 * np.pi * x / box_width))
     resid = (q @ qp - qp @ q) @ psi - 1j * hbar * (q @ psi)
     inner = slice(1, n_points - 1)  # drop the two seam rows
@@ -191,7 +193,7 @@ def halfline_demo(n_points: int = 128, box_width: float = 4.0,
     """
     if n_points < 64:
         raise ValueError(f"n_points must be >= 64, got {n_points}")
-    x, h, q, dil, qp, mom = _log_grid_operators(n_points, box_width, hbar)
+    _, q, dil, qp, mom = _log_grid_operators(n_points, box_width, hbar)
     rep = CheckReport(meta={"n_points": n_points, "box_width": box_width,
                             "hbar": hbar})
 

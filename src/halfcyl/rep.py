@@ -30,7 +30,7 @@ __all__ = [
     "RepConfig", "TruncatedOperator", "GeneratorSet",
     "build_generators", "casimir", "spectrum_p", "rotation_rep",
     "exp_generator", "boost_norm", "gram_weights", "toeplitz_measure_test",
-    "interior_residual", "commutator", "parity_similarity", "tol",
+    "interior_residual", "commutator", "sin_cos", "parity_similarity", "tol",
     "REALIZATIONS", "PHASE_CONVENTIONS",
 ]
 
@@ -71,15 +71,19 @@ class TruncatedOperator:
     product of banded operators costs O(dim * bands * bands).  Composites
     add reaches, sums take the max; the interior span where identities are
     exact consists of the columns 0..dim-1-reach.  Bands are the only
-    storage; ``matrix`` is a cached, read-only dense view built from them,
-    for tests and inherently dense results (the boost exponentials).
+    storage, each of shape (dim - |d|,); ``matrix`` is a cached, read-only
+    dense view built from them, for tests and for comparisons with the
+    dense boost exponentials.
     """
 
     __slots__ = ("bands", "dim", "reach", "_dense")
 
     def __init__(self, bands: dict, dim: int, reach: int):
         """Operator with the given diagonals; the arrays are frozen, not copied."""
-        for b in bands.values():
+        for d, b in bands.items():
+            if b.shape != (dim - abs(d),):
+                raise ValueError(f"band {d} of a dim-{dim} operator has shape "
+                                 f"{b.shape}, expected ({dim - abs(d)},)")
             b.setflags(write=False)
         self.bands, self.dim, self.reach, self._dense = bands, dim, reach, None
 
@@ -165,6 +169,11 @@ class TruncatedOperator:
 
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     return a @ b - b @ a
+
+
+def sin_cos(u: TruncatedOperator):
+    """Hermitean (sin, cos) = (-i (U - U*) / 2, (U + U*) / 2) of a unit shift U."""
+    return -0.5j * (u - u.adjoint()), 0.5 * (u + u.adjoint())
 
 
 def interior_residual(expr: TruncatedOperator, target=None,
@@ -301,9 +310,6 @@ def rotation_rep(omega: float, config: RepConfig) -> TruncatedOperator:
 
 _BOOST_T_MAX = 2.0
 
-# i^m for m mod 4, exact
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
 
 @functools.lru_cache(maxsize=1)
 def _boost_eigh(config: RepConfig):
@@ -322,22 +328,22 @@ def boost_norm(config: RepConfig) -> float:
     return float(np.abs(_boost_eigh(config)[0]).max())
 
 
-def exp_generator(direction: str, t: float, config: RepConfig) -> TruncatedOperator:
-    """Truncated matrix exponential exp(t * T_direction).
+def exp_generator(direction: str, t: float, config: RepConfig) -> np.ndarray:
+    """Truncated boost exponential exp(t * T1) or exp(t * T2), a dense
+    read-only (N+1) x (N+1) array.
 
-    T0 exponentials are diagonal phases.  The boosts come from the cached
-    eigendecomposition J = V diag(w) V^T (see ``_boost_eigh``):
-    exp(t T2) = cos(tJ) + i sin(tJ) and exp(t T1) = D (cos(tJ) - i sin(tJ)) D*,
-    unitary up to rounding; cos(tJ) and sin(tJ) are separate real products,
-    so they stay exactly even and odd in t.  For the boost directions the
-    parameter is capped at |t| <= 2 to keep truncation leakage confined to
-    the top rows.
+    Both come from the cached eigendecomposition J = V diag(w) V^T (see
+    ``_boost_eigh``): exp(t T2) = cos(tJ) + i sin(tJ) and
+    exp(t T1) = D (cos(tJ) - i sin(tJ)) D*, D = diag(i^n), unitary up to
+    rounding; cos(tJ) and sin(tJ) are separate real products, so they stay
+    exactly even and odd in t.  The parameter is capped at |t| <= 2 to keep
+    truncation leakage confined to the top rows.  The rotation direction is
+    diagonal: exp(t T0) is ``rotation_rep(-t / 2, config)``.
     """
-    if direction not in ("T0", "T1", "T2"):
+    if direction == "T0":
+        raise ValueError("exp(t T0) is rotation_rep(-t / 2, config)")
+    if direction not in ("T1", "T2"):
         raise ValueError(f"unknown direction {direction!r}")
-    n = np.arange(config.N + 1)
-    if direction == "T0":  # T0 = iH
-        return TruncatedOperator.diag(np.exp(1j * t * (config.k + n)), config.N)
     if abs(t) > _BOOST_T_MAX:
         raise ValueError(f"|t| <= {_BOOST_T_MAX} required for boost directions")
     w, v = _boost_eigh(config)
@@ -346,10 +352,10 @@ def exp_generator(direction: str, t: float, config: RepConfig) -> TruncatedOpera
     if direction == "T2":
         mat = cos + 1j * sin
     else:
-        mat = _I_POWERS[(n[:, None] - n[None, :]) % 4] * (cos - 1j * sin)
-    N = config.N
-    return TruncatedOperator({d: mat.diagonal(d) for d in range(-N, N + 1)},
-                             N + 1, N)
+        d = np.array([1, 1j, -1, -1j])[np.arange(config.N + 1) % 4]  # i^n, exact
+        mat = d[:, None] * (cos - 1j * sin) * d.conj()
+    mat.setflags(write=False)
+    return mat
 
 
 def gram_weights(config: RepConfig) -> np.ndarray:

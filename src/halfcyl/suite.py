@@ -20,7 +20,7 @@ import numpy as np
 
 from . import classical as cl
 from . import lie
-from .equivalence import (conjugate_realizations, identification_report, identify,
+from .equivalence import (conjugate_realizations, identification_report,
                           phase_operator, sincos_operators, tplus_from_phase)
 from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
 from .report import CheckReport, check, metric, splice, worst_of
@@ -108,8 +108,8 @@ class SuiteConfig:
         hbar = _finite("hbar", self.hbar)
         if not hbar > 0:
             raise ConfigError("hbar must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
@@ -231,14 +231,12 @@ def _classical_cell(cfg: SuiteConfig, rng) -> list:
         g1, g2, x = rand_element(l), rand_element(l), rand_point()
         a = cl.act_lifted(g1, cl.act_lifted(g2, x))
         b = cl.act_lifted(cl.compose(g1, g2), x)
-        dphi = abs((a.phi - b.phi + math.pi) % (2 * math.pi) - math.pi)
-        law += [dphi, abs(a.p - b.p) / max(1.0, b.p)]
+        law += [cl.angle_gap(a.phi, b.phi), abs(a.p - b.p) / max(1.0, b.p)]
         symp.append(cl.check_symplectic(g1, x))
         y = rand_point()
         g = cl.transport(x, y, l)
         z = cl.act_lifted(g, x)
-        dphi = abs((z.phi - y.phi + math.pi) % (2 * math.pi) - math.pi)
-        trans += [dphi, abs(z.p - y.p) / y.p]
+        trans += [cl.angle_gap(z.phi, y.phi), abs(z.p - y.p) / y.p]
         cone.append(cl.lightcone_equivariance_residual(g1, x))
         v = cl.lightcone_map(x, l)
         null.append(abs(v[0] ** 2 - v[1] ** 2 - v[2] ** 2))
@@ -261,13 +259,11 @@ def _classical_cell(cfg: SuiteConfig, rng) -> list:
     for l in (2, 3):
         for j in range(1, l):
             g = cl.rotation_element(l, 2 * math.pi * j / l)
-            moved = abs((cl.act_lifted(g, cl.PhasePoint(0.3, 1.0)).phi - 0.3
-                         + math.pi) % (2 * math.pi) - math.pi)
+            moved = cl.angle_gap(cl.act_lifted(g, cl.PhasePoint(0.3, 1.0)).phi, 0.3)
             if not moved >= 1e-6:
                 eff = 1.0
         g = cl.rotation_element(l, 2 * math.pi)
-        moved = abs((cl.act_lifted(g, cl.PhasePoint(0.3, 1.0)).phi - 0.3
-                     + math.pi) % (2 * math.pi) - math.pi)
+        moved = cl.angle_gap(cl.act_lifted(g, cl.PhasePoint(0.3, 1.0)).phi, 0.3)
         eff = worst_of((eff, moved))
     out.append(check("covering_effectiveness", "2 pi j moves points, 2 pi l does not",
                      eff, 1e-9))
@@ -382,17 +378,17 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     u_rot = rotation_rep(0.777, rc)
     out.append(check(f"rotation_unitary[{lab}]", "rotation representative unitary",
                      (u_rot.adjoint() @ u_rot - eye).max_abs(), 1e-12))
-    gexp = exp_generator("T0", -1.554, rc)
+    gexp = np.exp(-1.554 * gs.T0.bands[0])
     out.append(check(f"rotation_exponential[{lab}]", "exp(-2 omega T0) = rotation matrix",
-                     (gexp - u_rot).max_abs(), 1e-12))
-    # the exponentials are dense; the five below share one eigendecomposition
+                     float(np.abs(gexp - u_rot.bands[0]).max()), 1e-12))
+    # the boost exponentials are dense; the five below share one eigendecomposition
     h = 1e-3 / max(1.0, boost_norm(rc))
-    fd = (-exp_generator("T1", 2 * h, rc).matrix + 8 * exp_generator("T1", h, rc).matrix
-          - 8 * exp_generator("T1", -h, rc).matrix + exp_generator("T1", -2 * h, rc).matrix) / (12 * h)
+    fd = (-exp_generator("T1", 2 * h, rc) + 8 * exp_generator("T1", h, rc)
+          - 8 * exp_generator("T1", -h, rc) + exp_generator("T1", -2 * h, rc)) / (12 * h)
     out.append(check(f"boost_derivative[{lab}]", "d/dt exp(t T1) at 0 = T1",
                      float(np.abs(fd - gs.T1.matrix).max()), t["derivative"]))
     half = N // 2 + 1
-    e1 = exp_generator("T1", 0.1, rc).matrix[:, :half]
+    e1 = exp_generator("T1", 0.1, rc)[:, :half]
     leak = float(np.abs(e1.conj().T @ e1 - np.eye(half)).max())
     out.append(metric(f"boost_truncation_leakage[{lab}]",
                       "interior unitarity defect of exp(0.1 T1)", leak,
@@ -439,8 +435,8 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
                      1e-12))
     out += splice(isometry_report(ProjectedSpace(space, 0)), lab, t["phase"])
     for m_min in THETA_M_MINS[cfg.profile]:
-        rep = identification_report(identify(theta, m_min), M=cfg.M,
-                                    N=min(cfg.N, cfg.M - m_min - 2), hbar=cfg.hbar)
+        rep = identification_report(ProjectedSpace(space, m_min),
+                                    N=min(cfg.N, cfg.M - m_min - 2))
         out += splice(rep, f"{lab},m_min={m_min}", t["identification"])
     return out
 

@@ -15,7 +15,7 @@ from halfcyl.classical import (
     check_symplectic, compose, hamiltonian_vector_field, lift_hamiltonian,
     lightcone_equivariance_residual, lightcone_map, transport,
 )
-from halfcyl.equivalence import (identify, phase_operator, sincos_operators,
+from halfcyl.equivalence import (phase_operator, sincos_operators,
                                  tplus_from_phase, normalization_diagonal)
 from halfcyl.lie import L, witt_closure
 from halfcyl.projection import (ProjectedSpace, ThetaSpace,
@@ -78,7 +78,7 @@ def test_criterion_04_phase_operator_both_pictures():
     worst = 0.0
     agree = 0.0
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 2)):
-        k = identify(theta, m_min).k
+        k = ProjectedSpace(ThetaSpace(theta, N), m_min).k
         gs = fock(k)
         u_rep = phase_operator(gs)
         eye = np.eye(N + 1)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from halfcyl.classical import (
     MOMENTUM_MAP_SIGN, CoveringElement, PhasePoint, TrigPoly,
-    act_auxiliary, act_lifted, admissibility_audit, auxiliary_symplectic_residual,
-    check_symplectic, compose, compose_auxiliary,
+    act_auxiliary, act_lifted, admissibility_audit, angle_gap,
+    auxiliary_symplectic_residual, check_symplectic, compose, compose_auxiliary,
     hamiltonian_vector_field, inverse, lift_hamiltonian, lightcone_inverse,
     lightcone_map, lightcone_equivariance_residual, poisson_bracket,
     poisson_bracket_poly, rotation_element, transport,
@@ -104,6 +104,14 @@ def test_group_law_random():
         b = act_lifted(compose(g1, g2), x)
         worst = max(worst, angle_distance(a.phi, b.phi), abs(a.p - b.p) / max(1.0, b.p))
     assert worst < 1e-9
+
+
+def test_angle_gap_is_distance_on_the_circle():
+    assert angle_gap(0.3, 0.3) == 0.0
+    assert abs(angle_gap(0.1, 2 * math.pi - 0.1) - 0.2) < 1e-15
+    assert abs(angle_gap(2 * math.pi - 0.1, 0.1) - 0.2) < 1e-15
+    assert abs(angle_gap(0.0, math.pi) - math.pi) < 1e-15
+    assert angle_gap(1.0, 1.0 + 4 * math.pi) < 1e-14
 
 
 def test_compose_rejects_mixed_coverings():

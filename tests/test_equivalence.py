@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from halfcyl.equivalence import (
-    conjugate_realizations, identification_report, identify,
+    conjugate_realizations, identification_report,
     normalization_diagonal, phase_operator, sincos_operators, tplus_from_phase,
 )
 from halfcyl.projection import ProjectedSpace, ThetaSpace
@@ -25,35 +25,34 @@ def unit_shift(n):
 # ---------------------------------------------------------------------------
 
 def test_identify_examples():
-    assert identify(0.25, 0).k == 0.25
-    assert identify(1.0, 2).k == 3.0
+    assert ProjectedSpace(ThetaSpace(0.25, 16), 0).k == 0.25
+    assert ProjectedSpace(ThetaSpace(1.0, 16), 2).k == 3.0
 
 
 def test_identify_validation():
     with pytest.raises(ValueError):
-        identify(0.0, 0)
+        ProjectedSpace(ThetaSpace(0.0, 16), 0)
     with pytest.raises(ValueError):
-        identify(1.5, 0)
+        ProjectedSpace(ThetaSpace(1.5, 16), 0)
     with pytest.raises(ValueError):
-        identify(0.5, -1)
+        ProjectedSpace(ThetaSpace(0.5, 16), -1)
 
 
 def test_identify_basis_map():
-    ident = identify(0.5, 2)
-    assert ident.theta_mode(0) == 2
-    assert list(ident.basis_map(4)) == [2, 3, 4, 5]
+    ps = ProjectedSpace(ThetaSpace(0.5, 16), 2)
+    assert ps.modes[0] == 2
+    assert list(ps.modes[:4]) == [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("theta,m_min", [(0.25, 0), (1.0, 0), (0.5, 1), (1.0, 3)])
 def test_identification_diagram_commutes(theta, m_min):
-    rep = identification_report(identify(theta, m_min))
+    rep = identification_report(ProjectedSpace(ThetaSpace(theta, 48), m_min))
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
     for r in rep.checks:
         assert r.residual < 1e-12
 
 
 def test_identified_spectra_entrywise():
-    ident = identify(0.25, 0)
     ps = ProjectedSpace(ThetaSpace(0.25, 24), 0)
     proj = np.diag(ps.momentum().matrix).real
     rep = 0.25 + np.arange(25)
@@ -100,9 +99,8 @@ def test_phase_operator_input_diagonal_values():
 
 def test_phase_operator_matches_projected_shift():
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 2)):
-        ident = identify(theta, m_min)
         ps = ProjectedSpace(ThetaSpace(theta, 40), m_min)
-        gs = fock(ident.k, N=24)
+        gs = fock(ps.k, N=24)
         u_rep = phase_operator(gs).matrix
         u_proj = ps.shift().matrix
         n = 20

@@ -9,7 +9,7 @@ from halfcyl.projection import (
     ProjectedSpace, ThetaSpace, halfline_commutator_residual, halfline_demo,
     isometry_report,
 )
-from halfcyl.rep import TruncatedOperator, interior_residual
+from halfcyl.rep import TruncatedOperator, interior_residual, sin_cos
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_shift_momentum_commutator():
 
 def test_sincos_are_hermitean_tridiagonal():
     ts = ThetaSpace(0.3, 12)
-    for op in (ts.sin_op(), ts.cos_op()):
+    for op in sin_cos(ts.shift()):
         m = op.matrix
         assert np.abs(m - m.conj().T).max() == 0.0
         assert np.abs(np.triu(m, 2)).max() == 0.0
@@ -104,6 +104,19 @@ def test_mmin_bounds():
         ProjectedSpace(ts, 9)  # above M/2
 
 
+def test_projected_space_carries_the_identification():
+    ps = ProjectedSpace(ThetaSpace(0.5, 8), 2)
+    assert ps.k == 2.5
+    assert list(ps.modes[:4]) == [2, 3, 4, 5]
+    assert ps.modes.size == ps.dim and ps.modes[-1] == ps.parent.M
+
+
+def test_project_rejects_operator_of_another_window():
+    ps = ProjectedSpace(ThetaSpace(0.5, 16), 0)
+    with pytest.raises(ValueError, match="window"):
+        ps.project(ThetaSpace(0.5, 8).shift())
+
+
 def test_projected_shift_isometry_report():
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 3)):
         rep = isometry_report(ProjectedSpace(ThetaSpace(theta, 24), m_min))
@@ -143,7 +156,7 @@ def test_projected_spectra_classify_by_sum():
 
 def test_transported_operator_shape():
     ps = ProjectedSpace(ThetaSpace(0.5, 16), 1)
-    op = ps.project(ps.parent.cos_op())
+    op = ps.project(sin_cos(ps.parent.shift())[1])
     assert op.matrix.shape == (ps.dim, ps.dim)
     assert np.abs(op.matrix - op.matrix.conj().T).max() == 0.0
 

@@ -242,28 +242,30 @@ def test_rotation_needs_covering_for_quarter_weight():
 
 def test_rotation_unitary_and_exponential():
     cfg = RepConfig(k=0.7, N=24)
+    t0 = build_generators("fock", cfg).T0.bands[0]
     for w in (0.1, 1.3, 2.9):
         u = rotation_rep(w, cfg)
         assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(25)).max() < 1e-12
-        assert np.abs(u.matrix - exp_generator("T0", -2 * w, cfg).matrix).max() < 1e-12
+        assert np.abs(u.bands[0] - np.exp(-2 * w * t0)).max() < 1e-12
 
 
 def test_exp_identity_at_zero():
     cfg = RepConfig(k=0.5, N=16)
-    for d in ("T0", "T1", "T2"):
-        assert np.abs(exp_generator(d, 0.0, cfg).matrix - np.eye(17)).max() < 1e-14
+    assert np.abs(rotation_rep(0.0, cfg).matrix - np.eye(17)).max() < 1e-14
+    for d in ("T1", "T2"):
+        assert np.abs(exp_generator(d, 0.0, cfg) - np.eye(17)).max() < 1e-14
 
 
 def test_exp_t0_unitary_any_t():
     cfg = RepConfig(k=0.9, N=16)
     for t in (-1.7, 0.4, 1.9):
-        u = exp_generator("T0", t, cfg).matrix
+        u = rotation_rep(-t / 2, cfg).matrix
         assert np.abs(u.conj().T @ u - np.eye(17)).max() < 1e-12
 
 
 def test_exp_boost_interior_unitarity_defect():
     cfg = RepConfig(k=0.5, N=64)
-    u = exp_generator("T1", 0.1, cfg).matrix
+    u = exp_generator("T1", 0.1, cfg)
     half = 33
     defect = np.abs((u.conj().T @ u - np.eye(65))[:half, :half]).max()
     assert defect < 1e-8
@@ -275,18 +277,30 @@ def test_exp_derivative_matches_generator(direction):
     gs = build_generators("fock", cfg)
     gen = {"T0": gs.T0, "T1": gs.T1, "T2": gs.T2}[direction].matrix
     h = 1e-3 / max(1.0, np.linalg.norm(gen, 2))
-    fd = (-exp_generator(direction, 2 * h, cfg).matrix
-          + 8 * exp_generator(direction, h, cfg).matrix
-          - 8 * exp_generator(direction, -h, cfg).matrix
-          + exp_generator(direction, -2 * h, cfg).matrix) / (12 * h)
+    if direction == "T0":
+        def exp(t):
+            return rotation_rep(-t / 2, cfg).matrix
+    else:
+        def exp(t):
+            return exp_generator(direction, t, cfg)
+    fd = (-exp(2 * h) + 8 * exp(h) - 8 * exp(-h) + exp(-2 * h)) / (12 * h)
     assert np.abs(fd - gen).max() < 1e-8
+
+
+@pytest.mark.parametrize("direction", ["T1", "T2"])
+def test_exp_generator_returns_read_only_array(direction):
+    u = exp_generator(direction, 0.3, RepConfig(k=0.5, N=16))
+    assert type(u) is np.ndarray and u.shape == (17, 17)
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
 
 
 def test_exp_boost_parameter_cap():
     cfg = RepConfig(k=0.5, N=16)
     with pytest.raises(ValueError):
         exp_generator("T1", 2.5, cfg)
-    exp_generator("T0", 2.5, cfg)  # no cap on the rotation direction
+    with pytest.raises(ValueError, match="rotation_rep"):
+        exp_generator("T0", 2.5, cfg)  # the rotation direction is rotation_rep
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +369,12 @@ def test_reach_arithmetic():
     assert (2.0 * a).reach == 1
     assert a.adjoint().reach == 1
     assert (a @ b).interior == 2
+
+
+@pytest.mark.parametrize("bands", [{0: np.ones(3)}, {1: np.ones(5)}, {-2: np.ones((3, 1))}])
+def test_constructor_rejects_wrong_band_length(bands):
+    with pytest.raises(ValueError, match="shape"):
+        TruncatedOperator(bands, 5, 0)
 
 
 def test_interior_residual_ignores_truncation_edge():
@@ -446,7 +466,7 @@ def test_boost_exponential_matches_taylor_reference(direction, convention):
     cfg = RepConfig(k=0.7, N=32, phase_convention=convention)
     gen = getattr(build_generators("fock", cfg), direction).matrix
     for t in (-2.0, -0.3, 0.05, 1.1, 2.0):
-        u = exp_generator(direction, t, cfg).matrix
+        u = exp_generator(direction, t, cfg)
         assert np.abs(u - _expm_reference(t * gen)).max() < 1e-13
         assert np.abs(u.conj().T @ u - np.eye(33)).max() < 1e-13
 

@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +71,8 @@ def test_config_rejects_non_finite(kwargs):
 @pytest.mark.parametrize("raw", [{"N": 5.5}, {"M": "48"}, {"k_values": 3},
                                  {"tolerances": ["ladder"]}, {"tolerances": "ladder"},
                                  {"hbar": "1"}, {"k_values": ["0.5"]},
-                                 {"tolerances": {"ladder": True}}, {"seed": True}])
+                                 {"tolerances": {"ladder": True}}, {"seed": True},
+                                 {"seed": -5}])
 def test_config_rejects_wrong_types(raw):
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict(raw)
@@ -257,13 +260,22 @@ def test_cli_closure_exact_recombination(capsys):
             Fraction(coef)  # exact rationals print as p/q, never as floats
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(*args):
+    """Run a child interpreter that imports halfcyl from this checkout's src."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def _run_cli(*args, config=None, tmp_path=None):
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(config)
         args = args + ("--config", str(path))
-    return subprocess.run([sys.executable, "-m", "halfcyl.cli", *args],
-                          capture_output=True, text=True)
+    return _run_python("-m", "halfcyl.cli", *args)
 
 
 def _assert_usage_error(proc):
@@ -275,6 +287,16 @@ def _assert_usage_error(proc):
 
 def test_cli_equiv_rejects_small_cutoff():
     _assert_usage_error(_run_cli("equiv", "--theta", "0.5", "--mmin", "4", "--m", "8"))
+
+
+def test_cli_equiv_rejects_small_window():
+    _assert_usage_error(_run_cli("equiv", "--theta", "0.5", "--m", "7"))
+
+
+@pytest.mark.parametrize("args,config", [(("--seed", "-1"), None),
+                                         ((), '{"seed": -5}')])
+def test_cli_verify_rejects_negative_seed(args, config, tmp_path):
+    _assert_usage_error(_run_cli("verify", *args, config=config, tmp_path=tmp_path))
 
 
 def test_cli_orbit_rejects_nan_point():
@@ -408,9 +430,7 @@ def test_cli_usage_error_exit_code():
 
 
 def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "halfcyl.cli",
-                           "spectrum", "--k", "1", "--n", "1"],
-                          capture_output=True, text=True)
+    proc = _run_python("-m", "halfcyl.cli", "spectrum", "--k", "1", "--n", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].split()[1] == "1"
 
@@ -423,7 +443,7 @@ def test_cli_orbit_rejects_unrepresentable_momentum_ratio():
 
 def test_import_leaves_scipy_out():
     code = "import sys, halfcyl; assert 'scipy' not in sys.modules, 'scipy imported'"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
