@@ -184,12 +184,9 @@ def _cmd_orbit(args) -> int:
 def _cmd_equiv(args) -> int:
     try:
         ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
+        report = identification_report(ps, N=args.n)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    n = min(args.n, args.m - args.mmin - 2)
-    if n < 4:
-        raise ConfigError(f"weight-basis cutoff min(n, m - mmin - 2) = {n} is below 4")
-    report = identification_report(ps, N=n)
     echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,
             "M": args.m, "N": args.n}
     return _emit_report(report, echo)

@@ -54,11 +54,12 @@ def tplus_from_phase(gs: GeneratorSet, uhat: TruncatedOperator) -> TruncatedOper
     absorbed into the gauge.
     """
     cfg = gs.config
-    p = cfg.hbar * (cfg.k + np.arange(cfg.N + 1, dtype=float))
-    fac = (p + (cfg.k - 1.0) * cfg.hbar) * (p - cfg.k * cfg.hbar)
-    root = np.sqrt(np.maximum(fac, 0.0))
+    # the product under the root scales as hbar^2 and underflows for small
+    # hbar, so form (1/hbar) sqrt(...) from p/hbar = k + n instead
+    q = cfg.k + np.arange(cfg.N + 1, dtype=float)
+    root = np.sqrt(np.maximum((q + (cfg.k - 1.0)) * (q - cfg.k), 0.0))
     sign = -1.0 if cfg.phase_convention == "disc_minus" else 1.0
-    return sign / cfg.hbar * (TruncatedOperator.diag(root) @ uhat)
+    return sign * (TruncatedOperator.diag(root) @ uhat)
 
 
 def sincos_operators(gs: GeneratorSet):
@@ -109,7 +110,7 @@ def conjugate_realizations(config: RepConfig) -> CheckReport:
     d, d_inv = TruncatedOperator.diag(c), TruncatedOperator.diag(1.0 / c)
 
     rep = CheckReport(meta={"k": config.k, "N": config.N})
-    budget = tol(config.N)
+    budget = min(tol(config.N), 1e-7)
     for name, b_op, h_op in (("H", boundary.H, hardy.H),
                              ("T+", boundary.Tplus, hardy.Tplus),
                              ("T-", boundary.Tminus, hardy.Tminus)):
@@ -128,16 +129,17 @@ def identification_report(ps: ProjectedSpace, N: int = 32) -> CheckReport:
 
     Checks that the projected momentum matches hbar H entrywise, and that
     the projected shift matches the phase operator entrywise, over the
-    common index window (both in the creation_plus gauge).
+    common index window (both in the creation_plus gauge).  The cutoff N
+    is clamped to the projected window, ``ps.dim - 3``, and the comparison
+    stays at least 4 indices clear of the window's truncation edge.
     """
     theta, M, hbar = ps.parent.theta, ps.parent.M, ps.parent.hbar
-    cfg = RepConfig(k=ps.k, N=N, hbar=hbar, phase_convention="creation_plus")
-    gs = build_generators("fock", cfg)
-
-    # stay at least 4 indices clear of the window's truncation edge
-    n = min(ps.dim - 4, cfg.N + 1)
-    if n < 2:
-        raise ValueError(f"common index window too small to compare ({n})")
+    N = min(N, ps.dim - 3)
+    if N < 4:
+        raise ValueError(f"weight-basis cutoff min(N, M - m_min - 2) = {N} is below 4")
+    gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
+                                            phase_convention="creation_plus"))
+    n = min(ps.dim - 4, N + 1)
     p_res = (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()
     u_res = (ps.shift().block(0, n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()
 

@@ -61,16 +61,13 @@ def check(name, anchor, residual, tol, note=""):
                        math.isfinite(residual) and residual <= tol, note=note)
 
 
-def splice(report, label, tol):
+def splice(report, label):
     """The records of a module's ``report``, renamed ``name[label]``.
 
-    Each asserted record is judged again under ``min(its own tol, tol)``:
-    a configured tolerance can tighten a record's pinned one but never
-    loosen it.  Reported-only records keep their residual and stay unjudged.
+    Each record was judged once, where it was made, at its pinned
+    tolerance; splicing keeps its residual, tolerance and verdict.
     """
-    return [replace(r, name=f"{r.name}[{label}]") if r.reported_only
-            else check(f"{r.name}[{label}]", r.anchor, r.residual, min(r.tol, tol), r.note)
-            for r in report.checks]
+    return [replace(r, name=f"{r.name}[{label}]") for r in report.checks]
 
 
 def metric(name, anchor, value, note=""):

@@ -137,6 +137,17 @@ def test_tplus_reconstruction_vanishes_at_ground():
     assert np.abs(gs.Tminus.matrix[:, 0]).max() == 0.0
 
 
+@pytest.mark.parametrize("hbar", [1e-170, 1e-300])
+def test_tplus_reconstruction_at_small_hbar(hbar):
+    # the identity does not depend on hbar, but (p + (k-1) hbar)(p - k hbar)
+    # scales as hbar^2 and underflows if it is formed from p
+    for k in (0.25, 0.5, 1.0):
+        gs = build_generators("fock", RepConfig(k=k, N=64, hbar=hbar,
+                                                phase_convention="disc_minus"))
+        rec = tplus_from_phase(gs, phase_operator(fock(k, N=64)))
+        assert interior_residual(rec - gs.Tplus) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # sin / cos operators
 # ---------------------------------------------------------------------------
@@ -196,6 +207,12 @@ def test_conjugate_realizations(k):
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
     worst = max(r.residual for r in rep.checks if r.name.startswith("conjugation"))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("N,budget", [(64, 6.4e-8), (256, 1e-7)])
+def test_conjugation_budget_is_capped_at_1e_minus_7(N, budget):
+    rep = conjugate_realizations(RepConfig(k=0.5, N=N))
+    assert [r.tol for r in rep.checks if r.name.startswith("conjugation")] == [budget] * 3
 
 
 def test_identity_similarity_at_half():
