@@ -213,6 +213,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # unreadable config, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,101 +1,168 @@
 """Exact complex-rational scalars and the sparse mode series built on them.
 
 Closure decisions must not depend on float rank estimation, so bracket
-coefficients stay exact (pairs of ``Fraction``) as long as every input is
-rational.  Any float in the inputs demotes the whole computation to
-ordinary complex arithmetic.  ``ModeSeries`` holds such coefficients for
-both Witt elements and trigonometric polynomials.
+coefficients stay exact as long as every input is rational.  An exact
+scalar is a Gaussian rational held as three plain integers, (x + iy)/d,
+so the bracket kernel and the exact elimination run on ``int``
+arithmetic alone.  Any float in the inputs demotes the whole computation
+to ordinary complex arithmetic.  ``ModeSeries`` holds such coefficients
+for both Witt elements and trigonometric polynomials.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd
 from numbers import Complex, Rational
 
 
 class QC:
-    """Complex number with exact rational real and imaginary parts.
+    """Complex number (x + iy)/d with exact rational real and imaginary parts.
 
-    Arithmetic with a float or complex operand gives a complex float;
-    with an operand that is not a number it returns NotImplemented, so
-    that ``c * series`` reaches the series' own exact ``__rmul__``.  Parts
-    that are ``int`` stay ``int`` (Gaussian-integer arithmetic allocates
-    no ``Fraction``); only a division makes a ``Fraction``.
+    The value is stored as three ``int``s in canonical form: d > 0 and
+    gcd(x, y, d) = 1, so equal values have equal triples.  ``+ - * /``
+    work on the integers and reduce once with a gcd, which is skipped
+    when d = 1 (Gaussian integers take none).  ``re`` and ``im`` are
+    read-only: an ``int`` when the part is integral, else a ``Fraction``.
+
+    The constructor takes ints, ``Fraction``s and anything ``Fraction``
+    accepts (a float converts exactly).  Arithmetic with a float or
+    complex operand gives a complex float; with an operand that is not a
+    number it returns NotImplemented, so that ``c * series`` reaches the
+    series' own exact ``__rmul__``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int else Fraction(re)
-        self.im = im if type(im) is int else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._x, self._y, self._d = re, im, 1
+            return
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        x, y, d = p * s, r * q, q * s
+        g = gcd(x, y, d)
+        self._x, self._y, self._d = x // g, y // g, d // g
+
+    @property
+    def re(self):
+        return _part(self._x, self._d)
+
+    @property
+    def im(self):
+        return _part(self._y, self._d)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        other = _lift(other)
-        if isinstance(other, QC):
-            return QC(self.re + other.re, self.im + other.im)
-        return other if other is NotImplemented else complex(self) + other
+        if type(other) is not QC:
+            other = _lift(other)
+            if type(other) is not QC:
+                return other if other is NotImplemented else complex(self) + other
+        d, e = self._d, other._d
+        if d == e:
+            return _qc(self._x + other._x, self._y + other._y, d)
+        return _qc(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self._x, -self._y, self._d)
 
     def __sub__(self, other):
-        other = _lift(other)
-        if isinstance(other, QC):
-            return QC(self.re - other.re, self.im - other.im)
-        return other if other is NotImplemented else complex(self) - other
+        if type(other) is not QC:
+            other = _lift(other)
+            if type(other) is not QC:
+                return other if other is NotImplemented else complex(self) - other
+        d, e = self._d, other._d
+        if d == e:
+            return _qc(self._x - other._x, self._y - other._y, d)
+        return _qc(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is QC:
+            x, y, a, b = self._x, self._y, other._x, other._y
+            return _qc(x * a - y * b, x * b + y * a, self._d * other._d)
         if type(other) is int:
-            return QC(self.re * other, self.im * other)
+            return _qc(self._x * other, self._y * other, self._d)
         other = _lift(other)
-        if isinstance(other, QC):
-            return QC(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+        if type(other) is QC:
+            return self * other
         return other if other is NotImplemented else complex(self) * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _lift(other)
-        if isinstance(other, QC):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return self * QC(Fraction(other.re, d), Fraction(-other.im, d))
-        return other if other is NotImplemented else complex(self) / other
+        if type(other) is not QC:
+            other = _lift(other)
+            if type(other) is not QC:
+                return other if other is NotImplemented else complex(self) / other
+        # (x + iy)/d / ((a + ib)/e) = (x + iy)(a - ib) e / (d (a^2 + b^2))
+        x, y, a, b, e = self._x, self._y, other._x, other._y, other._d
+        n = a * a + b * b
+        if n == 0:
+            raise ZeroDivisionError("division by exact zero")
+        return _qc((x * a + y * b) * e, (y * a - x * b) * e, self._d * n)
 
     # -- structure ----------------------------------------------------
     def conjugate(self):
-        return QC(self.re, -self.im)
+        return _qc(self._x, -self._y, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._x or self._y)
 
     def __eq__(self, other):
-        other = _lift(other)
-        if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
-        return other if other is NotImplemented else complex(self) == other
+        if type(other) is not QC:
+            other = _lift(other)
+            if type(other) is not QC:
+                return other if other is NotImplemented else complex(self) == other
+        return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        d = self._d
+        return complex(self._x / d, self._y / d)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self._y:
             return str(self.re)
-        if self.re == 0:
+        if not self._x:
             return f"{self.im}*i"
         return f"({self.re} + {self.im}*i)"
+
+
+_new = object.__new__
+
+
+def _qc(x, y, d):
+    """QC (x + iy)/d from integers with d > 0, reduced to canonical form."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    q = _new(QC)
+    q._x, q._y, q._d = x, y, d
+    return q
+
+
+def _ratio(v):
+    """(numerator, denominator) of an exact rational or of Fraction(v)."""
+    if not isinstance(v, Rational):
+        v = Fraction(v)
+    return int(v.numerator), int(v.denominator)
+
+
+def _part(n, d):
+    """n/d as an int when it is integral, else as a Fraction."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 QC_I = QC(0, 1)
@@ -104,9 +171,11 @@ QC_I = QC(0, 1)
 def _lift(x):
     """Canonical scalar: QC for ints and Fractions, complex for any other
     number, NotImplemented for what is not a number."""
-    if isinstance(x, QC):
+    if type(x) is QC:
         return x
-    if isinstance(x, Rational):  # int, Fraction, bool
+    if type(x) is int:
+        return _qc(x, 0, 1)
+    if isinstance(x, Rational):  # Fraction, bool, other exact rationals
         return QC(x)
     if isinstance(x, Complex):
         return complex(x)

@@ -160,6 +160,28 @@ def test_symplectic_random():
     assert worst < 1e-6
 
 
+def test_symplectic_closed_form_matches_full_matrix_residual():
+    # the audit returns |det J - 1|; rebuild J with both difference
+    # columns and take || J^T Omega J - Omega || in full
+    from halfcyl.classical import _mobius_step
+
+    rng = np.random.default_rng(7)
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for _ in range(200):
+        l = int(rng.integers(1, 4))
+        g = CoveringElement(0.99 * math.sqrt(rng.uniform())
+                            * cmath.exp(2j * math.pi * rng.uniform()),
+                            rng.uniform(0, l * math.pi), l)
+        x = PhasePoint(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(-2, 2)))
+        h = 10 ** rng.uniform(-7, -1)
+        (dp, mp), (dm, mm) = _mobius_step(g, x.phi + h), _mobius_step(g, x.phi - h)
+        step = (x.phi + h) - (x.phi - h)
+        jac = np.array([[1.0 + (dp - dm) / step, 0.0],
+                        [x.p * (mp - mm) / step, _mobius_step(g, x.phi)[1]]])
+        full = np.abs(jac.T @ omega @ jac - omega).max()
+        assert abs(check_symplectic(g, x, h) - full) < 1e-13
+
+
 def test_symplectic_rejects_bad_step():
     with pytest.raises(ValueError):
         check_symplectic(CoveringElement(0, 0, 1), PhasePoint(1, 1), h=0.0)

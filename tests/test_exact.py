@@ -1,0 +1,174 @@
+"""The exact scalar QC against a reference pair of Fractions, and a guard
+that the exact bracket paths create no Fraction."""
+
+import operator
+from fractions import Fraction
+from numbers import Rational
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halfcyl import exact
+from halfcyl.classical import MomentumFunction, TrigPoly, poisson_bracket
+from halfcyl.exact import QC
+from halfcyl.lie import WittElement, witt_closure
+
+small_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+parts = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                  st.fractions(max_denominator=10 ** 12),
+                  small_floats)
+exact_pairs = st.tuples(parts, parts).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+operands = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.booleans(),
+    exact_pairs,  # becomes a QC operand
+    small_floats,
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([None, "1", [1], object()]),
+)
+
+
+def _ref_exact(v):
+    """Reference lift: the Fraction pair of an exact operand, else None."""
+    if isinstance(v, tuple):
+        return v
+    if isinstance(v, Rational):
+        return Fraction(v), Fraction(0)
+    return None
+
+
+def _ref_op(name, a, b):
+    """The old scalar's arithmetic on Fraction pairs."""
+    (ar, ai), (br, bi) = a, b
+    if name == "add":
+        return ar + br, ai + bi
+    if name == "sub":
+        return ar - br, ai - bi
+    if name == "mul":
+        return ar * br - ai * bi, ar * bi + ai * br
+    n = br * br + bi * bi
+    if n == 0:
+        raise ZeroDivisionError
+    return (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
+
+
+def _expected(name, pair, other, reflected=False):
+    """(kind, value): an exact pair, a complex float, or an exception type."""
+    b = _ref_exact(other)
+    if b is not None:
+        x, y = (b, pair) if reflected else (pair, b)
+        try:
+            return "exact", _ref_op(name, x, y)
+        except ZeroDivisionError:
+            return "raises", ZeroDivisionError
+    if isinstance(other, (float, complex)):
+        z, w = complex(float(pair[0]), float(pair[1])), complex(other)
+        x, y = (w, z) if reflected else (z, w)
+        try:
+            return "complex", getattr(operator, name)(x, y)
+        except ZeroDivisionError:
+            return "raises", ZeroDivisionError
+    return "raises", TypeError
+
+
+def _assert_matches(got, pair):
+    assert type(got) is QC
+    assert (got.re, got.im) == pair
+    for part, ref in ((got.re, pair[0]), (got.im, pair[1])):
+        assert type(part) is (int if ref.denominator == 1 else Fraction)
+
+
+def _check(compute, kind, value):
+    if kind == "raises":
+        with pytest.raises(value):
+            compute()
+        return
+    got = compute()
+    if kind == "exact":
+        _assert_matches(got, value)
+    else:
+        assert type(got) is complex and got == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=exact_pairs, other=operands)
+def test_arithmetic_matches_fraction_pairs(pair, other):
+    q = QC(*pair)
+    operand = QC(*other) if isinstance(other, tuple) else other
+    for name in ("add", "sub", "mul", "truediv"):
+        op = getattr(operator, name)
+        _check(lambda: op(q, operand), *_expected(name, pair, other))
+        if name != "truediv":
+            _check(lambda: op(operand, q), *_expected(name, pair, other, reflected=True))
+    if not isinstance(operand, QC):
+        with pytest.raises(TypeError):  # no reflected division, as before
+            operand / q
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=exact_pairs, other=operands)
+def test_structure_matches_fraction_pairs(pair, other):
+    q = QC(*pair)
+    re, im = pair
+    _assert_matches(q, pair)
+    _assert_matches(-q, (-re, -im))
+    _assert_matches(q.conjugate(), (re, -im))
+    assert bool(q) == bool(re or im)
+    assert hash(q) == hash((re, im))
+    assert complex(q) == complex(float(re), float(im))
+    if im == 0:
+        assert repr(q) == str(re)
+    elif re == 0:
+        assert repr(q) == f"{im}*i"
+    else:
+        assert repr(q) == f"({re} + {im}*i)"
+    b = _ref_exact(other)
+    operand = QC(*other) if isinstance(other, tuple) else other
+    if b is not None:
+        expected = (re, im) == b
+    elif isinstance(other, (float, complex)):
+        expected = complex(float(re), float(im)) == complex(other)
+    else:
+        expected = False
+    assert (q == operand) is expected and (operand == q) is expected
+    assert (q != operand) is not expected
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), False, QC(0), QC(0, Fraction(0))])
+def test_division_by_exact_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        QC(1, 2) / zero
+
+
+def test_canonical_triples_make_equal_values_equal():
+    a = QC(Fraction(2, 4), Fraction(3, 6)) * 2
+    assert a == QC(1, 1) and hash(a) == hash(QC(1, 1))
+    assert (type(a.re), type(a.im)) == (int, int)
+    half = QC(Fraction(1, 2)) + QC(Fraction(1, 2))
+    assert half == QC(1) and type(half.re) is int
+    assert QC(1, 3) / 3 == QC(Fraction(1, 3), 1)
+    with pytest.raises(AttributeError):
+        a.re = 2
+
+
+def test_exact_bracket_paths_create_no_fraction(monkeypatch):
+    tower = [WittElement({0: Fraction(2, 3), 4: 2}),
+             WittElement({-4: -4, 0: -1, 4: 3}),
+             WittElement({-4: 2, 0: -1, 4: -1})]
+    half = Fraction(1, 2)
+    f = TrigPoly.cos(1)  # 1/2 e^{i phi} + 1/2 e^{-i phi}
+    g = TrigPoly({0: half, 1: QC(0, -3 * half / 2), -1: QC(0, 3 * half / 2)})
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction created in the exact path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "Fraction", no_fraction)
+        closure = witt_closure(tower)
+        bracket = poisson_bracket(MomentumFunction(f), MomentumFunction(g))
+    assert closure.closed and closure.dimension == 3
+    # f = cos, g = 1/2 + 3/2 sin: f' g - f g' = -1/2 sin - 3/2
+    expected = TrigPoly.const(Fraction(-3, 2)) + Fraction(-1, 2) * TrigPoly.sin(1)
+    assert bracket == MomentumFunction(expected)

@@ -86,7 +86,8 @@ def test_exact_scalar_times_element_stays_exact():
 def test_exact_division_gives_fractions_and_integers_stay_integers():
     third = QC(1) / QC(3)
     assert third.re == Fraction(1, 3) and type(third.re) is Fraction
-    assert type((QC(1, 2) / QC(0, 1)).im) is Fraction
+    q = QC(1, 2) / QC(0, 1)
+    assert q == QC(2, -1) and (type(q.re), type(q.im)) == (int, int)
     prod = QC(2, 1) * QC(3, -1) + 4
     assert (type(prod.re), type(prod.im)) == (int, int)
     assert prod == QC(11, 1) and hash(prod) == hash(QC(Fraction(11), Fraction(1)))

@@ -460,6 +460,17 @@ def test_cli_orbit_rejects_unrepresentable_momentum_ratio():
     assert "momentum ratio" in proc.stderr
 
 
+# Arrays of 10**17 entries (about an exbibyte) exceed any 64-bit address
+# space, so the allocation fails at once and nothing is ever touched.
+@pytest.mark.parametrize("args,config", [
+    (("equiv", "--theta", "0.5", "--m", str(10 ** 17)), None),
+    (("verify",), json.dumps({"N": 10 ** 17, "M": 10 ** 17}))])
+def test_cli_unallocatable_size_is_a_usage_error(args, config, tmp_path):
+    proc = _run_cli(*args, config=config, tmp_path=tmp_path)
+    _assert_usage_error(proc)
+    assert proc.stderr.startswith("error: out of memory: ")
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, halfcyl; assert 'scipy' not in sys.modules, 'scipy imported'"
     proc = _run_python("-c", code)
