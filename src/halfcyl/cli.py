@@ -198,6 +198,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # argparse reads an option value of exactly "--" (--k=--) as an empty list
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: option {empty[0]!r} has no value", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "verify": _cmd_verify,
         "spectrum": _cmd_spectrum,

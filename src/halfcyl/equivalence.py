@@ -140,8 +140,8 @@ def identification_report(ps: ProjectedSpace, N: int = 32) -> CheckReport:
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))
     n = min(ps.dim - 4, N + 1)
-    p_res = (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()
-    u_res = (ps.shift().block(0, n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()
+    p_res = (ps.momentum(n) - (hbar * gs.H).block(0, n)).max_abs()
+    u_res = (ps.shift(n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()
 
     rep = CheckReport(meta={"theta": theta, "m_min": ps.m_min,
                             "k": ps.k, "M": M, "N": N})

@@ -12,6 +12,7 @@ for both Witt elements and trigonometric polynomials.
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
 from math import gcd
 from numbers import Complex, Rational
@@ -122,7 +123,17 @@ class QC:
         return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal numbers hash equal: a real value hashes as its real part
+        # (an int or Fraction) does, a complex one by the rule of the
+        # built-in complex, hash(re) + sys.hash_info.imag * hash(im) in
+        # unsigned machine arithmetic, so that QC(3) is found in {3}
+        h = hash(self.re)
+        if not self._y:
+            return h
+        m = 2 ** sys.hash_info.width
+        h = (h + sys.hash_info.imag * hash(self.im)) % m
+        h = h - m if h >= m // 2 else h
+        return -2 if h == -1 else h
 
     def __complex__(self):
         d = self._d

@@ -51,13 +51,18 @@ class ThetaSpace:
         return np.arange(-self.M, self.M + 1)
 
     # -- operators on the window ---------------------------------------
-    def momentum(self) -> TruncatedOperator:
-        """p f_{theta,m} = hbar (m + theta) f_{theta,m}."""
-        return TruncatedOperator.diag(self.hbar * (self.modes + self.theta))
+    def momentum(self, lo: int = 0, hi: int | None = None) -> TruncatedOperator:
+        """p f_{theta,m} = hbar (m + theta) f_{theta,m}; its principal block
+        on the window indices lo..hi-1 (default: the whole window)."""
+        hi = self.dim if hi is None else hi
+        return TruncatedOperator.diag(
+            self.hbar * (np.arange(lo - self.M, hi - self.M) + self.theta))
 
-    def shift(self) -> TruncatedOperator:
-        """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
-        return TruncatedOperator({-1: np.ones(self.dim - 1, complex)}, self.dim, 1)
+    def shift(self, lo: int = 0, hi: int | None = None) -> TruncatedOperator:
+        """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi)); its
+        principal block on the window indices lo..hi-1."""
+        hi = self.dim if hi is None else hi
+        return TruncatedOperator({-1: np.ones(hi - lo - 1, complex)}, hi - lo, 1)
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,17 @@ class ProjectedSpace:
         return op.block(self.m_min + self.parent.M, self.parent.dim)
 
     # -- the transported elementary operators ---------------------------
-    def momentum(self) -> TruncatedOperator:
-        return self.project(self.parent.momentum())
+    # built directly on the trailing block, so that a leading n x n block
+    # costs O(n) however wide the parent window
+    def momentum(self, n: int | None = None) -> TruncatedOperator:
+        """Projected momentum, or its leading n x n block."""
+        lo = self.m_min + self.parent.M
+        return self.parent.momentum(lo, lo + (self.dim if n is None else n))
 
-    def shift(self) -> TruncatedOperator:
-        return self.project(self.parent.shift())
+    def shift(self, n: int | None = None) -> TruncatedOperator:
+        """Projected shift, or its leading n x n block."""
+        lo = self.m_min + self.parent.M
+        return self.parent.shift(lo, lo + (self.dim if n is None else n))
 
 
 def isometry_report(ps: ProjectedSpace) -> CheckReport:

@@ -25,9 +25,9 @@ from .equivalence import (conjugate_realizations, identification_report,
                           phase_operator, sincos_operators, tplus_from_phase)
 from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
 from .report import CheckReport, check, metric, splice, worst_of
-from .rep import (RepConfig, TruncatedOperator, boost_norm, build_generators,
-                  casimir, commutator, exp_generator, gram_weights,
-                  interior_residual, rotation_rep, spectrum_p,
+from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_norm,
+                  build_generators, casimir, commutator, exp_generator,
+                  gram_weights, interior_residual, rotation_rep, spectrum_p,
                   toeplitz_measure_test, tol)
 
 __all__ = ["SuiteConfig", "ConfigError", "run_suite", "emit_spectrum", "PROFILES"]
@@ -355,18 +355,39 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     gexp = np.exp(-1.554 * gs.T0.bands[0])
     out.append(check(f"rotation_exponential[{lab}]", "exp(-2 omega T0) = rotation matrix",
                      float(np.abs(gexp - u_rot.bands[0]).max()), 1e-12))
-    # the boost exponentials are dense; the five below share one eigendecomposition
+    # each boost exponential below is a probe block, columns of the
+    # exponential of a leading block of rows; all share one eigendecomposition
     h = 1e-3 / max(1.0, boost_norm(rc))
     fd = (-exp_generator("T1", 2 * h, rc) + 8 * exp_generator("T1", h, rc)
           - 8 * exp_generator("T1", -h, rc) + exp_generator("T1", -2 * h, rc)) / (12 * h)
+    rows, cols = fd.shape
+    t1 = gs.T1.block(0, rows).matrix[:, :cols]
     out.append(check(f"boost_derivative[{lab}]", "d/dt exp(t T1) at 0 = T1",
-                     float(np.abs(fd - gs.T1.matrix).max()), 1e-8))
-    half = N // 2 + 1
-    e1 = exp_generator("T1", 0.1, rc)[:, :half]
-    leak = float(np.abs(e1.conj().T @ e1 - np.eye(half)).max())
+                     float(np.abs(fd - t1).max()), 1e-8))
+    boosts = {(d, t): exp_generator(d, t, rc) for d in ("T1", "T2") for t in (0.1, 0.7)}
+    e1 = boosts["T1", 0.1]
+    half = min(N // 2 + 1, cols)
+    leak = float(np.abs(e1[:, :half].conj().T @ e1[:, :half] - np.eye(half)).max())
     out.append(metric(f"boost_truncation_leakage[{lab}]",
                       "interior unitarity defect of exp(0.1 T1)", leak,
                       note="truncation leakage: reported, never asserted"))
+    # exp(t T) H exp(-t T) = cosh t H + sinh t [T, H] is tridiagonal, so each
+    # column n of exp(t T) is its eigenvector with eigenvalue k + n
+    adj, seen = [], []
+    for t in (0.1, 0.7):
+        n_cols = min(boost_columns(t, rc), cols)
+        if not n_cols:
+            continue
+        seen.append(f"0..{n_cols - 1} at t={t:g}")
+        for direction, turn in (("T1", 1j * gs.T2), ("T2", -1j * gs.T1)):
+            u = boosts[direction, t][:, :n_cols]
+            a = (math.cosh(t) * gs.H + math.sinh(t) * turn).block(0, rows)
+            adj.append(np.abs(a.dot(u) - u * gs.H.bands[0][:n_cols]).max())
+    out.append(check(f"boost_adjoint_action[{lab}]",
+                     "(cosh t H + sinh t [T, H]) exp(tT) e_n = (k + n) exp(tT) e_n",
+                     worst_of(adj) if adj else math.nan, 1e-11,
+                     note="columns " + ", ".join(seen) if seen
+                     else "no column certified at this N"))
     w = gram_weights(rc)
     ratios = w[1:] / w[:-1]
     if k < 0.5:

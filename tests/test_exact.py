@@ -116,7 +116,6 @@ def test_structure_matches_fraction_pairs(pair, other):
     _assert_matches(-q, (-re, -im))
     _assert_matches(q.conjugate(), (re, -im))
     assert bool(q) == bool(re or im)
-    assert hash(q) == hash((re, im))
     assert complex(q) == complex(float(re), float(im))
     if im == 0:
         assert repr(q) == str(re)
@@ -134,6 +133,30 @@ def test_structure_matches_fraction_pairs(pair, other):
         expected = False
     assert (q == operand) is expected and (operand == q) is expected
     assert (q != operand) is not expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=exact_pairs, real=st.booleans())
+def test_equal_numbers_hash_equal(pair, real):
+    """a == b implies hash(a) == hash(b) across QC, int, Fraction, float
+    and complex, so a QC finds its equal in a set or dict and back."""
+    re, im = pair[0], 0 if real else pair[1]
+    forms = [QC(re, im), QC(3 * re, 3 * im) / 3, QC(re) + QC(0, im)]
+    if im == 0:
+        forms += [re, QC(re)]
+        if re.denominator == 1:
+            forms.append(int(re))
+    z = complex(float(re), float(im))
+    if (Fraction(z.real), Fraction(z.imag)) == (re, im):  # exactly a float pair
+        forms += [z] if im else [z, z.real]
+    for a in forms:
+        assert all(a == b and hash(a) == hash(b) for b in forms)
+    assert len(set(forms)) == 1
+
+
+def test_qc_is_found_among_equal_ints_and_fractions():
+    assert 3 in {QC(3)} and QC(3) in {3}
+    assert QC(Fraction(1, 2)) in {Fraction(1, 2)} and Fraction(1, 2) in {QC(Fraction(1, 2))}
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), False, QC(0), QC(0, Fraction(0))])

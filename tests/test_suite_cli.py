@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,6 +319,13 @@ def test_cli_verify_rejects_tolerances_key(tmp_path):
     assert "tolerances" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [("closure", "--generators=--"),
+                                  ("spectrum", "--k=--", "--n", "3"),
+                                  ("orbit", "--from=--", "--to", "0,1")])
+def test_cli_option_value_of_double_dash_is_a_usage_error(args):
+    _assert_usage_error(_run_cli(*args))
+
+
 def test_cli_orbit_rejects_nan_point():
     _assert_usage_error(_run_cli("orbit", "--from", "nan,1", "--to", "0,1"))
 
@@ -463,12 +471,25 @@ def test_cli_orbit_rejects_unrepresentable_momentum_ratio():
 # Arrays of 10**17 entries (about an exbibyte) exceed any 64-bit address
 # space, so the allocation fails at once and nothing is ever touched.
 @pytest.mark.parametrize("args,config", [
-    (("equiv", "--theta", "0.5", "--m", str(10 ** 17)), None),
+    (("equiv", "--theta", "0.5", "--m", str(10 ** 17), "--n", str(10 ** 17)), None),
     (("verify",), json.dumps({"N": 10 ** 17, "M": 10 ** 17}))])
 def test_cli_unallocatable_size_is_a_usage_error(args, config, tmp_path):
     proc = _run_cli(*args, config=config, tmp_path=tmp_path)
     _assert_usage_error(proc)
     assert proc.stderr.startswith("error: out of memory: ")
+
+
+def test_cli_equiv_builds_only_the_compared_block(tmp_path):
+    # the window of 2 * 10**17 + 1 modes is never built: the identification
+    # compares the same leading block as in a small window
+    def body(m):
+        doc = json.loads(_run_cli("equiv", "--theta", "0.5", "--mmin", "1",
+                                  "--m", str(m), tmp_path=tmp_path).stdout)
+        del doc["header"], doc["meta"]["M"], doc["config_echo"]["M"]
+        return doc
+
+    big = body(10 ** 17)
+    assert big == body(48) and big["verdict"] == "pass"
 
 
 def test_import_leaves_scipy_out():
@@ -516,6 +537,23 @@ def test_full_suite_passes_at_large_cutoff():
     report = run_suite(SuiteConfig(N=512, M=512, profile="full"))
     failed = [r.name for r in report.checks if not r.passed]
     assert not failed and report.verdict
+
+
+def test_full_suite_at_very_large_cutoff_holds_no_square_array():
+    # one dense (N+1)^2 complex array alone would take 268 MB here
+    tracemalloc.start()
+    try:
+        report = run_suite(SuiteConfig(N=4096, M=4096, profile="full"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    # the Casimir records cancel terms of size N^2 against an absolute pin:
+    # double-precision rounding floors, which stay visible as failures
+    assert {r.name.split("[")[0] for r in report.failures()} == {
+        "casimir_value", "casimir_flat"}
+    boosts = [r for r in report.checks if r.name.startswith("boost_")]
+    assert len(boosts) == 15 and all(r.passed for r in boosts)
 
 
 # ---------------------------------------------------------------------------
