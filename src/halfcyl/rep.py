@@ -349,7 +349,7 @@ def _boost_reach(t: float, k: float, n):
 def _boost_rows(config: RepConfig) -> int:
     """L = min(N + 1, rows the margin rule needs for b columns at t_probe)."""
     need = _boost_reach(_BOOST_T_PROBE, config.k, _BOOST_PROBE_COLUMNS - 1)
-    return min(config.N + 1, int(np.ceil(need)))
+    return int(min(config.N + 1, np.ceil(need)))  # need is inf from k ~ 8.9e307 on
 
 
 def boost_columns(t: float, config: RepConfig) -> int:

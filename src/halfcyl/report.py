@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = "1"
@@ -12,7 +13,7 @@ SCHEMA_VERSION = "1"
 class CheckRecord:
     """One identity check: residual against a pinned tolerance.
 
-    ``reported_only`` marks diagnostics (truncation leakage, hermiticity
+    ``reported_only`` marks diagnostics (discretisation residuals, hermiticity
     symptoms) that are carried in the report but never affect the verdict;
     no tolerance applies to them, so they serialise with ``"tol": null``.
     A non-finite residual serialises as ``null`` with ``"pass": false``.
@@ -61,13 +62,35 @@ def check(name, anchor, residual, tol, note=""):
                        math.isfinite(residual) and residual <= tol, note=note)
 
 
-def splice(report, label):
-    """The records of a module's ``report``, renamed ``name[label]``.
+def judge(rows, label=None):
+    """Records of ``rows``, named ``name[label]`` (``name`` if no label).
 
-    Each record was judged once, where it was made, at its pinned
-    tolerance; splicing keeps its residual, tolerance and verdict.
+    A row is ``(name, anchor, tol, residual[, note])``: ``residual()``
+    returns a number or an iterable of numbers, aggregated by ``worst_of``
+    (NaN if empty: a record that compared nothing never passes) and judged
+    here, once, at the pinned ``tol``.  A residual that raises
+    fails its record with ``"<Type>: <message>"`` as the note, and the
+    later rows still run; a ``MemoryError`` propagates.  A row may instead
+    be a zero-argument callable returning a module's ``CheckReport``,
+    whose records are only renamed.  Rows run in order.
     """
-    return [replace(r, name=f"{r.name}[{label}]") for r in report.checks]
+    suffix = "" if label is None else f"[{label}]"
+    out = []
+    for row in rows:
+        if callable(row):
+            out += [replace(r, name=r.name + suffix) for r in row().checks]
+            continue
+        name, anchor, tol, residual, *note = row
+        try:
+            value = residual()
+            if not isinstance(value, numbers.Real):
+                value = worst_of(list(value) or [math.nan])
+        except MemoryError:
+            raise
+        except Exception as exc:  # this record fails; the other rows still run
+            value, note = math.nan, [f"{type(exc).__name__}: {exc}"]
+        out.append(check(name + suffix, anchor, value, tol, *note))
+    return out
 
 
 def metric(name, anchor, value, note=""):

@@ -2,9 +2,13 @@
 names the records that must fail on it, so that no check passes a wrong
 program unseen."""
 
+import json
+
+import numpy as np
 import pytest
 
-from halfcyl import suite
+from halfcyl import lie, suite
+from halfcyl.cli import main
 from halfcyl.suite import SuiteConfig, run_suite
 
 
@@ -19,23 +23,73 @@ def _reversed_boost(direction):
     return fault
 
 
-# (fault id, attribute of halfcyl.suite, its replacement, base names of the
-# records that must fail at every k)
+def _shifted_spectrum(config):
+    """spectrum_p one level up: hbar (k + 1 + n), still positive with spacing hbar."""
+    return config.hbar * (config.k + 1 + np.arange(config.N + 1))
+
+
+def _symmetric_bracket(a, b):
+    """witt_bracket with (k + j) L_{j+k} for (k - j) L_{j+k}: not antisymmetric."""
+    out = lie.WittElement()
+    for j, c in a.coeffs.items():
+        for k, d in b.coeffs.items():
+            out = out + lie.WittElement({j + k: (k + j) * c * d})
+    return out
+
+
+# (fault id, dotted name of the replaced attribute, its replacement, base
+# names of the records that must fail: every record of that base name, the
+# unlabeled ones of the lie and classical cells and the labeled ones of
+# every grid cell)
 FAULTS = [
-    ("exp(-t T1) for exp(t T1)", "exp_generator", _reversed_boost("T1"),
+    ("exp(-t T1) for exp(t T1)", "halfcyl.suite.exp_generator", _reversed_boost("T1"),
      {"boost_adjoint_action", "boost_derivative"}),
-    ("exp(-t T2) for exp(t T2)", "exp_generator", _reversed_boost("T2"),
+    ("exp(-t T2) for exp(t T2)", "halfcyl.suite.exp_generator", _reversed_boost("T2"),
      {"boost_adjoint_action"}),
+    ("spec p = hbar(k + 1 + n)", "halfcyl.suite.spectrum_p", _shifted_spectrum,
+     {"spectrum_positive"}),
+    ("MOMENTUM_MAP_SIGN = +1", "halfcyl.classical.MOMENTUM_MAP_SIGN", 1,
+     {"momentum_map_sign"}),
+    ("[L_j, L_k] = (k + j) L_{j+k}", "halfcyl.lie.witt_bracket", _symmetric_bracket,
+     {"witt_jacobi_exact"}),
 ]
 
 
 @pytest.mark.parametrize("config", [SuiteConfig(), SuiteConfig(N=256, M=256)],
                          ids=["default", "N=M=256"])
-@pytest.mark.parametrize("attr, fault, must_fail", [row[1:] for row in FAULTS],
+@pytest.mark.parametrize("target, fault, must_fail", [row[1:] for row in FAULTS],
                          ids=[row[0] for row in FAULTS])
-def test_fault_fails_its_records(monkeypatch, config, attr, fault, must_fail):
-    monkeypatch.setattr(suite, attr, fault)
-    failed = {r.name for r in run_suite(config).failures()}
+def test_fault_fails_its_records(monkeypatch, config, target, fault, must_fail):
+    monkeypatch.setattr(target, fault)
+    checks = run_suite(config).checks
     for base in must_fail:
-        for k in config.active_k_values:
-            assert f"{base}[k={k:g}]" in failed
+        records = [r for r in checks if r.name.split("[")[0] == base]
+        assert records and not any(r.passed for r in records)
+
+
+def test_momentum_map_sign_fault_reports_the_coefficient_gap(monkeypatch):
+    # with sigma = +1 each {F_v, F_w} - sigma F_[v,w] is -2 F_[v,w]; the
+    # largest coefficient, 2, is that of {F_sin, F_cos} = -(-1) p
+    monkeypatch.setattr("halfcyl.classical.MOMENTUM_MAP_SIGN", 1)
+    rec = next(r for r in run_suite(SuiteConfig()).checks if r.name == "momentum_map_sign")
+    assert rec.residual == 2.0 and not rec.passed
+
+
+def test_raising_residual_fails_only_its_record(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k_values": [0.5], "theta_values": [1.0],
+                                "N": 16, "M": 16}))
+    assert main(["verify", "--config", str(path)]) == 0
+    clean = json.loads(capsys.readouterr().out)
+
+    def broken(config):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(suite, "toeplitz_measure_test", broken)
+    assert main(["verify", "--config", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [c for c in doc["checks"] if not c["pass"]] == [{
+        "name": "toeplitz_measure[k=0.5]", "anchor": "density exists iff k = 1/2",
+        "residual": None, "tol": 0.0, "pass": False,
+        "note": "ZeroDivisionError: injected"}]
+    assert [c["name"] for c in doc["checks"]] == [c["name"] for c in clean["checks"]]
