@@ -145,7 +145,7 @@ def angle_gap(a: float, b: float) -> float:
     return abs((a - b + math.pi) % TWO_PI - math.pi)
 
 
-def check_symplectic(g: CoveringElement, x: PhasePoint, h: float = 1e-5) -> float:
+def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) -> float:
     """Finite-difference audit of form invariance: || J^T Omega J - Omega ||.
 
     The Jacobian J = [[1 + d disp/dphi, 0], [p d mult/dphi, mult]] has the
@@ -153,8 +153,13 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float = 1e-5) -> floa
     difference for the angle derivative.  For any 2x2 J, J^T Omega J =
     det(J) Omega, so the max-norm residual is |det(J) - 1|, in which the
     p d mult/dphi entry drops out.  The displacement is globally smooth,
-    so no branch seam is ever near.
+    so no branch seam is ever near.  The default step h = 1e-5 / l scales
+    with the e^{il phi} oscillation of the displacement, which keeps the
+    difference error of a correct map below 1e-7 up to l = 10^4; an
+    explicit h is used as given.
     """
+    if h is None:
+        h = 1e-5 / g.l
     if not h > 0:
         raise ValueError("step h must be positive")
     phi = x.phi

@@ -193,10 +193,29 @@ def _lift(x):
     return NotImplemented
 
 
+def _exact_bracket(a: dict, b: dict) -> dict:
+    """Unreduced (x, y, d) of each mode of the Witt bracket of two exact
+    coefficient dictionaries: (k - j) a_j b_k summed in mode j + k."""
+    out = {}
+    for j, p in a.items():
+        x, y, d = p._x, p._y, p._d
+        for k, q in b.items():
+            if j != k:
+                f, e = k - j, d * q._d
+                u, v = f * (x * q._x - y * q._y), f * (x * q._y + y * q._x)
+                m = j + k
+                if m in out:
+                    s, t, c = out[m]
+                    out[m] = (s + u, t + v, e) if c == e else (s * e + u * c, t * e + v * c, c * e)
+                else:
+                    out[m] = (u, v, e)
+    return out
+
+
 def _canonical(coeffs: dict) -> dict:
     """Drop zero coefficients; demote to complex if exact and float mix."""
     out = {j: c for j, c in coeffs.items() if c}
-    if len({type(c) for c in out.values()}) > 1:
+    if len(set(map(type, out.values()))) > 1:
         out = {j: complex(c) for j, c in out.items() if complex(c)}
     return out
 
@@ -236,7 +255,10 @@ class ModeSeries:
 
     @property
     def is_exact(self):
-        return all(type(c) is QC for c in self.coeffs.values())
+        # ``_canonical`` never mixes QC and complex, so one coefficient decides
+        for c in self.coeffs.values():
+            return type(c) is QC
+        return True
 
     def get(self, j):
         return self.coeffs.get(j, QC(0) if self.is_exact else 0j)
@@ -290,11 +312,18 @@ class ModeSeries:
         """The Witt bracket: (k - j) a_j b_k lands in mode j + k.
 
         Read as Fourier series this is i (f' g - f g'), which makes it the
-        Poisson bracket of momentum functions as well.
+        Poisson bracket of momentum functions as well.  When both series are
+        exact each mode sums integer triples (x, y, d), one term at a time,
+        and becomes a ``QC`` once, at the end.
         """
-        out = {}
+        if self.is_exact and other.is_exact:
+            out = object.__new__(type(self))  # all QC, none zero: canonical
+            out.coeffs = {m: _qc(x, y, d) for m, (x, y, d) in _exact_bracket(
+                self.coeffs, other.coeffs).items() if x or y}
+            return out
+        out, items = {}, other.coeffs.items()
         for j, a in self.coeffs.items():
-            for k, b in other.coeffs.items():
+            for k, b in items:
                 if j != k:
                     term = (k - j) * (a * b)
                     m = j + k

@@ -361,25 +361,38 @@ def boost_columns(t: float, config: RepConfig) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _boost_eigh(config: RepConfig):
-    """eigh of the leading L x L block of the real Jacobi matrix
-    J = (T+ + T-)/2 of the fock ladder, L = ``_boost_rows(config)``.
+def _boost_svd(config: RepConfig):
+    """SVD B = U diag(s) V^T of the chiral block of the real Jacobi matrix
+    J = (T+ + T-)/2 of the fock ladder, on its leading L x L block,
+    L = ``_boost_rows(config)``; returns (U, s, V).
 
-    Both boost generators are unitarily equivalent to J: i T2 = -J and
-    i T1 = D J D*, D = diag(i^n), block by block.  One decomposition per
-    config therefore serves every boost exponential, in either direction,
-    at any t; its size never exceeds L, whatever N.
+    J has a zero diagonal, so in even/odd order it is [[0, B], [B^T, 0]]
+    with B = J[0::2, 1::2], the ceil(L/2) x floor(L/2) bidiagonal block.  U
+    is square (``full_matrices``), so for odd L it also spans the null
+    vector of B^T, on which J vanishes.  Both boost generators are unitarily
+    equivalent to J: i T2 = -J and i T1 = D J D*, D = diag(i^n), block by
+    block.  One SVD per config therefore serves every boost exponential, in
+    either direction, at any t; B is about L/2 on a side, whatever N.
+    A non-finite J (a weight k near the float range) gives NaN factors,
+    which fail the boost records, where the SVD itself would raise.
     """
     rows = _boost_rows(config)
     off = 0.5 * build_generators("fock", config).Tplus.bands[-1][:rows - 1].real
-    return np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    b = (np.diag(off, 1) + np.diag(off, -1))[0::2, 1::2]
+    if not np.isfinite(b).all():
+        m, n = b.shape
+        return np.full((m, m), np.nan), np.full(n, np.nan), np.full((n, n), np.nan)
+    u, s, vt = np.linalg.svd(b)
+    return u, s, vt.T
 
 
 def boost_norm(config: RepConfig) -> float:
-    """max |eigenvalue| of the leading L x L block of J: the spectral norm
-    of the truncated T1 (and T2) when N + 1 <= L, and of their leading
-    block otherwise.  It sets the finite-difference step of the boosts."""
-    return float(np.abs(_boost_eigh(config)[0]).max())
+    """Largest singular value of the chiral block B of the leading L x L
+    block of J (see ``_boost_svd``), which is its largest |eigenvalue|: the
+    spectral norm of the truncated T1 (and T2) when N + 1 <= L, and of their
+    leading block otherwise.  It sets the finite-difference step of the
+    boosts."""
+    return float(_boost_svd(config)[1].max())
 
 
 def exp_generator(direction: str, t: float, config: RepConfig) -> np.ndarray:
@@ -393,8 +406,13 @@ def exp_generator(direction: str, t: float, config: RepConfig) -> np.ndarray:
     ``boost_columns`` says how many leading columns are free of truncation
     effects.
 
-    Both come from the cached eigendecomposition J = V diag(w) V^T (see
-    ``_boost_eigh``): exp(t T2) = cos(tJ) + i sin(tJ) and
+    Both come from the cached chiral SVD B = U diag(s) V^T of the Jacobi
+    matrix J (see ``_boost_svd``): cos(tJ) is U cos(ts) U^T on the even
+    rows and columns (1 on the null vector of an odd L) and V cos(ts) V^T
+    on the odd ones; sin(tJ) is U sin(ts) V^T from odd columns to even
+    rows and its transpose back, so each is four quarter-size products and
+    the blocks of the other parity are exactly zero.  Then
+    exp(t T2) = cos(tJ) + i sin(tJ) and
     exp(t T1) = D (cos(tJ) - i sin(tJ)) D*, D = diag(i^n), unitary up to
     rounding; cos(tJ) and sin(tJ) are separate real products, so they stay
     exactly even and odd in t.  The parameter is capped at |t| <= 2 to keep
@@ -407,21 +425,24 @@ def exp_generator(direction: str, t: float, config: RepConfig) -> np.ndarray:
         raise ValueError(f"unknown direction {direction!r}")
     if abs(t) > _BOOST_T_MAX:
         raise ValueError(f"|t| <= {_BOOST_T_MAX} required for boost directions")
-    w, v = _boost_eigh(config)
-    rows = cols = w.size
+    u, s, v = _boost_svd(config)
+    rows = cols = u.shape[0] + v.shape[0]
     if rows <= config.N:  # the probe block
         cols = _BOOST_PROBE_COLUMNS
         if boost_columns(t, config) < cols:
             raise ValueError(f"the {rows}-row probe block certifies its {cols} "
                              f"columns only for |t| <= {_BOOST_T_PROBE}, got t = {t}")
-    vt = v.T[:, :cols]
-    cos = (v * np.cos(t * w)) @ vt
-    sin = (v * np.sin(t * w)) @ vt
-    if direction == "T2":
-        mat = cos + 1j * sin
-    else:
+    ue, vo = u[:(cols + 1) // 2], v[:cols // 2]  # rows of the even, odd columns
+    tau = t if direction == "T2" else -t  # exp(t T1) = D exp(-i t J) D*
+    c, sn = np.cos(tau * s), np.sin(tau * s)
+    mat = np.zeros((rows, cols), complex)  # cos(tau J) + i sin(tau J)
+    mat.real[0::2, 0::2] = (u * np.append(c, np.ones(u.shape[0] - s.size))) @ ue.T
+    mat.real[1::2, 1::2] = (v * c) @ vo.T
+    mat.imag[0::2, 1::2] = (u[:, :s.size] * sn) @ vo.T
+    mat.imag[1::2, 0::2] = (v * sn) @ ue[:, :s.size].T
+    if direction == "T1":
         d = np.array([1, 1j, -1, -1j])[np.arange(rows) % 4]  # i^n, exact
-        mat = d[:, None] * (cos - 1j * sin) * d[:cols].conj()
+        mat = d[:, None] * mat * d[:cols].conj()
     mat.setflags(write=False)
     return mat
 

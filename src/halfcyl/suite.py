@@ -133,6 +133,16 @@ def _max_coefficient(*series) -> float:
     return worst_of(abs(complex(c)) for s in series for c in s.coeffs.values())
 
 
+def _jacobi_draws(rng) -> list:
+    """The 200 triples of the Jacobi record as nested lists of ints: each of
+    the three elements is two modes in -5..5, then their two coefficients in
+    -4..4.  One call to ``rng.integers`` with per-entry bounds yields the
+    same integers, and leaves the same generator state, as the 1,200 calls
+    ``rng.integers(-5, 6, size=2)``, ``rng.integers(-4, 5, size=2)`` in turn."""
+    draws = rng.integers(np.tile([-5, -5, -4, -4], 600), np.tile([6, 6, 5, 5], 600))
+    return draws.reshape(200, 3, 4).tolist()
+
+
 def _lie_cell(rng) -> list:
     def towers():
         for l in range(1, 9):
@@ -148,14 +158,16 @@ def _lie_cell(rng) -> list:
         return math.inf if res.closed else abs(res.witness_mode - 3)
 
     def jacobi():
-        for _ in range(200):
-            # two modes in -5..5, then their two coefficients in -4..4
-            a, b, c = (lie.WittElement({int(m): int(c) for m, c in zip(
-                rng.integers(-5, 6, size=2), rng.integers(-4, 5, size=2))}) for _ in range(3))
+        for triple in _jacobi_draws(rng):
+            a, b, c = (lie.WittElement(dict(zip(row[:2], row[2:]))) for row in triple)
             jac = (lie.witt_bracket(a, lie.witt_bracket(b, c))
                    + lie.witt_bracket(b, lie.witt_bracket(c, a))
                    + lie.witt_bracket(c, lie.witt_bracket(a, b)))
             yield _max_coefficient(jac, lie.witt_bracket(a, b) + lie.witt_bracket(b, a))
+
+    def structure_constants():
+        for j, k in itertools.product(range(-4, 5), repeat=2):
+            yield _max_coefficient(lie.witt_bracket(lie.L(j), lie.L(k)) - (k - j) * lie.L(j + k))
 
     def killing():
         basis = (lie.So12Element(1, 0, 0), lie.So12Element(0, 1, 0), lie.So12Element(0, 0, 1))
@@ -183,6 +195,8 @@ def _lie_cell(rng) -> list:
         ("witt_two_dim", "{L_0, L_2} closed, dim 2", 0.0, two_dim),
         ("witt_divergent", "{L_1, L_2} escapes at mode 3", 0.0, divergent),
         ("witt_jacobi_exact", "Jacobi and antisymmetry, 200 triples", 0.0, jacobi),
+        ("witt_structure_constants", "[L_j, L_k] = (k - j) L_{j+k}, |j|, |k| <= 4", 0.0,
+         structure_constants),
         ("killing_signature", "tr(ad ad) = 2 diag(-1, 1, 1)", 1e-12, killing),
         ("isomorphism_homomorphism", "2x2 images respect brackets", 1e-12, homomorphism),
         ("so12_dictionary", "T/l, S_l/l, C_l/l -> T0, T1, T2", 1e-15, dictionary),
@@ -308,7 +322,8 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     cas_diag = cas.bands[0][:cas.interior].real
     u_rot = rotation_rep(0.777, rc)
     # each boost exponential below is a probe block, columns of the
-    # exponential of a leading block of rows; all share one eigendecomposition
+    # exponential of a leading block of rows; all share one cached SVD of the
+    # chiral block of J (see rep._boost_svd)
     boosts = {(d, t): exp_generator(d, t, rc) for d in ("T1", "T2") for t in (0.1, 0.7)}
     rows, cols = boosts["T1", 0.1].shape
     certified = {t: n for t in (0.1, 0.7) if (n := min(boost_columns(t, rc), cols))}

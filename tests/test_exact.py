@@ -176,6 +176,27 @@ def test_canonical_triples_make_equal_values_equal():
         a.re = 2
 
 
+exact_coeffs = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    exact_pairs.map(lambda p: QC(*p)))
+
+
+@given(st.dictionaries(st.integers(-6, 6), exact_coeffs, max_size=6),
+       st.dictionaries(st.integers(-6, 6), exact_coeffs, max_size=6))
+def test_exact_bracket_matches_the_term_by_term_loop(a, b):
+    # reference: each term (k - j) a_j b_k as a QC, summed as a QC
+    x, y = WittElement(a), WittElement(b)
+    want = {}
+    for j, p in x.coeffs.items():
+        for k, q in y.coeffs.items():
+            if j != k:
+                want[j + k] = want.get(j + k, QC(0)) + (k - j) * (p * q)
+    got = x.bracket(y)
+    assert got.coeffs == {m: c for m, c in want.items() if c}
+    assert got.is_exact
+
+
 def test_exact_bracket_paths_create_no_fraction(monkeypatch):
     tower = [WittElement({0: Fraction(2, 3), 4: 2}),
              WittElement({-4: -4, 0: -1, 4: 3}),

@@ -13,6 +13,7 @@ from halfcyl.suite import SuiteConfig, run_suite
 
 
 _exp_generator = suite.exp_generator
+_witt_bracket = lie.witt_bracket
 
 
 def _reversed_boost(direction):
@@ -52,6 +53,12 @@ FAULTS = [
      {"momentum_map_sign"}),
     ("[L_j, L_k] = (k + j) L_{j+k}", "halfcyl.lie.witt_bracket", _symmetric_bracket,
      {"witt_jacobi_exact"}),
+    # Jacobi, antisymmetry and the closure dimensions are blind to a rescaled
+    # bracket; only the structure constants see its sign and size
+    ("-[a, b] for [a, b]", "halfcyl.lie.witt_bracket",
+     lambda a, b: -_witt_bracket(a, b), {"witt_structure_constants"}),
+    ("2[a, b] for [a, b]", "halfcyl.lie.witt_bracket",
+     lambda a, b: 2 * _witt_bracket(a, b), {"witt_structure_constants"}),
 ]
 
 

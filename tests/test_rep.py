@@ -476,3 +476,41 @@ def test_boost_norm_is_spectral_norm():
     gs = build_generators("fock", cfg)
     for gen in (gs.T1, gs.T2):
         assert abs(boost_norm(cfg) - np.linalg.norm(gen.matrix, 2)) < 1e-12 * boost_norm(cfg)
+
+
+def _eigh_reference(direction, t, cfg):
+    """exp(t T) = V exp(-i t w) V* from numpy's eigh of the Hermitian i T."""
+    w, v = np.linalg.eigh(1j * getattr(build_generators("fock", cfg), direction).matrix)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+# the whole exponential (N + 1 <= L) with odd and even L: L = N + 1
+@pytest.mark.parametrize("k, N", [(0.25, 40), (0.25, 41), (3.0, 189), (3.0, 190)])
+@pytest.mark.parametrize("direction", ["T1", "T2"])
+def test_boost_exponential_matches_dense_eigh_reference(direction, k, N):
+    # 1e-13, or two machine epsilons of the largest phase t * |J| where
+    # that is more: at t = 2, N = 190 the phases reach 366, whose own
+    # rounding is 5.7e-14 (1.6e-13 there; the kernel is at 1.2e-13 against
+    # an extended-precision exponential, this reference at 2.5e-14)
+    cfg = RepConfig(k=k, N=N)
+    for t in (-0.1, 0.1, 0.7, 2.0):
+        u = exp_generator(direction, t, cfg)
+        assert u.shape == (N + 1, N + 1)
+        tol = max(1e-13, 2 * np.finfo(float).eps * abs(t) * boost_norm(cfg))
+        assert np.abs(u - _eigh_reference(direction, t, cfg)).max() < tol
+
+
+# whole exponentials of odd and even L, and a probe block
+@pytest.mark.parametrize("N", [40, 41, 1024])
+def test_boost_parity_blocks_vanish_exactly(N):
+    # cos(tJ) has no entry between rows and columns of opposite parity and
+    # sin(tJ) none between those of equal parity, so exp(t T2) = cos + i sin
+    # is real on (r + c) even and imaginary on (r + c) odd, and
+    # exp(t T1) = D (cos - i sin) D*, D = diag(i^n), is real
+    cfg = RepConfig(k=0.5, N=N)
+    for t in (-0.7, 0.1, 0.7):
+        u = exp_generator("T2", t, cfg)
+        rows, cols = np.indices(u.shape)
+        odd = (rows + cols) % 2 == 1
+        assert not u.real[odd].any() and not u.imag[~odd].any()
+        assert not exp_generator("T1", t, cfg).imag.any()

@@ -10,6 +10,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,6 +405,14 @@ def test_cli_orbit(capsys):
     assert doc["symplectic_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("l", [1000, 10 ** 4])
+def test_cli_orbit_audits_a_correct_transport_at_large_l(l, capsys):
+    # the default step 1e-5 / l follows the e^{il phi} oscillation; a fixed
+    # 1e-5 gave 6.3e-6 at l = 1000 and 6e-4 at l = 10^4, failing the audit
+    assert main(["orbit", "--l", str(l), "--from", "0,1", "--to", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["symplectic_residual"] < 1e-7
+
+
 def test_cli_orbit_rejects_bad_point(capsys):
     assert main(["orbit", "--from", "0.0,-1.0", "--to", "1.0,1.0"]) == 2
 
@@ -580,7 +589,18 @@ def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tm
 @pytest.mark.parametrize("profile", ["physical", "full"])
 def test_record_names_are_unique(profile):
     names = [r.name for r in run_suite(SuiteConfig(profile=profile)).checks]
-    assert len(names) == len(set(names)) == {"physical": 136, "full": 200}[profile]
+    assert len(names) == len(set(names)) == {"physical": 137, "full": 201}[profile]
+
+
+def test_jacobi_draws_match_the_per_call_draws():
+    # one rng.integers call with per-entry bounds against the 1,200 calls
+    # it replaced: the same integers and the same final generator state
+    for seed in range(200):
+        one, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [[calls.integers(-5, 6, size=2).tolist() + calls.integers(-4, 5, size=2).tolist()
+                 for _ in range(3)] for _ in range(200)]
+        assert suite._jacobi_draws(one) == want
+        assert one.bit_generator.state == calls.bit_generator.state
 
 
 def test_full_suite_passes_at_large_cutoff():
