@@ -9,6 +9,7 @@ and the reported-only hermiticity defect of the plain momentum operator.
 import math
 
 from halfcyl.projection import halfline_commutator_residual, halfline_demo
+from halfcyl.report import CheckReport
 
 
 def main():
@@ -21,7 +22,7 @@ def main():
         order = "" if i == 0 else f"{math.log2(residuals[i - 1] / r):7.3f}"
         print(f"{n:6d} {r:12.4e} {order:>7}")
 
-    rep = halfline_demo(grids[0], box)
+    rep = CheckReport(halfline_demo(grids[0], box))
     print()
     for line in rep.summary_lines():
         print(line)

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 # Global sign relating {F_v, F_w} to F_[v,w] for the lifted fields, measured
 # once from {p, p sin phi} = -p cos phi and asserted stable by the suite.
@@ -153,13 +154,14 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     difference for the angle derivative.  For any 2x2 J, J^T Omega J =
     det(J) Omega, so the max-norm residual is |det(J) - 1|, in which the
     p d mult/dphi entry drops out.  The displacement is globally smooth,
-    so no branch seam is ever near.  The default step h = 1e-5 / l scales
-    with the e^{il phi} oscillation of the displacement, which keeps the
-    difference error of a correct map below 1e-7 up to l = 10^4; an
-    explicit h is used as given.
+    so no branch seam is ever near.  The displacement oscillates as
+    e^{il phi}, so the difference has truncation error ~ (l h)^2 and
+    rounding error ~ u / h (u the unit roundoff); the default step
+    h = (u l)^{1/3} / l balances the two, which keeps the residual of a
+    correct map near 1e-7 even at l = 10^6.  An explicit h is used as given.
     """
     if h is None:
-        h = 1e-5 / g.l
+        h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l
     if not h > 0:
         raise ValueError("step h must be positive")
     phi = x.phi

@@ -184,11 +184,13 @@ def _cmd_orbit(args) -> int:
 def _cmd_equiv(args) -> int:
     try:
         ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
-        report = identification_report(ps, N=args.n)
+        checks = identification_report(ps, N=args.n)
     except ValueError as exc:
         raise ConfigError(str(exc))
     echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,
             "M": args.m, "N": args.n}
+    # the meta names the cutoff as identification_report clamps it
+    report = CheckReport(checks, meta={**echo, "N": min(args.n, ps.dim - 3)})
     return _emit_report(report, echo)
 
 

@@ -11,10 +11,12 @@ shift; the (-1)^n similarity carries everything to the disc_minus gauge.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .projection import ProjectedSpace
-from .report import CheckReport, check, worst_of
+from .report import judge, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   gram_weights, interior_residual, sin_cos, tol)
 
@@ -62,32 +64,29 @@ def tplus_from_phase(gs: GeneratorSet, uhat: TruncatedOperator) -> TruncatedOper
     return sign * (TruncatedOperator.diag(root) @ uhat)
 
 
-def sincos_operators(gs: GeneratorSet):
-    """Hermitean sin/cos built from the phase operator, with their anomalies.
+def sincos_operators(gs: GeneratorSet, label=None) -> list:
+    """Records of the hermitean sin/cos pair ``sin_cos(phase_operator(gs))``.
 
-    Returns (sin, cos, report).  The checked identities: both operators are
-    hermitean tridiagonals; sin^2 + cos^2 = 1 - P_0/2 and
-    [sin, cos] = (i/2) P_0 (anomalies confined to the ground state); the
-    commutators [H, sin] = -i cos and [H, cos] = i sin hold identically.
+    The checked identities: both operators are hermitean tridiagonals;
+    sin^2 + cos^2 = 1 - P_0/2 and [sin, cos] = (i/2) P_0 (anomalies
+    confined to the ground state); the commutators [H, sin] = -i cos and
+    [H, cos] = i sin hold identically.
     """
-    cfg = gs.config
     s, c = sin_cos(phase_operator(gs))
-    eye = TruncatedOperator.diag(np.ones(cfg.N + 1))
-    p0 = TruncatedOperator.diag(np.eye(1, cfg.N + 1)[0])
-
-    rep = CheckReport(meta={"k": cfg.k, "N": cfg.N,
-                            "phase_convention": cfg.phase_convention})
-    rep.add(check("sin_hermitean", "s = s*", (s - s.adjoint()).max_abs(), 1e-14))
-    rep.add(check("cos_hermitean", "c = c*", (c - c.adjoint()).max_abs(), 1e-14))
-    rep.add(check("sincos_square_anomaly", "s^2 + c^2 = 1 - P_0/2",
-                  interior_residual(s @ s + c @ c, eye - 0.5 * p0), 1e-10))
-    rep.add(check("sincos_commutator_anomaly", "[s, c] = (i/2) P_0",
-                  interior_residual(s @ c - c @ s, 0.5j * p0), 1e-10))
-    rep.add(check("rotation_flow_sin", "[H, s] = -i c",
-                  interior_residual((gs.H @ s - s @ gs.H) + 1j * c), 1e-10))
-    rep.add(check("rotation_flow_cos", "[H, c] = i s",
-                  interior_residual((gs.H @ c - c @ gs.H) - 1j * s), 1e-10))
-    return s, c, rep
+    eye = TruncatedOperator.diag(np.ones(gs.config.N + 1))
+    p0 = TruncatedOperator.diag(np.eye(1, gs.config.N + 1)[0])
+    return judge([
+        ("sin_hermitean", "s = s*", 1e-14, lambda: (s - s.adjoint()).max_abs()),
+        ("cos_hermitean", "c = c*", 1e-14, lambda: (c - c.adjoint()).max_abs()),
+        ("sincos_square_anomaly", "s^2 + c^2 = 1 - P_0/2", 1e-10,
+         lambda: interior_residual(s @ s + c @ c, eye - 0.5 * p0)),
+        ("sincos_commutator_anomaly", "[s, c] = (i/2) P_0", 1e-10,
+         lambda: interior_residual(s @ c - c @ s, 0.5j * p0)),
+        ("rotation_flow_sin", "[H, s] = -i c", 1e-10,
+         lambda: interior_residual((gs.H @ s - s @ gs.H) + 1j * c)),
+        ("rotation_flow_cos", "[H, c] = i s", 1e-10,
+         lambda: interior_residual((gs.H @ c - c @ gs.H) - 1j * s)),
+    ], label)
 
 
 def normalization_diagonal(config: RepConfig) -> np.ndarray:
@@ -95,8 +94,9 @@ def normalization_diagonal(config: RepConfig) -> np.ndarray:
     return 1.0 / np.sqrt(gram_weights(config))
 
 
-def conjugate_realizations(config: RepConfig) -> CheckReport:
-    """Diagonal similarity between the boundary and Hardy realizations.
+def conjugate_realizations(config: RepConfig, label=None) -> list:
+    """Records of the diagonal similarity between the boundary and Hardy
+    realizations.
 
     With D = diag(c_n) the orthonormal-basis (Hardy) matrices are
     D^{-1} (boundary) D: passing from the unnormalized Fourier basis to the
@@ -106,45 +106,47 @@ def conjugate_realizations(config: RepConfig) -> CheckReport:
     """
     boundary = build_generators("boundary", config)
     hardy = build_generators("hardy", config)
-    c = normalization_diagonal(config)
-    d, d_inv = TruncatedOperator.diag(c), TruncatedOperator.diag(1.0 / c)
 
-    rep = CheckReport(meta={"k": config.k, "N": config.N})
+    def conjugation(b_op, h_op):
+        c = normalization_diagonal(config)
+        d, d_inv = TruncatedOperator.diag(c), TruncatedOperator.diag(1.0 / c)
+        return interior_residual(d_inv @ b_op @ d - h_op)
+
     budget = min(tol(config.N), 1e-7)
-    for name, b_op, h_op in (("H", boundary.H, hardy.H),
-                             ("T+", boundary.Tplus, hardy.Tplus),
-                             ("T-", boundary.Tminus, hardy.Tminus)):
-        rep.add(check(f"conjugation_{name}", f"D^-1 {name}_boundary D = {name}_hardy",
-                      interior_residual(d_inv @ b_op @ d - h_op), budget))
-    rep.add(check("T0_invariant", "T0 identical in both realizations",
-                  (boundary.T0 - hardy.T0).max_abs(), 0.0))
+    rows = [(f"conjugation_{name}", f"D^-1 {name}_boundary D = {name}_hardy", budget,
+             partial(conjugation, b_op, h_op))
+            for name, b_op, h_op in (("H", boundary.H, hardy.H),
+                                     ("T+", boundary.Tplus, hardy.Tplus),
+                                     ("T-", boundary.Tminus, hardy.Tminus))]
+    rows.append(("T0_invariant", "T0 identical in both realizations", 0.0,
+                 lambda: (boundary.T0 - hardy.T0).max_abs()))
     if config.k == 0.5:
-        rep.add(check("identity_similarity_at_half", "D = 1 at k = 1/2",
-                      float(np.abs(c - 1.0).max()), 0.0))
-    return rep
+        rows.append(("identity_similarity_at_half", "D = 1 at k = 1/2", 0.0,
+                     lambda: np.abs(normalization_diagonal(config) - 1.0).max()))
+    return judge(rows, label)
 
 
-def identification_report(ps: ProjectedSpace, N: int = 32) -> CheckReport:
-    """Full-diagram commutativity under the k = theta + m_min identification.
+def identification_report(ps: ProjectedSpace, N: int = 32, label=None) -> list:
+    """Records of the full-diagram commutativity under the k = theta + m_min
+    identification.
 
     Checks that the projected momentum matches hbar H entrywise, and that
     the projected shift matches the phase operator entrywise, over the
     common index window (both in the creation_plus gauge).  The cutoff N
     is clamped to the projected window, ``ps.dim - 3``, and the comparison
-    stays at least 4 indices clear of the window's truncation edge.
+    stays at least 4 indices clear of the window's truncation edge; a
+    window too small for N >= 4 raises ``ValueError``.
     """
-    theta, M, hbar = ps.parent.theta, ps.parent.M, ps.parent.hbar
     N = min(N, ps.dim - 3)
     if N < 4:
         raise ValueError(f"weight-basis cutoff min(N, M - m_min - 2) = {N} is below 4")
+    hbar = ps.parent.hbar
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))
     n = min(ps.dim - 4, N + 1)
-    p_res = (ps.momentum(n) - (hbar * gs.H).block(0, n)).max_abs()
-    u_res = (ps.shift(n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()
-
-    rep = CheckReport(meta={"theta": theta, "m_min": ps.m_min,
-                            "k": ps.k, "M": M, "N": N})
-    rep.add(check("spectra_match", "projected p = hbar H entrywise", p_res, 1e-12))
-    rep.add(check("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", u_res, 1e-12))
-    return rep
+    return judge([
+        ("spectra_match", "projected p = hbar H entrywise", 1e-12,
+         lambda: (ps.momentum(n) - (hbar * gs.H).block(0, n)).max_abs()),
+        ("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", 1e-12,
+         lambda: (ps.shift(n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()),
+    ], label)

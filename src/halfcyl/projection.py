@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import CheckReport, check, metric
+from .report import judge
 from .rep import TruncatedOperator, interior_residual, sin_cos
 
 __all__ = [
@@ -122,43 +122,42 @@ class ProjectedSpace:
         return self.parent.shift(lo, lo + (self.dim if n is None else n))
 
 
-def isometry_report(ps: ProjectedSpace) -> CheckReport:
-    """Check the partial-isometry identities of the projected shift."""
-    rep = CheckReport(meta={"theta": ps.parent.theta, "m_min": ps.m_min})
+def isometry_report(ps: ProjectedSpace, label=None) -> list:
+    """Records of the partial-isometry identities of the projected shift."""
     u = ps.shift()
     eye = TruncatedOperator.diag(np.ones(ps.dim))
     p0 = TruncatedOperator.diag(np.eye(1, ps.dim)[0])
-
-    uu = u.adjoint() @ u
-    rep.add(check("projected_shift_isometry", "U*U = 1",
-                  interior_residual(uu, eye), 1e-12))
-    rep.add(check("projected_shift_defect", "UU* = 1 - P_min",
-                  (u @ u.adjoint() - (eye - p0)).max_abs(), 1e-12))
     defect = eye - u @ u.adjoint()
     # every nonzero entry (row or column t + |d| of diagonal d) lies in the
     # leading top x top block, which therefore carries the rank and column 0
     top = 1 + max((int(np.flatnonzero(b).max()) + abs(d)
                    for d, b in defect.bands.items() if b.any()), default=0)
     head = defect.block(0, top).matrix
-    rank = int(np.linalg.matrix_rank(head, tol=1e-9))
-    rep.add(check("defect_rank_one", "rank(1 - UU*) = 1",
-                  abs(rank - 1), 0))
-    rep.add(check("defect_on_lowest", "(1 - UU*) e_0 = e_0",
-                  float(np.abs(head[:, 0] - np.eye(top)[:, 0]).max()), 1e-12))
 
-    # hermiticity survives the projection for the sin/cos multiplications
-    for name, op in zip(("sin", "cos"), sin_cos(ps.parent.shift())):
+    def hermitean_gap(op):
         m = ps.project(op)
-        rep.add(check(f"projected_{name}_hermitean", f"{name} = {name}*",
-                      (m - m.adjoint()).max_abs(), 1e-12))
+        return (m - m.adjoint()).max_abs()
 
-    # before projection the shift is unitary on the window interior
     pu = ps.parent.shift()
-    rep.add(check("parent_shift_unitary", "UU* = 1 (parent interior)",
-                  interior_residual(pu @ pu.adjoint(),
-                                    TruncatedOperator.diag(np.ones(ps.parent.dim)),
-                                    trim_bottom=2), 1e-12))
-    return rep
+    s, c = sin_cos(pu)
+    return judge([
+        ("projected_shift_isometry", "U*U = 1", 1e-12,
+         lambda: interior_residual(u.adjoint() @ u, eye)),
+        ("projected_shift_defect", "UU* = 1 - P_min", 1e-12,
+         lambda: (u @ u.adjoint() - (eye - p0)).max_abs()),
+        ("defect_rank_one", "rank(1 - UU*) = 1", 0.0,
+         lambda: abs(int(np.linalg.matrix_rank(head, tol=1e-9)) - 1)),
+        ("defect_on_lowest", "(1 - UU*) e_0 = e_0", 1e-12,
+         lambda: np.abs(head[:, 0] - np.eye(top)[:, 0]).max()),
+        # hermiticity survives the projection for the sin/cos multiplications
+        ("projected_sin_hermitean", "sin = sin*", 1e-12, lambda: hermitean_gap(s)),
+        ("projected_cos_hermitean", "cos = cos*", 1e-12, lambda: hermitean_gap(c)),
+        # before projection the shift is unitary on the window interior
+        ("parent_shift_unitary", "UU* = 1 (parent interior)", 1e-12,
+         lambda: interior_residual(pu @ pu.adjoint(),
+                                   TruncatedOperator.diag(np.ones(ps.parent.dim)),
+                                   trim_bottom=2)),
+    ], label)
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +192,35 @@ def halfline_commutator_residual(n_points: int, box_width: float,
 
 
 def halfline_demo(n_points: int = 128, box_width: float = 4.0,
-                  hbar: float = 1.0) -> CheckReport:
-    """Positive-operator restriction of the line, on a periodic log grid.
+                  hbar: float = 1.0, label=None) -> list:
+    """Records of the positive-operator restriction of the line, on a
+    periodic log grid.
 
     Exhibits: a positive-definite position operator, dilations as exact
     unitaries (their flow respects the half-line, unlike translations),
     a hermitean scaling generator, the canonical commutator at measured
     second order, and the hermiticity defect of the plain momentum as a
-    reported symptom.
+    reported symptom.  Fewer than 64 points raise ``ValueError``.
     """
     if n_points < 64:
         raise ValueError(f"n_points must be >= 64, got {n_points}")
     _, q, dil, qp, mom = _log_grid_operators(n_points, box_width, hbar)
-    rep = CheckReport(meta={"n_points": n_points, "box_width": box_width,
-                            "hbar": hbar})
-
-    rep.add(check("position_positive", "spec(q) = e^x > 0",
-                  float(max(0.0, -np.diag(q).real.min())), 0.0,
-                  note=f"min eigenvalue {np.diag(q).real.min():.3e}"))
-    rep.add(check("dilation_unitary", "U*U = 1 exactly",
-                  float(np.abs(dil.T @ dil - np.eye(n_points)).max()), 0.0))
-    rep.add(check("scaling_hermitean", "(qp)* = qp exactly",
-                  float(np.abs(qp - qp.conj().T).max()), 0.0))
-
+    q_min = np.diag(q).real.min()
+    # r1 and r2 also fill a note, so they are computed before the rows run
     r1 = halfline_commutator_residual(n_points, box_width, hbar)
     r2 = halfline_commutator_residual(2 * n_points, box_width, hbar)
     order = math.log2(r1 / r2)
-    rep.add(check("commutator_order", "[q, qp] = i hbar q at order 2",
-                  abs(order - 2.0), 0.2,
-                  note=f"residuals {r1:.3e} -> {r2:.3e}, order {order:.3f}"))
-    rep.add(metric("commutator_residual", "[q, qp] - i hbar q", r1))
-    rep.add(metric("momentum_hermiticity_defect", "p* - p on the half-line",
-                   float(np.abs(mom - mom.conj().T).max()),
-                   note="boundary symptom: reported, never asserted"))
-    return rep
+    return judge([
+        ("position_positive", "spec(q) = e^x > 0", 0.0,
+         lambda: max(0.0, -q_min), f"min eigenvalue {q_min:.3e}"),
+        ("dilation_unitary", "U*U = 1 exactly", 0.0,
+         lambda: np.abs(dil.T @ dil - np.eye(n_points)).max()),
+        ("scaling_hermitean", "(qp)* = qp exactly", 0.0,
+         lambda: np.abs(qp - qp.conj().T).max()),
+        ("commutator_order", "[q, qp] = i hbar q at order 2", 0.2,
+         lambda: abs(order - 2.0), f"residuals {r1:.3e} -> {r2:.3e}, order {order:.3f}"),
+        ("commutator_residual", "[q, qp] - i hbar q", None, lambda: r1),
+        ("momentum_hermiticity_defect", "p* - p on the half-line", None,
+         lambda: np.abs(mom - mom.conj().T).max(),
+         "boundary symptom: reported, never asserted"),
+    ], label)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
 
@@ -13,19 +13,22 @@ SCHEMA_VERSION = "1"
 class CheckRecord:
     """One identity check: residual against a pinned tolerance.
 
-    ``reported_only`` marks diagnostics (discretisation residuals, hermiticity
-    symptoms) that are carried in the report but never affect the verdict;
-    no tolerance applies to them, so they serialise with ``"tol": null``.
+    A record without a tolerance (``tol`` None, ``"tol": null`` in JSON) is
+    reported only: a diagnostic (a discretisation residual, a hermiticity
+    symptom) that is carried in the report but never affects the verdict.
     A non-finite residual serialises as ``null`` with ``"pass": false``.
     """
 
     name: str
     anchor: str
     residual: float
-    tol: float
+    tol: float | None
     passed: bool
-    reported_only: bool = False
     note: str = ""
+
+    @property
+    def reported_only(self) -> bool:
+        return self.tol is None
 
     def to_dict(self):
         finite = math.isfinite(self.residual)
@@ -33,7 +36,7 @@ class CheckRecord:
             "name": self.name,
             "anchor": self.anchor,
             "residual": self.residual if finite else None,
-            "tol": None if self.reported_only else self.tol,
+            "tol": self.tol,
             "pass": self.passed and finite,
         }
         if self.reported_only:
@@ -56,10 +59,14 @@ def worst_of(residuals) -> float:
 
 
 def check(name, anchor, residual, tol, note=""):
-    """Asserted record: passes iff residual is finite and <= tol."""
+    """Record of ``residual`` judged at the pinned ``tol``: passes iff the
+    residual is finite and <= tol.  ``tol=None`` makes a reported-only
+    record, which never affects the verdict."""
     residual = float(residual)
+    if tol is None:
+        return CheckRecord(name, anchor, residual, None, True, note)
     return CheckRecord(name, anchor, residual, float(tol),
-                       math.isfinite(residual) and residual <= tol, note=note)
+                       math.isfinite(residual) and residual <= tol, note)
 
 
 def judge(rows, label=None):
@@ -68,19 +75,15 @@ def judge(rows, label=None):
     A row is ``(name, anchor, tol, residual[, note])``: ``residual()``
     returns a number or an iterable of numbers, aggregated by ``worst_of``
     (NaN if empty: a record that compared nothing never passes) and judged
-    here, once, at the pinned ``tol``.  A residual that raises
-    fails its record with ``"<Type>: <message>"`` as the note, and the
-    later rows still run; a ``MemoryError`` propagates.  A row may instead
-    be a zero-argument callable returning a module's ``CheckReport``,
-    whose records are only renamed.  Rows run in order.
+    here, once, by ``check`` at the pinned ``tol`` (``None``: reported
+    only).  A residual that raises gives its record residual NaN, which
+    fails an asserted record, and the note ``"<Type>: <message>"``; the
+    later rows still run, and a ``MemoryError`` propagates.  Rows run in
+    order.
     """
     suffix = "" if label is None else f"[{label}]"
     out = []
-    for row in rows:
-        if callable(row):
-            out += [replace(r, name=r.name + suffix) for r in row().checks]
-            continue
-        name, anchor, tol, residual, *note = row
+    for name, anchor, tol, residual, *note in rows:
         try:
             value = residual()
             if not isinstance(value, numbers.Real):
@@ -93,25 +96,12 @@ def judge(rows, label=None):
     return out
 
 
-def metric(name, anchor, value, note=""):
-    """Reported-only record; never affects the verdict."""
-    return CheckRecord(name, anchor, float(value), float("inf"), True,
-                       reported_only=True, note=note)
-
-
 @dataclass
 class CheckReport:
     """Collection of check records with an overall verdict."""
 
     checks: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def add(self, record: CheckRecord):
-        self.checks.append(record)
-        return record
-
-    def extend(self, records):
-        self.checks.extend(records)
 
     @property
     def verdict(self) -> bool:

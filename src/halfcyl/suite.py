@@ -3,11 +3,13 @@
 Each grid cell (one k or one theta) is a pure function of the config and
 the seed, and returns ``report.judge`` of its rows: each row names a record,
 its anchor, its pinned tolerance and the residual that ``judge`` computes
-and judges once; the config sets only the grid.  A module's sub-report
-joins as a row whose records ``judge`` only renames: ``sin_hermitean``
-becomes ``sin_hermitean[k=0.5]`` and keeps its residual, tolerance and
-verdict.  Identical config and seed give a byte-identical JSON report up
-to the timestamp header.
+and judges once; the config sets only the grid.  The module checkers
+(``sincos_operators``, ``conjugate_realizations``, ``isometry_report``,
+``identification_report``, ``halfline_demo``) return ``judge`` of their
+own rows under the cell's label, so ``sin_hermitean[k=0.5]`` is made like
+every other record, and a cell concatenates these record lists in order.
+Identical config and seed give a byte-identical JSON report up to the
+timestamp header.
 """
 
 from __future__ import annotations
@@ -360,6 +362,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
                                                 phase_convention="disc_minus"))
         return interior_residual(tplus_from_phase(gm, u) - gm.Tplus)
 
+    lab = f"k={k:g}"
     return judge([
         ("ladder_algebra", "[H,T+]=T+, [H,T-]=-T-, [T+,T-]=-2H", 1e-7,
          lambda: (interior_residual(commutator(gs.H, gs.Tplus) - gs.Tplus),
@@ -398,9 +401,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
          .max_abs()),
         ("ladder_from_phase", "T+ = -(1/hbar) sqrt((p+(k-1)hbar)(p-k hbar)) U", 1e-8,
          ladder_from_phase),
-        lambda: sincos_operators(gs)[2],
-        lambda: conjugate_realizations(rc),
-    ], f"k={k:g}")
+    ], lab) + sincos_operators(gs, lab) + conjugate_realizations(rc, lab)
 
 
 def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
@@ -410,11 +411,10 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     out = judge([
         ("cylinder_commutator", "[U, p] = -hbar U", 1e-12,
          lambda: interior_residual((u @ p - p @ u) + cfg.hbar * u, trim_bottom=1)),
-        lambda: isometry_report(ProjectedSpace(space, 0)),
-    ], lab)
+    ], lab) + isometry_report(ProjectedSpace(space, 0), lab)
     for m_min in THETA_M_MINS[cfg.profile]:
-        out += judge([lambda: identification_report(ProjectedSpace(space, m_min), N=cfg.N)],
-                     f"{lab},m_min={m_min}")
+        out += identification_report(ProjectedSpace(space, m_min), cfg.N,
+                                     f"{lab},m_min={m_min}")
     return out
 
 
@@ -425,20 +425,18 @@ def run_suite(config: SuiteConfig) -> CheckReport:
     asserted checks (reported-only metrics never count).
     """
     rng = np.random.default_rng(config.seed)
-    report = CheckReport(meta={
+    checks = _lie_cell(rng) + _classical_cell(rng)
+    for k in config.active_k_values:
+        checks += _rep_cell(k, config)
+    for theta in config.theta_values:
+        checks += _theta_cell(theta, config)
+    checks += halfline_demo(64, 4.0, config.hbar)
+    return CheckReport(checks, meta={
         "profile": config.profile,
         "seed": config.seed,
         "momentum_map_sign": cl.MOMENTUM_MAP_SIGN,
         "svd_rank_threshold": lie.FLOAT_RANK_THRESHOLD,
     })
-    report.extend(_lie_cell(rng))
-    report.extend(_classical_cell(rng))
-    for k in config.active_k_values:
-        report.extend(_rep_cell(k, config))
-    for theta in config.theta_values:
-        report.extend(_theta_cell(theta, config))
-    report.extend(judge([lambda: halfline_demo(64, 4.0, config.hbar)]))
-    return report
 
 
 def emit_spectrum(k: float, N: int, hbar: float = 1.0, fmt: str = "table"):

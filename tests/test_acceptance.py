@@ -15,14 +15,14 @@ from halfcyl.classical import (
     check_symplectic, compose, hamiltonian_vector_field, lift_hamiltonian,
     lightcone_equivariance_residual, lightcone_map, transport,
 )
-from halfcyl.equivalence import (phase_operator, sincos_operators,
-                                 tplus_from_phase, normalization_diagonal)
+from halfcyl.equivalence import (phase_operator, tplus_from_phase,
+                                 normalization_diagonal)
 from halfcyl.lie import L, witt_closure
 from halfcyl.projection import (ProjectedSpace, ThetaSpace,
                                 halfline_commutator_residual, halfline_demo)
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators,
-                         casimir, commutator, interior_residual, spectrum_p,
-                         toeplitz_measure_test)
+                         casimir, commutator, interior_residual, sin_cos,
+                         spectrum_p, toeplitz_measure_test)
 
 N = 64
 
@@ -120,7 +120,7 @@ def test_criterion_06_sincos_anomalies():
     worst = 0.0
     for k in (0.25, 0.5, 1.0, 1.5, 3.0):
         gs = fock(k)
-        s, c, _ = sincos_operators(gs)
+        s, c = sin_cos(phase_operator(gs))
         eye = TruncatedOperator.diag(np.ones(N + 1))
         p0 = TruncatedOperator.diag(np.eye(1, N + 1)[0])
         worst = max(worst,
@@ -226,8 +226,7 @@ def test_criterion_11_witt_closure():
 
 
 def test_criterion_12_halfline_demo():
-    rep = halfline_demo(64, 4.0)
-    recs = {r.name: r for r in rep.checks}
+    recs = {r.name: r for r in halfline_demo(64, 4.0)}
     positive = recs["position_positive"].residual == 0.0
     unitary = recs["dilation_unitary"].residual == 0.0
     r64 = halfline_commutator_residual(64, 4.0)

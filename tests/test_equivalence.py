@@ -6,8 +6,9 @@ from halfcyl.equivalence import (
     normalization_diagonal, phase_operator, sincos_operators, tplus_from_phase,
 )
 from halfcyl.projection import ProjectedSpace, ThetaSpace
+from halfcyl.report import CheckReport
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators, gram_weights,
-                         interior_residual, parity_similarity)
+                         interior_residual, parity_similarity, sin_cos)
 
 
 def fock(k, N=32, convention="creation_plus"):
@@ -46,7 +47,7 @@ def test_identify_basis_map():
 
 @pytest.mark.parametrize("theta,m_min", [(0.25, 0), (1.0, 0), (0.5, 1), (1.0, 3)])
 def test_identification_diagram_commutes(theta, m_min):
-    rep = identification_report(ProjectedSpace(ThetaSpace(theta, 48), m_min))
+    rep = CheckReport(identification_report(ProjectedSpace(ThetaSpace(theta, 48), m_min)))
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
     for r in rep.checks:
         assert r.residual < 1e-12
@@ -155,12 +156,12 @@ def test_tplus_reconstruction_at_small_hbar(hbar):
 def test_sincos_report_passes():
     for k in (0.25, 0.5, 1.0, 2.0):
         for convention in ("creation_plus", "disc_minus"):
-            _, _, rep = sincos_operators(fock(k, convention=convention))
+            rep = CheckReport(sincos_operators(fock(k, convention=convention)))
             assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
 
 
 def test_sincos_ground_state_anomaly():
-    s, c, _ = sincos_operators(fock(0.8))
+    s, c = sin_cos(phase_operator(fock(0.8)))
     sq = (s @ s + c @ c).matrix
     e0 = np.zeros(33)
     e0[0] = 1.0
@@ -171,7 +172,7 @@ def test_sincos_ground_state_anomaly():
 
 
 def test_sincos_commutator_supported_on_ground():
-    s, c, _ = sincos_operators(fock(0.8))
+    s, c = sin_cos(phase_operator(fock(0.8)))
     comm = (s @ c - c @ s).matrix
     for n in range(1, 20):
         assert np.abs(comm[:, n]).max() < 1e-14
@@ -181,7 +182,7 @@ def test_sincos_commutator_supported_on_ground():
 def test_isometry_ceiling():
     # c + i s is the phase operator: isometric with a rank-one unitarity
     # defect of size 1 on the ground state; no unitary quantization exists
-    s, c, _ = sincos_operators(fock(0.5))
+    s, c = sin_cos(phase_operator(fock(0.5)))
     u = c.matrix + 1j * s.matrix
     defect = u @ u.conj().T - np.eye(33)
     assert abs(np.abs(defect).max() - 1.0) < 1e-12
@@ -190,8 +191,8 @@ def test_isometry_ceiling():
 
 
 def test_sincos_convention_independent_residuals():
-    recs_p = sincos_operators(fock(0.9))[2].checks
-    recs_m = sincos_operators(fock(0.9, convention="disc_minus"))[2].checks
+    recs_p = sincos_operators(fock(0.9))
+    recs_m = sincos_operators(fock(0.9, convention="disc_minus"))
     for a, b in zip(recs_p, recs_m):
         assert a.name == b.name
         assert abs(a.residual - b.residual) < 1e-14
@@ -203,7 +204,7 @@ def test_sincos_convention_independent_residuals():
 
 @pytest.mark.parametrize("k", [0.3, 0.5, 1.0, 2.0])
 def test_conjugate_realizations(k):
-    rep = conjugate_realizations(RepConfig(k=k, N=64))
+    rep = CheckReport(conjugate_realizations(RepConfig(k=k, N=64)))
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
     worst = max(r.residual for r in rep.checks if r.name.startswith("conjugation"))
     assert worst < 1e-7
@@ -211,8 +212,8 @@ def test_conjugate_realizations(k):
 
 @pytest.mark.parametrize("N,budget", [(64, 6.4e-8), (256, 1e-7)])
 def test_conjugation_budget_is_capped_at_1e_minus_7(N, budget):
-    rep = conjugate_realizations(RepConfig(k=0.5, N=N))
-    assert [r.tol for r in rep.checks if r.name.startswith("conjugation")] == [budget] * 3
+    recs = conjugate_realizations(RepConfig(k=0.5, N=N))
+    assert [r.tol for r in recs if r.name.startswith("conjugation")] == [budget] * 3
 
 
 def test_identity_similarity_at_half():
@@ -250,8 +251,8 @@ def test_parity_bridge_covers_equivalence_objects():
     S = parity_similarity(N)
     assert np.abs(S @ phase_operator(gp).matrix @ S
                   - phase_operator(gm).matrix).max() == 0.0
-    sp, cp, _ = sincos_operators(gp)
-    sm, cm, _ = sincos_operators(gm)
+    sp, cp = sin_cos(phase_operator(gp))
+    sm, cm = sin_cos(phase_operator(gm))
     assert np.abs(S @ sp.matrix @ S - sm.matrix).max() == 0.0
     assert np.abs(S @ cp.matrix @ S - cm.matrix).max() == 0.0
 

@@ -7,13 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from halfcyl import lie, suite
+from halfcyl import equivalence, lie, projection, suite
 from halfcyl.cli import main
+from halfcyl.rep import TruncatedOperator
 from halfcyl.suite import SuiteConfig, run_suite
 
 
 _exp_generator = suite.exp_generator
 _witt_bracket = lie.witt_bracket
+_normalization_diagonal = equivalence.normalization_diagonal
+_phase_operator = equivalence.phase_operator
+_theta_shift = projection.ThetaSpace.shift
 
 
 def _reversed_boost(direction):
@@ -27,6 +31,29 @@ def _reversed_boost(direction):
 def _shifted_spectrum(config):
     """spectrum_p one level up: hbar (k + 1 + n), still positive with spacing hbar."""
     return config.hbar * (config.k + 1 + np.arange(config.N + 1))
+
+
+def _scaled_entry(op, offset, index, factor):
+    """``op`` with entry ``index`` of its diagonal ``offset`` times ``factor``."""
+    band = op.bands[offset].copy()
+    band[index] *= factor
+    return TruncatedOperator({**op.bands, offset: band}, op.dim, op.reach)
+
+
+def _perturbed_normalization(config):
+    """normalization_diagonal with c_3 off by a relative 1e-6."""
+    c = _normalization_diagonal(config).copy()
+    c[3] *= 1 + 1e-6
+    return c
+
+
+def _forward_log_grid(n_points, box_width, hbar):
+    """_log_grid_operators with a forward difference for the scaling generator."""
+    h = box_width / n_points
+    x = -0.5 * box_width + h * np.arange(n_points)
+    dil = np.roll(np.eye(n_points), 1, axis=0)
+    qp = -1j * hbar * (dil.T - np.eye(n_points)) / h
+    return x, np.diag(np.exp(x)), dil, qp, np.diag(np.exp(-x)) @ qp
 
 
 def _symmetric_bracket(a, b):
@@ -59,6 +86,18 @@ FAULTS = [
      lambda a, b: -_witt_bracket(a, b), {"witt_structure_constants"}),
     ("2[a, b] for [a, b]", "halfcyl.lie.witt_bracket",
      lambda a, b: 2 * _witt_bracket(a, b), {"witt_structure_constants"}),
+    # the module checkers' records
+    ("c_3 x (1 + 1e-6)", "halfcyl.equivalence.normalization_diagonal",
+     _perturbed_normalization, {"conjugation_T+", "conjugation_T-"}),
+    ("phase operator subdiagonal entry 2 x 1.001", "halfcyl.equivalence.phase_operator",
+     lambda gs: _scaled_entry(_phase_operator(gs), -1, 2, 1.001),
+     {"sincos_square_anomaly", "diagram_commutes"}),
+    ("cylinder shift middle entry x 1.001", "halfcyl.projection.ThetaSpace.shift",
+     lambda space, lo=0, hi=None: _scaled_entry(
+         _theta_shift(space, lo, hi), -1, (space.dim if hi is None else hi - lo) // 2, 1.001),
+     {"projected_shift_isometry", "parent_shift_unitary"}),
+    ("forward-difference scaling generator", "halfcyl.projection._log_grid_operators",
+     _forward_log_grid, {"scaling_hermitean", "commutator_order"}),
 ]
 
 
@@ -99,4 +138,33 @@ def test_raising_residual_fails_only_its_record(monkeypatch, tmp_path, capsys):
         "name": "toeplitz_measure[k=0.5]", "anchor": "density exists iff k = 1/2",
         "residual": None, "tol": 0.0, "pass": False,
         "note": "ZeroDivisionError: injected"}]
+    assert [c["name"] for c in doc["checks"]] == [c["name"] for c in clean["checks"]]
+
+
+def test_raising_module_residuals_fail_only_their_records(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k_values": [0.5], "theta_values": [1.0],
+                                "N": 16, "M": 16}))
+    assert main(["verify", "--config", str(path)]) == 0
+    clean = json.loads(capsys.readouterr().out)
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr("halfcyl.equivalence.interior_residual", broken)
+    monkeypatch.setattr("halfcyl.projection.interior_residual", broken)
+    monkeypatch.setattr("halfcyl.projection.np.linalg.matrix_rank", broken)
+    monkeypatch.setattr("halfcyl.equivalence.normalization_diagonal", broken)
+    assert main(["verify", "--config", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert {c["name"] for c in failed} == {
+        *(f"{name}[k=0.5]" for name in (
+            "sincos_square_anomaly", "sincos_commutator_anomaly", "rotation_flow_sin",
+            "rotation_flow_cos", "conjugation_H", "conjugation_T+", "conjugation_T-",
+            "identity_similarity_at_half")),
+        *(f"{name}[theta=1]" for name in (
+            "projected_shift_isometry", "defect_rank_one", "parent_shift_unitary"))}
+    assert all(c["residual"] is None and c["note"] == "ZeroDivisionError: injected"
+               for c in failed)
     assert [c["name"] for c in doc["checks"]] == [c["name"] for c in clean["checks"]]

@@ -9,6 +9,7 @@ from halfcyl.projection import (
     ProjectedSpace, ThetaSpace, halfline_commutator_residual, halfline_demo,
     isometry_report,
 )
+from halfcyl.report import CheckReport
 from halfcyl.rep import TruncatedOperator, interior_residual, sin_cos
 
 
@@ -119,7 +120,7 @@ def test_project_rejects_operator_of_another_window():
 
 def test_projected_shift_isometry_report():
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 3)):
-        rep = isometry_report(ProjectedSpace(ThetaSpace(theta, 24), m_min))
+        rep = CheckReport(isometry_report(ProjectedSpace(ThetaSpace(theta, 24), m_min)))
         assert rep.verdict, [r.name for r in rep.failures()]
 
 
@@ -166,23 +167,22 @@ def test_transported_operator_shape():
 # ---------------------------------------------------------------------------
 
 def test_halfline_demo_verdict():
-    rep = halfline_demo(64, 4.0)
+    rep = CheckReport(halfline_demo(64, 4.0))
     assert rep.verdict, [r.name for r in rep.failures()]
 
 
 def test_halfline_position_positive():
-    rep = halfline_demo(64, 4.0)
-    rec = {r.name: r for r in rep.checks}["position_positive"]
+    rec = {r.name: r for r in halfline_demo(64, 4.0)}["position_positive"]
     assert rec.passed and rec.residual == 0.0
 
 
 def test_halfline_dilation_exactly_unitary():
-    rec = {r.name: r for r in halfline_demo(64, 4.0).checks}["dilation_unitary"]
+    rec = {r.name: r for r in halfline_demo(64, 4.0)}["dilation_unitary"]
     assert rec.residual == 0.0
 
 
 def test_halfline_scaling_generator_hermitean():
-    rec = {r.name: r for r in halfline_demo(64, 4.0).checks}["scaling_hermitean"]
+    rec = {r.name: r for r in halfline_demo(64, 4.0)}["scaling_hermitean"]
     assert rec.residual == 0.0
 
 
@@ -195,7 +195,7 @@ def test_halfline_commutator_second_order():
 
 
 def test_halfline_momentum_defect_reported_not_asserted():
-    rep = halfline_demo(64, 4.0)
+    rep = CheckReport(halfline_demo(64, 4.0))
     rec = {r.name: r for r in rep.checks}["momentum_hermiticity_defect"]
     assert rec.reported_only
     assert rec.residual > 1.0  # the symptom is large, and that is fine

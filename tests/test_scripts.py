@@ -1,0 +1,28 @@
+"""Smoke test of the scripts under scripts/: each runs to completion in a
+child interpreter that imports halfcyl from this checkout's src."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run_script(name):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_halfline_convergence_prints_a_passing_verdict():
+    proc = _run_script("halfline_convergence.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "verdict: pass"
+
+
+def test_orbit_demo_runs():
+    proc = _run_script("orbit_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 3 * 6  # header, 3 l x 6 pairs

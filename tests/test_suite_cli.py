@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,11 @@ from hypothesis import strategies as st
 
 from halfcyl import suite
 from halfcyl.cli import main, parse_generators, parse_witt_expression
+from halfcyl.equivalence import sincos_operators
 from halfcyl.lie import L, WittElement
-from halfcyl.report import CheckReport, check, judge, metric
+from halfcyl.projection import halfline_demo
+from halfcyl.report import CheckReport, check, judge
+from halfcyl.rep import RepConfig, build_generators
 from halfcyl.suite import ConfigError, SuiteConfig, emit_spectrum, run_suite
 
 
@@ -27,19 +31,17 @@ from halfcyl.suite import ConfigError, SuiteConfig, emit_spectrum, run_suite
 # ---------------------------------------------------------------------------
 
 def test_verdict_logic():
-    rep = CheckReport()
-    rep.add(check("a", "x = y", 1e-12, 1e-9))
+    rep = CheckReport([check("a", "x = y", 1e-12, 1e-9)])
     assert rep.verdict
-    rep.add(metric("leak", "info only", 12.5))
+    rep.checks.append(check("leak", "info only", 12.5, None))
     assert rep.verdict  # reported-only never affects the verdict
-    rep.add(check("b", "x = z", 1.0, 1e-9))
+    rep.checks.append(check("b", "x = z", 1.0, 1e-9))
     assert not rep.verdict
     assert [r.name for r in rep.failures()] == ["b"]
 
 
 def test_report_schema():
-    rep = CheckReport()
-    rep.add(check("a", "x = y", 0.0, 1e-9))
+    rep = CheckReport([check("a", "x = y", 0.0, 1e-9)])
     doc = rep.to_dict(config_echo={"N": 8}, header={"generated_at": "t"})
     assert doc["version"] == "1"
     assert doc["config_echo"] == {"N": 8}
@@ -105,7 +107,8 @@ def test_config_checks_window_against_largest_m_min():
 
 
 def test_reported_only_record_has_null_tol():
-    assert metric("leak", "info only", 0.5).to_dict()["tol"] is None
+    leak = check("leak", "info only", 0.5, None)
+    assert leak.reported_only and leak.passed and leak.to_dict()["tol"] is None
     assert check("a", "x = y", 0.0, 1e-9).to_dict()["tol"] == 1e-9
 
 
@@ -189,15 +192,15 @@ def test_emit_spectrum_rejects_overflowing_levels(fmt):
 # ---------------------------------------------------------------------------
 
 def test_judge_only_renames_module_records():
-    rep = CheckReport()
-    rep.add(check("a", "x = y", 1e-12, 1e-14))
-    rep.add(check("b", "x = z", 1e-12, 1e-9))
-    rep.add(metric("leak", "info only", 5.0))
-    a, b, leak = judge([lambda: rep], "k=1")
-    assert [(r.name, r.residual, r.tol, r.passed, r.reported_only) for r in (a, b)] == [
-        ("a[k=1]", 1e-12, 1e-14, False, False), ("b[k=1]", 1e-12, 1e-9, True, False)]
-    assert leak == metric("leak[k=1]", "info only", 5.0)
-    assert judge([lambda: rep]) == rep.checks
+    # a module checker's label renames its records and changes nothing else,
+    # reported-only ones included
+    gs = build_generators("fock", RepConfig(k=1.0, N=16))
+    for plain, labeled in ((sincos_operators(gs), sincos_operators(gs, "k=1")),
+                           (halfline_demo(64), halfline_demo(64, label="k=1"))):
+        assert [r.name for r in labeled] == [r.name + "[k=1]" for r in plain]
+        assert [replace(r, name=p.name) for r, p in zip(labeled, plain)] == plain
+    leak, = judge([("leak", "info only", None, lambda: 5.0)], "k=1")
+    assert leak == check("leak[k=1]", "info only", 5.0, None) and leak.reported_only
 
 
 def test_judge_names_aggregates_and_judges_rows():
@@ -236,11 +239,9 @@ def test_spliced_record_keeps_its_pinned_tolerance(monkeypatch):
 
     real = suite.sincos_operators
 
-    def noisy_sin(gs):
-        s, c, rep = real(gs)
-        rep.checks = [check(r.name, r.anchor, 1e-12, r.tol) if r.name == "sin_hermitean"
-                      else r for r in rep.checks]
-        return s, c, rep
+    def noisy_sin(gs, label=None):
+        return [check(r.name, r.anchor, 1e-12, r.tol) if r.name.startswith("sin_hermitean[")
+                else r for r in real(gs, label)]
 
     monkeypatch.setattr(suite, "sincos_operators", noisy_sin)
     report = run_suite(SuiteConfig())
@@ -405,10 +406,11 @@ def test_cli_orbit(capsys):
     assert doc["symplectic_residual"] < 1e-6
 
 
-@pytest.mark.parametrize("l", [1000, 10 ** 4])
+@pytest.mark.parametrize("l", [1000, 10 ** 4, 10 ** 5, 10 ** 6])
 def test_cli_orbit_audits_a_correct_transport_at_large_l(l, capsys):
-    # the default step 1e-5 / l follows the e^{il phi} oscillation; a fixed
-    # 1e-5 gave 6.3e-6 at l = 1000 and 6e-4 at l = 10^4, failing the audit
+    # the default step (u l)^(1/3) / l balances the truncation error of the
+    # e^{il phi} oscillation against rounding; a fixed 1e-5 gave 6.3e-6 at
+    # l = 1000 and 6e-4 at l = 10^4, and 1e-5 / l gave 1.03e-6 at l = 10^5
     assert main(["orbit", "--l", str(l), "--from", "0,1", "--to", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out)["symplectic_residual"] < 1e-7
 
@@ -554,7 +556,7 @@ def test_import_leaves_scipy_out():
 def test_non_finite_residual_serialises_as_failed_null():
     doc = check("a", "x = y", math.nan, 1e-9).to_dict()
     assert doc["residual"] is None and doc["pass"] is False
-    doc = metric("leak", "info only", math.inf).to_dict()
+    doc = check("leak", "info only", math.inf, None).to_dict()
     assert doc["residual"] is None and doc["pass"] is False
     assert not check("b", "x = y", -math.inf, 1e-9).passed
 
