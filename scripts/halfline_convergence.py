@@ -3,7 +3,9 @@
 
 Prints the interior residual of [q, qp] - i hbar q on the periodic log grid
 for a sequence of refinements, together with the measured convergence order,
-and the reported-only hermiticity defect of the plain momentum operator.
+then the judged records of the demo.  The hermiticity defect of the plain
+momentum operator, which the scaling generator qp replaces, is printed in
+the note of the ``scaling_hermitean`` line.
 """
 
 import math

@@ -114,7 +114,8 @@ def _emit_report(report: CheckReport, config_echo, out_path=None) -> int:
         print(text)
     if not report.verdict:
         for rec in report.failures():
-            print(f"FAIL {rec.name}: residual {rec.residual:.3e} > tol {rec.tol:.1e}",
+            note = f" -- {rec.note}" if rec.note else ""
+            print(f"FAIL {rec.name}: residual {rec.residual:.3e} > tol {rec.tol:.1e}{note}",
                   file=sys.stderr)
         return EXIT_FAIL
     return EXIT_PASS

@@ -79,9 +79,9 @@ def sincos_operators(gs: GeneratorSet, label=None) -> list:
         ("sin_hermitean", "s = s*", 1e-14, lambda: (s - s.adjoint()).max_abs()),
         ("cos_hermitean", "c = c*", 1e-14, lambda: (c - c.adjoint()).max_abs()),
         ("sincos_square_anomaly", "s^2 + c^2 = 1 - P_0/2", 1e-10,
-         lambda: interior_residual(s @ s + c @ c, eye - 0.5 * p0)),
+         lambda: interior_residual(s @ s + c @ c - (eye - 0.5 * p0))),
         ("sincos_commutator_anomaly", "[s, c] = (i/2) P_0", 1e-10,
-         lambda: interior_residual(s @ c - c @ s, 0.5j * p0)),
+         lambda: interior_residual(s @ c - c @ s - 0.5j * p0)),
         ("rotation_flow_sin", "[H, s] = -i c", 1e-10,
          lambda: interior_residual((gs.H @ s - s @ gs.H) + 1j * c)),
         ("rotation_flow_cos", "[H, c] = i s", 1e-10,

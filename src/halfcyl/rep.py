@@ -187,11 +187,9 @@ def sin_cos(u: TruncatedOperator):
     return -0.5j * (u - u.adjoint()), 0.5 * (u + u.adjoint())
 
 
-def interior_residual(expr: TruncatedOperator, target=None,
-                      trim_bottom: int = 0) -> float:
-    """Max-abs deviation of ``expr`` from ``target`` on interior columns.
+def interior_residual(expr: TruncatedOperator, trim_bottom: int = 0) -> float:
+    """Max-abs entry of ``expr`` on its interior columns.
 
-    ``target`` is a TruncatedOperator or None (zero).
     ``trim_bottom`` additionally drops low columns, for windows truncated
     at both ends.  Only the interior columns of each diagonal are read.
     An empty interior raises: a check that compares no column must not
@@ -201,8 +199,6 @@ def interior_residual(expr: TruncatedOperator, target=None,
     if hi <= trim_bottom:
         raise ValueError(f"no interior columns to compare (interior {hi}, "
                          f"trim_bottom {trim_bottom})")
-    if target is not None:
-        expr = expr - target
     parts = []
     for d, b in expr.bands.items():
         col = max(d, 0)  # column of the first entry of the diagonal

@@ -13,34 +13,28 @@ SCHEMA_VERSION = "1"
 class CheckRecord:
     """One identity check: residual against a pinned tolerance.
 
-    A record without a tolerance (``tol`` None, ``"tol": null`` in JSON) is
-    reported only: a diagnostic (a discretisation residual, a hermiticity
-    symptom) that is carried in the report but never affects the verdict.
-    A non-finite residual serialises as ``null`` with ``"pass": false``.
+    A record passes iff its residual is finite and <= ``tol``.  A
+    non-finite residual serialises as ``null`` with ``"pass": false``.
     """
 
     name: str
     anchor: str
     residual: float
-    tol: float | None
-    passed: bool
+    tol: float
     note: str = ""
 
     @property
-    def reported_only(self) -> bool:
-        return self.tol is None
+    def passed(self) -> bool:
+        return math.isfinite(self.residual) and self.residual <= self.tol
 
     def to_dict(self):
-        finite = math.isfinite(self.residual)
         d = {
             "name": self.name,
             "anchor": self.anchor,
-            "residual": self.residual if finite else None,
+            "residual": self.residual if math.isfinite(self.residual) else None,
             "tol": self.tol,
-            "pass": self.passed and finite,
+            "pass": self.passed,
         }
-        if self.reported_only:
-            d["reported_only"] = True
         if self.note:
             d["note"] = self.note
         return d
@@ -58,28 +52,16 @@ def worst_of(residuals) -> float:
     return max(values, default=0.0)
 
 
-def check(name, anchor, residual, tol, note=""):
-    """Record of ``residual`` judged at the pinned ``tol``: passes iff the
-    residual is finite and <= tol.  ``tol=None`` makes a reported-only
-    record, which never affects the verdict."""
-    residual = float(residual)
-    if tol is None:
-        return CheckRecord(name, anchor, residual, None, True, note)
-    return CheckRecord(name, anchor, residual, float(tol),
-                       math.isfinite(residual) and residual <= tol, note)
-
-
 def judge(rows, label=None):
     """Records of ``rows``, named ``name[label]`` (``name`` if no label).
 
     A row is ``(name, anchor, tol, residual[, note])``: ``residual()``
     returns a number or an iterable of numbers, aggregated by ``worst_of``
     (NaN if empty: a record that compared nothing never passes) and judged
-    here, once, by ``check`` at the pinned ``tol`` (``None``: reported
-    only).  A residual that raises gives its record residual NaN, which
-    fails an asserted record, and the note ``"<Type>: <message>"``; the
-    later rows still run, and a ``MemoryError`` propagates.  Rows run in
-    order.
+    at the pinned ``tol``, which must be a number: a row without one raises
+    ``TypeError``.  A residual that raises gives its record residual NaN,
+    which fails it, and the note ``"<Type>: <message>"``; the later rows
+    still run, and a ``MemoryError`` propagates.  Rows run in order.
     """
     suffix = "" if label is None else f"[{label}]"
     out = []
@@ -92,7 +74,7 @@ def judge(rows, label=None):
             raise
         except Exception as exc:  # this record fails; the other rows still run
             value, note = math.nan, [f"{type(exc).__name__}: {exc}"]
-        out.append(check(name + suffix, anchor, value, tol, *note))
+        out.append(CheckRecord(name + suffix, anchor, float(value), float(tol), *note))
     return out
 
 
@@ -105,10 +87,10 @@ class CheckReport:
 
     @property
     def verdict(self) -> bool:
-        return all(r.passed for r in self.checks if not r.reported_only)
+        return all(r.passed for r in self.checks)
 
     def failures(self):
-        return [r for r in self.checks if not r.reported_only and not r.passed]
+        return [r for r in self.checks if not r.passed]
 
     def to_dict(self, config_echo=None, header=None):
         return {
@@ -123,10 +105,8 @@ class CheckReport:
     def summary_lines(self):
         out = []
         for r in self.checks:
-            if r.reported_only:
-                out.append(f"  [info] {r.name}: {r.residual:.3e} ({r.anchor})")
-            else:
-                tag = "ok" if r.passed else "FAIL"
-                out.append(f"  [{tag:4s}] {r.name}: residual {r.residual:.3e} "
-                           f"tol {r.tol:.1e} ({r.anchor})")
+            tag = "ok" if r.passed else "FAIL"
+            note = f" -- {r.note}" if r.note else ""
+            out.append(f"  [{tag:4s}] {r.name}: residual {r.residual:.3e} "
+                       f"tol {r.tol:.1e} ({r.anchor}){note}")
         return out

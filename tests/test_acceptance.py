@@ -85,8 +85,8 @@ def test_criterion_04_phase_operator_both_pictures():
         p0 = np.zeros_like(eye)
         p0[0, 0] = 1.0
         worst = max(worst,
-                    interior_residual(u_rep.adjoint() @ u_rep,
-                                      TruncatedOperator.diag(np.ones(N + 1))),
+                    interior_residual(u_rep.adjoint() @ u_rep
+                                      - TruncatedOperator.diag(np.ones(N + 1))),
                     float(np.abs((u_rep @ u_rep.adjoint()).matrix - (eye - p0)).max()))
         ps = ProjectedSpace(ThetaSpace(theta, N + m_min + 4), m_min)
         u_proj = ps.shift()
@@ -94,8 +94,8 @@ def test_criterion_04_phase_operator_both_pictures():
         p0p = np.zeros_like(eye_p)
         p0p[0, 0] = 1.0
         worst = max(worst,
-                    interior_residual(u_proj.adjoint() @ u_proj,
-                                      TruncatedOperator.diag(np.ones(ps.dim))),
+                    interior_residual(u_proj.adjoint() @ u_proj
+                                      - TruncatedOperator.diag(np.ones(ps.dim))),
                     float(np.abs((u_proj @ u_proj.adjoint()).matrix - (eye_p - p0p)).max()))
         n = min(ps.dim, N + 1) - 1
         agree = max(agree, float(np.abs(u_rep.matrix[:n, :n]
@@ -124,8 +124,8 @@ def test_criterion_06_sincos_anomalies():
         eye = TruncatedOperator.diag(np.ones(N + 1))
         p0 = TruncatedOperator.diag(np.eye(1, N + 1)[0])
         worst = max(worst,
-                    interior_residual(s @ s + c @ c, eye - 0.5 * p0),
-                    interior_residual(s @ c - c @ s, 0.5j * p0),
+                    interior_residual(s @ s + c @ c - (eye - 0.5 * p0)),
+                    interior_residual(s @ c - c @ s - 0.5j * p0),
                     interior_residual((gs.H @ s - s @ gs.H) + 1j * c),
                     interior_residual((gs.H @ c - c @ gs.H) - 1j * s))
     _criterion(6, "sin/cos anomalies confined to the ground state",

@@ -84,7 +84,7 @@ def test_phase_operator_isometry(k, convention):
     eye = np.eye(33)
     p0 = np.zeros_like(eye)
     p0[0, 0] = 1.0
-    assert interior_residual(u.adjoint() @ u, TruncatedOperator.diag(np.ones(33))) < 1e-12
+    assert interior_residual(u.adjoint() @ u - TruncatedOperator.diag(np.ones(33))) < 1e-12
     assert np.abs((u @ u.adjoint()).matrix - (eye - p0)).max() < 1e-12
 
 

@@ -133,7 +133,11 @@ def test_raising_residual_fails_only_its_record(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(suite, "toeplitz_measure_test", broken)
     assert main(["verify", "--config", str(path)]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    # the FAIL line names the exception, not only the NaN it left behind
+    assert err.splitlines() == ["FAIL toeplitz_measure[k=0.5]: residual nan > tol 0.0e+00"
+                                " -- ZeroDivisionError: injected"]
+    doc = json.loads(out)
     assert [c for c in doc["checks"] if not c["pass"]] == [{
         "name": "toeplitz_measure[k=0.5]", "anchor": "density exists iff k = 1/2",
         "residual": None, "tol": 0.0, "pass": False,

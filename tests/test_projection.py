@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfcyl.projection import (
-    ProjectedSpace, ThetaSpace, halfline_commutator_residual, halfline_demo,
-    isometry_report,
+    ProjectedSpace, ThetaSpace, _log_grid_operators, halfline_commutator_residual,
+    halfline_demo, isometry_report,
 )
 from halfcyl.report import CheckReport
 from halfcyl.rep import TruncatedOperator, interior_residual, sin_cos
@@ -137,7 +137,7 @@ def test_projected_shift_rank_one_defect():
 def test_projection_of_unitary_is_isometric_not_unitary():
     ps = ProjectedSpace(ThetaSpace(0.5, 20), 0)
     u = ps.shift()
-    assert interior_residual(u.adjoint() @ u, TruncatedOperator.diag(np.ones(ps.dim))) == 0.0
+    assert interior_residual(u.adjoint() @ u - TruncatedOperator.diag(np.ones(ps.dim))) == 0.0
     assert np.abs((u @ u.adjoint()).matrix - np.eye(ps.dim)).max() == 1.0
 
 
@@ -194,11 +194,20 @@ def test_halfline_commutator_second_order():
     assert abs(math.log2(r128 / r256) - 2.0) < 0.2
 
 
-def test_halfline_momentum_defect_reported_not_asserted():
+def test_halfline_symptoms_live_in_notes():
+    # the plain-momentum defect and the commutator residual are carried in
+    # the notes of judged records, not as records of their own
     rep = CheckReport(halfline_demo(64, 4.0))
-    rec = {r.name: r for r in rep.checks}["momentum_hermiticity_defect"]
-    assert rec.reported_only
-    assert rec.residual > 1.0  # the symptom is large, and that is fine
+    recs = {r.name: r for r in rep.checks}
+    assert set(recs) == {"position_positive", "dilation_unitary",
+                         "scaling_hermitean", "commutator_order"}
+    mom = _log_grid_operators(64, 4.0, 1.0)[4]
+    defect = np.abs(mom - mom.conj().T).max()
+    assert defect > 1.0  # the symptom is large, and that is fine
+    assert recs["scaling_hermitean"].note == (
+        f"plain momentum -i hbar d/dq: |p* - p| = {defect:.3e} (boundary symptom)")
+    r1 = halfline_commutator_residual(64, 4.0)
+    assert recs["commutator_order"].note.startswith(f"residuals {r1:.3e} -> ")
     assert rep.verdict
 
 

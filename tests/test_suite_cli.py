@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from halfcyl.cli import main, parse_generators, parse_witt_expression
 from halfcyl.equivalence import sincos_operators
 from halfcyl.lie import L, WittElement
 from halfcyl.projection import halfline_demo
-from halfcyl.report import CheckReport, check, judge
+from halfcyl.report import CheckRecord, CheckReport, judge
 from halfcyl.rep import RepConfig, build_generators
 from halfcyl.suite import ConfigError, SuiteConfig, emit_spectrum, run_suite
 
@@ -31,17 +31,15 @@ from halfcyl.suite import ConfigError, SuiteConfig, emit_spectrum, run_suite
 # ---------------------------------------------------------------------------
 
 def test_verdict_logic():
-    rep = CheckReport([check("a", "x = y", 1e-12, 1e-9)])
+    rep = CheckReport([CheckRecord("a", "x = y", 1e-12, 1e-9)])
     assert rep.verdict
-    rep.checks.append(check("leak", "info only", 12.5, None))
-    assert rep.verdict  # reported-only never affects the verdict
-    rep.checks.append(check("b", "x = z", 1.0, 1e-9))
+    rep.checks.append(CheckRecord("b", "x = z", 1.0, 1e-9))
     assert not rep.verdict
     assert [r.name for r in rep.failures()] == ["b"]
 
 
 def test_report_schema():
-    rep = CheckReport([check("a", "x = y", 0.0, 1e-9)])
+    rep = CheckReport([CheckRecord("a", "x = y", 0.0, 1e-9)])
     doc = rep.to_dict(config_echo={"N": 8}, header={"generated_at": "t"})
     assert doc["version"] == "1"
     assert doc["config_echo"] == {"N": 8}
@@ -106,10 +104,19 @@ def test_config_checks_window_against_largest_m_min():
     SuiteConfig(N=4, M=9, profile="full")
 
 
-def test_reported_only_record_has_null_tol():
-    leak = check("leak", "info only", 0.5, None)
-    assert leak.reported_only and leak.passed and leak.to_dict()["tol"] is None
-    assert check("a", "x = y", 0.0, 1e-9).to_dict()["tol"] == 1e-9
+def test_judge_rejects_a_row_without_a_tolerance():
+    with pytest.raises(TypeError):
+        judge([("x", "a", None, lambda: 0.0)])
+    # pass is derived from the residual and tol, never stored beside them
+    assert "passed" not in {f.name for f in fields(CheckRecord)}
+    assert CheckRecord("a", "x = y", 0.0, 1e-9).to_dict()["tol"] == 1e-9
+
+
+@pytest.mark.parametrize("profile", ["physical", "full"])
+def test_every_record_has_a_pinned_finite_tolerance(profile):
+    for rec in run_suite(SuiteConfig(profile=profile)).to_dict()["checks"]:
+        assert type(rec["tol"]) is float and math.isfinite(rec["tol"]), rec
+        assert "reported_only" not in rec, rec
 
 
 def test_config_rejects_bad_values():
@@ -192,15 +199,12 @@ def test_emit_spectrum_rejects_overflowing_levels(fmt):
 # ---------------------------------------------------------------------------
 
 def test_judge_only_renames_module_records():
-    # a module checker's label renames its records and changes nothing else,
-    # reported-only ones included
+    # a module checker's label renames its records and changes nothing else
     gs = build_generators("fock", RepConfig(k=1.0, N=16))
     for plain, labeled in ((sincos_operators(gs), sincos_operators(gs, "k=1")),
                            (halfline_demo(64), halfline_demo(64, label="k=1"))):
         assert [r.name for r in labeled] == [r.name + "[k=1]" for r in plain]
         assert [replace(r, name=p.name) for r, p in zip(labeled, plain)] == plain
-    leak, = judge([("leak", "info only", None, lambda: 5.0)], "k=1")
-    assert leak == check("leak[k=1]", "info only", 5.0, None) and leak.reported_only
 
 
 def test_judge_names_aggregates_and_judges_rows():
@@ -208,8 +212,8 @@ def test_judge_names_aggregates_and_judges_rows():
                         ("b", "x = z", 1e-9, lambda: (1e-12, 1e-6), "note"),
                         ("c", "empty = 0", 0.0, lambda: iter(())),
                         ("d", "nan wins", 1.0, lambda: [0.5, math.nan, 0.25])], "k=2")
-    assert a == check("a[k=2]", "x = y", 1e-12, 1e-9)
-    assert b == check("b[k=2]", "x = z", 1e-6, 1e-9, note="note") and not b.passed
+    assert a == CheckRecord("a[k=2]", "x = y", 1e-12, 1e-9) and a.passed
+    assert b == CheckRecord("b[k=2]", "x = z", 1e-6, 1e-9, note="note") and not b.passed
     assert math.isnan(c.residual) and not c.passed  # it compared nothing
     assert math.isnan(d.residual) and not d.passed
 
@@ -240,7 +244,7 @@ def test_spliced_record_keeps_its_pinned_tolerance(monkeypatch):
     real = suite.sincos_operators
 
     def noisy_sin(gs, label=None):
-        return [check(r.name, r.anchor, 1e-12, r.tol) if r.name.startswith("sin_hermitean[")
+        return [CheckRecord(r.name, r.anchor, 1e-12, r.tol) if r.name.startswith("sin_hermitean[")
                 else r for r in real(gs, label)]
 
     monkeypatch.setattr(suite, "sincos_operators", noisy_sin)
@@ -395,8 +399,7 @@ def test_cli_verify_stdout_is_strict_json(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["verify", "--config", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=reject)
-    info = [c for c in doc["checks"] if c.get("reported_only")]
-    assert info and all(c["tol"] is None for c in info)
+    assert all(type(c["tol"]) is float and "reported_only" not in c for c in doc["checks"])
 
 
 def test_cli_orbit(capsys):
@@ -554,11 +557,11 @@ def test_import_leaves_scipy_out():
 
 
 def test_non_finite_residual_serialises_as_failed_null():
-    doc = check("a", "x = y", math.nan, 1e-9).to_dict()
+    doc = CheckRecord("a", "x = y", math.nan, 1e-9).to_dict()
     assert doc["residual"] is None and doc["pass"] is False
-    doc = check("leak", "info only", math.inf, None).to_dict()
+    doc = CheckRecord("c", "x = y", math.inf, math.inf).to_dict()
     assert doc["residual"] is None and doc["pass"] is False
-    assert not check("b", "x = y", -math.inf, 1e-9).passed
+    assert not CheckRecord("b", "x = y", -math.inf, 1e-9).passed
 
 
 def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tmp_path,
@@ -591,7 +594,7 @@ def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tm
 @pytest.mark.parametrize("profile", ["physical", "full"])
 def test_record_names_are_unique(profile):
     names = [r.name for r in run_suite(SuiteConfig(profile=profile)).checks]
-    assert len(names) == len(set(names)) == {"physical": 137, "full": 201}[profile]
+    assert len(names) == len(set(names)) == {"physical": 135, "full": 199}[profile]
 
 
 def test_jacobi_draws_match_the_per_call_draws():
