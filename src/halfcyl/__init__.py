@@ -7,8 +7,8 @@ bridge between the two quantizations."""
 from .classical import (AdmissibilityReport, CoveringElement, MomentumFunction,
                         PhasePoint, TrigPoly, act_auxiliary, act_lifted,
                         admissibility_audit, check_symplectic, compose,
-                        lift_hamiltonian, lightcone_inverse, lightcone_map,
-                        poisson_bracket, transport)
+                        lift_hamiltonian, lightcone_map, poisson_bracket,
+                        transport)
 from .equivalence import (conjugate_realizations, identification_report,
                           phase_operator, sincos_operators, tplus_from_phase)
 from .lie import (ClosureResult, L, So12Element, WittElement,

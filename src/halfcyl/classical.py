@@ -29,7 +29,7 @@ __all__ = [
     "angle_gap",
     "lift_hamiltonian", "poisson_bracket", "hamiltonian_vector_field",
     "check_symplectic", "admissibility_audit", "transport",
-    "lightcone_map", "lightcone_inverse", "lightcone_equivariance_residual",
+    "lightcone_map", "lightcone_equivariance_residual",
     "act_auxiliary", "compose_auxiliary", "auxiliary_symplectic_residual",
     "poisson_bracket_poly",
     "MOMENTUM_MAP_SIGN", "TWO_PI",
@@ -196,21 +196,19 @@ def transport(a: PhasePoint, b: PhasePoint, l: int = 1) -> CoveringElement:
 class TrigPoly(ModeSeries):
     """Real trigonometric polynomial sum_j c_j e^{ij phi}, c_{-j} = conj(c_j).
 
-    A ``ModeSeries`` whose constructor checks reality.  Coefficients stay
-    exact (complex rationals) when the inputs are; the bracket engine then
-    runs with no floating error at all.  Scalars must be real to keep the
-    result real.
+    A ``ModeSeries`` whose constructor checks reality exactly: c_{-j} must
+    equal conj(c_j), with float inputs taken at the value they store.  The
+    coefficients are complex rationals, so the bracket engine runs with no
+    floating error at all.  Scalars must be real to keep the result real.
     """
 
     __slots__ = ()
 
     def __init__(self, modes=None):
         super().__init__(modes)
-        exact = self.is_exact
         for j, c in self.coeffs.items():
             d = self.coeffs.get(-j)
-            if d is None or (c.conjugate() != d if exact
-                             else abs(c.conjugate() - d) > 1e-12):
+            if d is None or c.conjugate() != d:
                 raise ValueError(f"not a real polynomial: modes {j}/{-j}")
 
     @property
@@ -267,7 +265,7 @@ def lift_hamiltonian(v: TrigPoly) -> MomentumFunction:
 
 def poisson_bracket(F: MomentumFunction, G: MomentumFunction) -> MomentumFunction:
     """{p f, p g} = p (f' g - f g') = -i p sum_{j,k} (k - j) f_j g_k e^{i(j+k) phi}:
-    -i times the Witt bracket of the mode coefficients, exact on exact input."""
+    -i times the Witt bracket of the mode coefficients, exact."""
     return MomentumFunction(_MINUS_I * F.base.bracket(G.base))
 
 
@@ -383,17 +381,6 @@ def lightcone_map(x: PhasePoint, l: int = 1):
     """(x0, x1, x2) = (p, Re p e^{-il phi}, Im p e^{-il phi}); null with x0 > 0."""
     w = x.p * cmath.exp(-1j * l * x.phi)
     return np.array([x.p, w.real, w.imag])
-
-
-def lightcone_inverse(v, l: int = 1) -> PhasePoint:
-    """Preimage with phi in [0, 2 pi / l); rejects non-null or x0 <= 0 input."""
-    x0, x1, x2 = (float(c) for c in v)
-    if not x0 > 0:
-        raise ValueError("light-cone point must have x0 > 0")
-    if abs(x0 * x0 - x1 * x1 - x2 * x2) > 1e-9 * x0 * x0:
-        raise ValueError("input is not on the light cone")
-    phi = (-math.atan2(x2, x1) / l) % (TWO_PI / l)
-    return PhasePoint(phi, x0)
 
 
 def lightcone_equivariance_residual(g: CoveringElement, x: PhasePoint) -> float:

@@ -1,12 +1,13 @@
 """Exact complex-rational scalars and the sparse mode series built on them.
 
-Closure decisions must not depend on float rank estimation, so bracket
-coefficients stay exact as long as every input is rational.  An exact
-scalar is a Gaussian rational held as three plain integers, (x + iy)/d,
-so the bracket kernel and the exact elimination run on ``int``
-arithmetic alone.  Any float in the inputs demotes the whole computation
-to ordinary complex arithmetic.  ``ModeSeries`` holds such coefficients
-for both Witt elements and trigonometric polynomials.
+Closure decisions must not depend on float rank estimation, so every
+coefficient is exact.  An exact scalar is a Gaussian rational held as
+three plain integers, (x + iy)/d, so the bracket kernel and the exact
+elimination run on ``int`` arithmetic alone.  A finite binary float is a
+dyadic rational, so a float or complex input is lifted to the exact value
+it stores; a NaN or an infinity is rejected.  ``ModeSeries`` holds such
+coefficients for both Witt elements and trigonometric polynomials; only
+point evaluation returns floats.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import cmath
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from numbers import Complex, Rational
 
 
@@ -28,10 +29,12 @@ class QC:
     read-only: an ``int`` when the part is integral, else a ``Fraction``.
 
     The constructor takes ints, ``Fraction``s and anything ``Fraction``
-    accepts (a float converts exactly).  Arithmetic with a float or
-    complex operand gives a complex float; with an operand that is not a
-    number it returns NotImplemented, so that ``c * series`` reaches the
-    series' own exact ``__rmul__``.
+    accepts (a float converts exactly).  A float or complex operand of
+    ``+ - * / ==`` takes part with the exact value it stores, as in
+    ``Fraction(1, 10) == 0.1``, which is False; a non-finite one raises
+    ``ValueError`` in arithmetic and compares unequal.  With an operand
+    that is not a number arithmetic returns NotImplemented, so that
+    ``c * series`` reaches the series' own exact ``__rmul__``.
     """
 
     __slots__ = ("_x", "_y", "_d")
@@ -58,8 +61,8 @@ class QC:
     def __add__(self, other):
         if type(other) is not QC:
             other = _lift(other)
-            if type(other) is not QC:
-                return other if other is NotImplemented else complex(self) + other
+            if other is NotImplemented:
+                return other
         d, e = self._d, other._d
         if d == e:
             return _qc(self._x + other._x, self._y + other._y, d)
@@ -73,8 +76,8 @@ class QC:
     def __sub__(self, other):
         if type(other) is not QC:
             other = _lift(other)
-            if type(other) is not QC:
-                return other if other is NotImplemented else complex(self) - other
+            if other is NotImplemented:
+                return other
         d, e = self._d, other._d
         if d == e:
             return _qc(self._x - other._x, self._y - other._y, d)
@@ -90,17 +93,15 @@ class QC:
         if type(other) is int:
             return _qc(self._x * other, self._y * other, self._d)
         other = _lift(other)
-        if type(other) is QC:
-            return self * other
-        return other if other is NotImplemented else complex(self) * other
+        return other if other is NotImplemented else self * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not QC:
             other = _lift(other)
-            if type(other) is not QC:
-                return other if other is NotImplemented else complex(self) / other
+            if other is NotImplemented:
+                return other
         # (x + iy)/d / ((a + ib)/e) = (x + iy)(a - ib) e / (d (a^2 + b^2))
         x, y, a, b, e = self._x, self._y, other._x, other._y, other._d
         n = a * a + b * b
@@ -117,9 +118,12 @@ class QC:
 
     def __eq__(self, other):
         if type(other) is not QC:
-            other = _lift(other)
-            if type(other) is not QC:
-                return other if other is NotImplemented else complex(self) == other
+            try:
+                other = _lift(other)
+            except ValueError:  # NaN or infinity: equal to no exact number
+                return False
+            if other is NotImplemented:
+                return other
         return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __hash__(self):
@@ -180,17 +184,25 @@ QC_I = QC(0, 1)
 
 
 def _lift(x):
-    """Canonical scalar: QC for ints and Fractions, complex for any other
-    number, NotImplemented for what is not a number."""
+    """The exact QC of a number, NotImplemented for what is not a number.
+
+    A float or complex lifts to the dyadic rational that it stores, read
+    with ``float.as_integer_ratio``; a NaN or infinity raises ValueError.
+    """
     if type(x) is QC:
         return x
     if type(x) is int:
         return _qc(x, 0, 1)
     if isinstance(x, Rational):  # Fraction, bool, other exact rationals
         return QC(x)
-    if isinstance(x, Complex):
-        return complex(x)
-    return NotImplemented
+    if not isinstance(x, Complex):
+        return NotImplemented
+    z = x if isinstance(x, float) else complex(x)
+    if not (isfinite(z.real) and isfinite(z.imag)):
+        raise ValueError(f"not finite: {x!r}")
+    a, b = z.real.as_integer_ratio()
+    c, e = z.imag.as_integer_ratio()
+    return _qc(a * e, c * b, b * e)
 
 
 def _exact_bracket(a: dict, b: dict) -> dict:
@@ -213,19 +225,16 @@ def _exact_bracket(a: dict, b: dict) -> dict:
 
 
 def _canonical(coeffs: dict) -> dict:
-    """Drop zero coefficients; demote to complex if exact and float mix."""
-    out = {j: c for j, c in coeffs.items() if c}
-    if len(set(map(type, out.values()))) > 1:
-        out = {j: complex(c) for j, c in out.items() if complex(c)}
-    return out
+    """Drop zero coefficients."""
+    return {j: c for j, c in coeffs.items() if c}
 
 
 class ModeSeries:
     """Finite complex combination sum_j c_j e_j of integer modes.
 
-    Coefficients given as ints or Fractions are stored exactly (``QC``); a
-    float or complex coefficient anywhere demotes the whole series to
-    complex floats.  Zero coefficients are dropped.  Every operation
+    Every coefficient is stored exactly as a ``QC``; a float or complex
+    one is lifted to the exact value it stores, and a NaN or infinity
+    raises ``ValueError``.  Zero coefficients are dropped.  Every operation
     returns the class of its left operand.
     """
 
@@ -253,15 +262,8 @@ class ModeSeries:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def is_exact(self):
-        # ``_canonical`` never mixes QC and complex, so one coefficient decides
-        for c in self.coeffs.values():
-            return type(c) is QC
-        return True
-
     def get(self, j):
-        return self.coeffs.get(j, QC(0) if self.is_exact else 0j)
+        return self.coeffs.get(j, QC(0))
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other):
@@ -297,8 +299,7 @@ class ModeSeries:
 
     # -- calculus in phi, for modes e_j = e^{ij phi} ------------------------
     def derivative(self):
-        i = QC_I if self.is_exact else 1j
-        return self._new({j: (i * j) * c for j, c in self.coeffs.items()})
+        return self._new({j: (QC_I * j) * c for j, c in self.coeffs.items()})
 
     def product(self, other):
         out = {}
@@ -312,23 +313,14 @@ class ModeSeries:
         """The Witt bracket: (k - j) a_j b_k lands in mode j + k.
 
         Read as Fourier series this is i (f' g - f g'), which makes it the
-        Poisson bracket of momentum functions as well.  When both series are
-        exact each mode sums integer triples (x, y, d), one term at a time,
-        and becomes a ``QC`` once, at the end.
+        Poisson bracket of momentum functions as well.  Each mode sums
+        integer triples (x, y, d), one term at a time, and becomes a ``QC``
+        once, at the end.
         """
-        if self.is_exact and other.is_exact:
-            out = object.__new__(type(self))  # all QC, none zero: canonical
-            out.coeffs = {m: _qc(x, y, d) for m, (x, y, d) in _exact_bracket(
-                self.coeffs, other.coeffs).items() if x or y}
-            return out
-        out, items = {}, other.coeffs.items()
-        for j, a in self.coeffs.items():
-            for k, b in items:
-                if j != k:
-                    term = (k - j) * (a * b)
-                    m = j + k
-                    out[m] = out[m] + term if m in out else term
-        return self._new(out)
+        out = object.__new__(type(self))  # all QC, none zero: canonical
+        out.coeffs = {m: _qc(x, y, d) for m, (x, y, d) in _exact_bracket(
+            self.coeffs, other.coeffs).items() if x or y}
+        return out
 
     def __call__(self, phi: float) -> complex:
         return sum((complex(c) * cmath.exp(1j * j * phi)

@@ -23,18 +23,15 @@ __all__ = [
     "witt_bracket", "witt_closure", "ClosureResult",
     "So12Element", "so12_bracket", "algebra_isomorphism", "killing_form",
     "vector_field_to_so12",
-    "DEFAULT_MODE_BOUND", "DEFAULT_DIM_BOUND", "FLOAT_RANK_THRESHOLD",
+    "DEFAULT_MODE_BOUND", "DEFAULT_DIM_BOUND",
 ]
 
 DEFAULT_MODE_BOUND = 64
 DEFAULT_DIM_BOUND = 12
-# Relative singular-value cutoff for rank decisions when float coefficients
-# force the closure search off the exact path.
-FLOAT_RANK_THRESHOLD = 1e-10
 
 
 class WittElement(ModeSeries):
-    """Finite complex combination of Witt modes ``L_j``, exact when possible.
+    """Finite complex combination of Witt modes ``L_j``, with exact coefficients.
 
     All arithmetic is ``ModeSeries``'; this class adds the printed form
     ``WittElement[(c)*L(j) + ...]`` that the CLI reports.
@@ -85,7 +82,8 @@ class ClosureResult:
     """Outcome of the bounded bracket-closure search.
 
     ``closed`` with a basis means every pairwise bracket of basis elements
-    lies in the span (exact linear solve when all inputs are rational).
+    lies in the span, decided by exact elimination (a float input counts
+    as the dyadic rational it stores, so no rank threshold is involved).
     Otherwise ``witness_mode`` names a mode index produced by bracketing
     that escaped the running span before the search bounds were hit.
     """
@@ -133,39 +131,6 @@ class _ExactSpan:
         return True
 
 
-class _FloatSpan:
-    """Span with rank decisions by singular values (relative threshold)."""
-
-    def __init__(self):
-        self.vectors = []
-        self.rank = 0  # rank of ``vectors``, updated on append
-
-    def _matrix(self, extra):
-        elems = self.vectors + [extra]
-        modes = sorted({j for e in elems for j in e.support})
-        mat = np.zeros((len(elems), max(len(modes), 1)), dtype=complex)
-        for i, e in enumerate(elems):
-            for j, c in e.coeffs.items():
-                mat[i, modes.index(j)] = complex(c)
-        return mat
-
-    def _rank(self, mat):
-        if mat.size == 0:
-            return 0
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0:
-            return 0
-        return int(np.sum(sv > FLOAT_RANK_THRESHOLD * sv[0]))
-
-    def insert(self, elem):
-        rank = self._rank(self._matrix(elem))
-        if rank > self.rank:
-            self.vectors.append(elem)
-            self.rank = rank
-            return True
-        return False
-
-
 def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
                  dim_bound=DEFAULT_DIM_BOUND) -> ClosureResult:
     """Close the span of ``generators`` under the Witt bracket, within bounds.
@@ -195,8 +160,7 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
     if dim_bound < len(gens):
         raise ValueError(f"dim_bound {dim_bound} below generator count {len(gens)}")
 
-    exact = all(g.is_exact for g in gens)
-    span = _ExactSpan() if exact else _FloatSpan()
+    span = _ExactSpan()
     basis = []
     for g in gens:
         if span.insert(g):

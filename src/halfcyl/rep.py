@@ -30,7 +30,7 @@ __all__ = [
     "RepConfig", "TruncatedOperator", "GeneratorSet",
     "build_generators", "casimir", "spectrum_p", "rotation_rep",
     "exp_generator", "boost_norm", "boost_columns", "gram_weights", "toeplitz_measure_test",
-    "interior_residual", "commutator", "sin_cos", "parity_similarity", "tol",
+    "interior_residual", "commutator", "sin_cos", "tol",
     "REALIZATIONS", "PHASE_CONVENTIONS",
 ]
 
@@ -206,11 +206,6 @@ def interior_residual(expr: TruncatedOperator, trim_bottom: int = 0) -> float:
         if seg.size:
             parts.append(np.abs(seg).max())
     return worst_of(parts)
-
-
-def parity_similarity(N: int) -> np.ndarray:
-    """diag((-1)^n); conjugation maps creation_plus to disc_minus and back."""
-    return np.diag((-1.0) ** np.arange(N + 1))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -188,8 +189,8 @@ def _lie_cell(rng) -> list:
     def dictionary():
         for l in (1, 2, 3):
             maps = [lie.vector_field_to_so12(l, v)
-                    for v in ((1 / l) * lie.witt_T(), (1 / l) * lie.witt_S(l),
-                              (1 / l) * lie.witt_C(l))]
+                    for v in (Fraction(1, l) * lie.witt_T(), Fraction(1, l) * lie.witt_S(l),
+                              Fraction(1, l) * lie.witt_C(l))]
             yield np.abs(np.array([m.as_array() for m in maps]) - np.eye(3)).max()
 
     return judge([
@@ -435,7 +436,6 @@ def run_suite(config: SuiteConfig) -> CheckReport:
         "profile": config.profile,
         "seed": config.seed,
         "momentum_map_sign": cl.MOMENTUM_MAP_SIGN,
-        "svd_rank_threshold": lie.FLOAT_RANK_THRESHOLD,
     })
 
 

@@ -10,10 +10,11 @@ from halfcyl.classical import (
     MOMENTUM_MAP_SIGN, CoveringElement, PhasePoint, TrigPoly,
     act_auxiliary, act_lifted, admissibility_audit, angle_gap,
     auxiliary_symplectic_residual, check_symplectic, compose, compose_auxiliary,
-    hamiltonian_vector_field, inverse, lift_hamiltonian, lightcone_inverse,
-    lightcone_map, lightcone_equivariance_residual, poisson_bracket,
+    hamiltonian_vector_field, inverse, lift_hamiltonian, lightcone_map,
+    lightcone_equivariance_residual, poisson_bracket,
     poisson_bracket_poly, rotation_element, transport,
 )
+from halfcyl.exact import QC
 
 RNG = np.random.default_rng(20260808)
 
@@ -245,7 +246,8 @@ def test_poisson_matches_derivative_product_form(f, g):
     got = poisson_bracket(lift_hamiltonian(f), lift_hamiltonian(g)).base
     want = f.derivative().product(g) - f.product(g.derivative())
     assert got == want
-    assert got.is_exact and got.coeffs == want.coeffs
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is QC for c in got.coeffs.values())
 
 
 def test_momentum_map_sign_stable():
@@ -260,6 +262,14 @@ def test_momentum_map_sign_stable():
 def test_trigpoly_reality_enforced():
     with pytest.raises(ValueError):
         TrigPoly({1: 1.0})
+
+
+def test_trigpoly_reality_check_is_exact():
+    # a 1e-13 imaginary part is a real mismatch, however small
+    with pytest.raises(ValueError, match="not a real polynomial"):
+        TrigPoly({1: 0.5 + 1e-13j, -1: 0.5})
+    ok = TrigPoly({0: 0.25, 1: 0.5 + 1e-13j, -1: 0.5 - 1e-13j})
+    assert ok.modes[-1] == ok.modes[1].conjugate() == QC(0.5, -1e-13)
 
 
 def test_stabilizer_vanishes_on_fiber():
@@ -373,19 +383,15 @@ def test_lightcone_null_and_positive():
         assert v[0] > 0
 
 
-def test_lightcone_roundtrip():
-    assert lightcone_inverse((1.0, 1.0, 0.0), 1) == PhasePoint(0.0, 1.0)
-    for _ in range(50):
-        x = random_point()
-        y = lightcone_inverse(lightcone_map(x, 1), 1)
-        assert angle_distance(y.phi, x.phi) < 1e-12 and abs(y.p - x.p) < 1e-12
-
-
-def test_lightcone_inverse_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lightcone_inverse((1.0, 0.5, 0.0), 1)  # not null
-    with pytest.raises(ValueError):
-        lightcone_inverse((-1.0, -1.0, 0.0), 1)  # x0 <= 0
+def test_lightcone_map_matches_closed_form():
+    # (x0, x1, x2) = (p, p cos l phi, -p sin l phi); the null check alone
+    # is blind to a common scale, this comparison is not
+    rng = np.random.default_rng(1999)
+    for _ in range(100):
+        l = int(rng.integers(1, 4))
+        x = PhasePoint(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(-2, 2)))
+        want = np.array([x.p, x.p * math.cos(l * x.phi), -x.p * math.sin(l * x.phi)])
+        assert np.abs(lightcone_map(x, l) - want).max() <= 1e-12 * x.p
 
 
 def test_lightcone_equivariance():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from halfcyl import exact
 from halfcyl.classical import MomentumFunction, TrigPoly, poisson_bracket
 from halfcyl.exact import QC
-from halfcyl.lie import WittElement, witt_closure
+from halfcyl.lie import L, WittElement, witt_closure
 
 small_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 parts = st.one_of(st.integers(-10 ** 30, 10 ** 30),
@@ -31,11 +31,15 @@ operands = st.one_of(
 
 
 def _ref_exact(v):
-    """Reference lift: the Fraction pair of an exact operand, else None."""
+    """Reference lift: the Fraction pair of a number operand, else None.  A
+    float or complex counts as the exact binary value that it stores."""
     if isinstance(v, tuple):
         return v
     if isinstance(v, Rational):
         return Fraction(v), Fraction(0)
+    if isinstance(v, (float, complex)):
+        z = complex(v)
+        return Fraction(z.real), Fraction(z.imag)
     return None
 
 
@@ -55,22 +59,15 @@ def _ref_op(name, a, b):
 
 
 def _expected(name, pair, other, reflected=False):
-    """(kind, value): an exact pair, a complex float, or an exception type."""
+    """(kind, value): an exact pair or an exception type."""
     b = _ref_exact(other)
-    if b is not None:
-        x, y = (b, pair) if reflected else (pair, b)
-        try:
-            return "exact", _ref_op(name, x, y)
-        except ZeroDivisionError:
-            return "raises", ZeroDivisionError
-    if isinstance(other, (float, complex)):
-        z, w = complex(float(pair[0]), float(pair[1])), complex(other)
-        x, y = (w, z) if reflected else (z, w)
-        try:
-            return "complex", getattr(operator, name)(x, y)
-        except ZeroDivisionError:
-            return "raises", ZeroDivisionError
-    return "raises", TypeError
+    if b is None:
+        return "raises", TypeError
+    x, y = (b, pair) if reflected else (pair, b)
+    try:
+        return "exact", _ref_op(name, x, y)
+    except ZeroDivisionError:
+        return "raises", ZeroDivisionError
 
 
 def _assert_matches(got, pair):
@@ -85,11 +82,7 @@ def _check(compute, kind, value):
         with pytest.raises(value):
             compute()
         return
-    got = compute()
-    if kind == "exact":
-        _assert_matches(got, value)
-    else:
-        assert type(got) is complex and got == value
+    _assert_matches(compute(), value)
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,14 +116,8 @@ def test_structure_matches_fraction_pairs(pair, other):
         assert repr(q) == f"{im}*i"
     else:
         assert repr(q) == f"({re} + {im}*i)"
-    b = _ref_exact(other)
     operand = QC(*other) if isinstance(other, tuple) else other
-    if b is not None:
-        expected = (re, im) == b
-    elif isinstance(other, (float, complex)):
-        expected = complex(float(re), float(im)) == complex(other)
-    else:
-        expected = False
+    expected = (re, im) == _ref_exact(other)
     assert (q == operand) is expected and (operand == q) is expected
     assert (q != operand) is not expected
 
@@ -139,7 +126,9 @@ def test_structure_matches_fraction_pairs(pair, other):
 @given(pair=exact_pairs, real=st.booleans())
 def test_equal_numbers_hash_equal(pair, real):
     """a == b implies hash(a) == hash(b) across QC, int, Fraction, float
-    and complex, so a QC finds its equal in a set or dict and back."""
+    and complex, so a QC finds its equal in a set or dict and back.  A
+    float that only approximates the value is unequal to it, as it is to
+    the equal Fraction."""
     re, im = pair[0], 0 if real else pair[1]
     forms = [QC(re, im), QC(3 * re, 3 * im) / 3, QC(re) + QC(0, im)]
     if im == 0:
@@ -147,16 +136,39 @@ def test_equal_numbers_hash_equal(pair, real):
         if re.denominator == 1:
             forms.append(int(re))
     z = complex(float(re), float(im))
-    if (Fraction(z.real), Fraction(z.imag)) == (re, im):  # exactly a float pair
-        forms += [z] if im else [z, z.real]
+    floats = [z] if im else [z, z.real]
+    stored = (Fraction(z.real), Fraction(z.imag)) == (re, im)  # exactly a float pair
+    if stored:
+        forms += floats
     for a in forms:
         assert all(a == b and hash(a) == hash(b) for b in forms)
+        for b in floats:
+            assert (a == b) is stored and (b == a) is stored
+            assert a != b or hash(a) == hash(b)
     assert len(set(forms)) == 1
 
 
 def test_qc_is_found_among_equal_ints_and_fractions():
     assert 3 in {QC(3)} and QC(3) in {3}
     assert QC(Fraction(1, 2)) in {Fraction(1, 2)} and Fraction(1, 2) in {QC(Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WittElement({0: float("nan")}),
+    lambda: WittElement({2: complex(1.0, float("inf"))}),
+    lambda: TrigPoly.const(float("inf")),
+    lambda: float("nan") * L(1),
+    lambda: QC(1) + float("-inf"),
+], ids=["witt-nan", "witt-complex-inf", "trig-inf", "nan-times-mode", "qc-plus-inf"])
+def test_non_finite_numbers_are_rejected(make):
+    with pytest.raises(ValueError, match="not finite"):
+        make()
+
+
+def test_non_finite_numbers_compare_unequal():
+    nan = float("nan")
+    assert (QC(1) == nan) is False and (nan == QC(1)) is False
+    assert QC(1) != complex(1.0, nan) and QC(0) != float("inf")
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), False, QC(0), QC(0, Fraction(0))])
@@ -194,7 +206,7 @@ def test_exact_bracket_matches_the_term_by_term_loop(a, b):
                 want[j + k] = want.get(j + k, QC(0)) + (k - j) * (p * q)
     got = x.bracket(y)
     assert got.coeffs == {m: c for m, c in want.items() if c}
-    assert got.is_exact
+    assert all(type(c) is QC for c in got.coeffs.values())
 
 
 def test_exact_bracket_paths_create_no_fraction(monkeypatch):

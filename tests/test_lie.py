@@ -4,7 +4,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcyl import lie
 from halfcyl.exact import QC
 from halfcyl.lie import (
     L, So12Element, WittElement, algebra_isomorphism, killing_form,
@@ -59,8 +58,8 @@ def test_bracket_jacobi_float_inputs():
         total = (witt_bracket(a, witt_bracket(b, c))
                  + witt_bracket(b, witt_bracket(c, a))
                  + witt_bracket(c, witt_bracket(a, b)))
-        worst = max((abs(v) for v in total.coeffs.values()), default=0.0)
-        assert worst < 1e-12
+        # floats lift to the dyadic rationals they store: Jacobi is exact
+        assert total.is_zero
 
 
 def test_bracket_bilinear():
@@ -70,17 +69,25 @@ def test_bracket_bilinear():
     assert lhs == rhs
 
 
-def test_exactness_demotion():
-    assert WittElement({0: Fraction(1, 3)}).is_exact
-    assert not WittElement({0: 0.5}).is_exact
-    assert not (WittElement({0: 1}) + WittElement({0: 0.5})).is_exact
+def _all_exact(elem):
+    return all(type(c) is QC for c in elem.coeffs.values())
+
+
+def test_float_coefficients_lift_exactly():
+    assert WittElement({0: 0.1}).coeffs[0] == QC(Fraction(0.1))
+    assert WittElement({0: 0.1}).coeffs[0] != QC(Fraction(1, 10))
+    assert WittElement({1: 0.5 - 0.25j}).coeffs[1] == QC(Fraction(1, 2), Fraction(-1, 4))
+    mixed = WittElement({0: 1}) + WittElement({0: 0.5, 2: Fraction(1, 3)})
+    assert _all_exact(mixed) and mixed.coeffs == {0: QC(Fraction(3, 2)), 2: QC(Fraction(1, 3))}
+    scaled = 0.1 * L(1)
+    assert _all_exact(scaled) and scaled.coeffs == {1: QC(Fraction(0.1))}
 
 
 def test_exact_scalar_times_element_stays_exact():
     for prod in (QC(2, 1) * WittElement({1: 1}), WittElement({1: 1}) * QC(2, 1)):
-        assert type(prod) is WittElement and prod.is_exact
+        assert type(prod) is WittElement and _all_exact(prod)
         assert prod.coeffs == {1: QC(2, 1)}
-    assert (QC(1, 3) * WittElement({1: 1, -2: Fraction(1, 2)}) - WittElement({})).is_exact
+    assert _all_exact(QC(1, 3) * WittElement({1: 1, -2: Fraction(1, 2)}) - WittElement({}))
 
 
 def test_exact_division_gives_fractions_and_integers_stay_integers():
@@ -191,7 +198,7 @@ def recombinations(draw):
 def test_rational_recombinations_close_exactly(gens):
     res = witt_closure(gens)
     assert res.closed and res.dimension == len(gens)
-    assert all(b.is_exact for b in res.basis)
+    assert all(map(_all_exact, res.basis))
 
 
 def test_closure_exact_recombination_regression():
@@ -201,7 +208,7 @@ def test_closure_exact_recombination_regression():
             WittElement({-4: 2, 0: -1, 4: -1})]
     res = witt_closure(gens)
     assert res.closed and res.dimension == 3
-    assert all(b.is_exact for b in res.basis)
+    assert all(map(_all_exact, res.basis))
 
 
 def test_closure_float_path():
@@ -211,25 +218,20 @@ def test_closure_float_path():
     assert not res.closed and res.witness_mode == 3
 
 
-def test_float_closure_ranks_each_candidate_once(monkeypatch):
-    # the span keeps its own rank, so an insert costs one SVD, not two
-    calls = {"rank": 0, "insert": 0}
-    rank, insert = lie._FloatSpan._rank, lie._FloatSpan.insert
-
-    def counted_rank(self, mat):
-        calls["rank"] += 1
-        return rank(self, mat)
-
-    def counted_insert(self, elem):
-        calls["insert"] += 1
-        return insert(self, elem)
-
-    monkeypatch.setattr(lie._FloatSpan, "_rank", counted_rank)
-    monkeypatch.setattr(lie._FloatSpan, "insert", counted_insert)
-    res = witt_closure([WittElement({-2: 1.0}), WittElement({0: 0.5}),
-                        WittElement({2: 2.0, 0: 0.25})])
+def test_float_tower_closes_with_an_exact_basis():
+    gens = [WittElement({-3: 0.7, 0: 0.1}), WittElement({0: 1.3, 3: -0.2}),
+            WittElement({-3: 0.25, 3: 1e-3})]
+    res = witt_closure(gens)
     assert res.closed and res.dimension == 3
-    assert calls["insert"] > 3 and calls["rank"] == calls["insert"]
+    assert all(map(_all_exact, res.basis))
+
+
+def test_float_rank_is_exact_rank():
+    # 1e-12 is far below any relative singular-value cutoff, but it is a
+    # nonzero dyadic rational, so the two generators are independent
+    res = witt_closure([WittElement({0: 1.0}), WittElement({0: 1.0, 1: 1e-12})])
+    assert res.closed and res.dimension == 2
+    assert {b.support for b in res.basis} == {(0,), (0, 1)}
 
 
 def test_closure_preconditions():

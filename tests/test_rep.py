@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from halfcyl.rep import (
     REALIZATIONS, RepConfig, TruncatedOperator, boost_norm, build_generators, casimir,
     commutator, exp_generator, gram_weights, interior_residual,
-    parity_similarity, rotation_rep, spectrum_p, toeplitz_measure_test, tol,
+    rotation_rep, spectrum_p, toeplitz_measure_test, tol,
 )
 
 K_GRID = (0.25, 0.5, 1.0, 1.5, 3.0)
@@ -147,16 +147,17 @@ def test_boundary_differs_but_is_weighted_adjoint():
 
 
 def test_parity_similarity_swaps_conventions():
+    # the diag((-1)^n) similarity scales band d by (-1)^d, exactly
     cfg_p = RepConfig(k=0.8, N=24)
     cfg_m = RepConfig(k=0.8, N=24, phase_convention="disc_minus")
-    S = parity_similarity(24)
     for realization in REALIZATIONS:
         gp = build_generators(realization, cfg_p)
         gm = build_generators(realization, cfg_m)
         for name in ("H", "Tplus", "Tminus", "T0", "T1", "T2"):
-            mp = getattr(gp, name).matrix
-            mm = getattr(gm, name).matrix
-            assert np.abs(S @ mp @ S - mm).max() == 0.0
+            bp, bm = getattr(gp, name).bands, getattr(gm, name).bands
+            assert set(bp) == set(bm)
+            for d, b in bp.items():
+                assert np.array_equal(bm[d], (-1) ** d * b)
 
 
 # ---------------------------------------------------------------------------
