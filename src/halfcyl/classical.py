@@ -159,6 +159,8 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     rounding error ~ u / h (u the unit roundoff); the default step
     h = (u l)^{1/3} / l balances the two, which keeps the residual of a
     correct map near 1e-7 even at l = 10^6.  An explicit h is used as given.
+    A step below the float spacing at phi, where phi + h == phi - h, raises
+    ValueError.
     """
     if h is None:
         h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l
@@ -166,6 +168,8 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
         raise ValueError("step h must be positive")
     phi = x.phi
     dphi = (phi + h) - (phi - h)
+    if not dphi:
+        raise ValueError(f"step h = {h:.3g} is below the float spacing at phi = {phi:.17g}")
     d_disp = (_mobius_step(g, phi + h)[0] - _mobius_step(g, phi - h)[0]) / dphi
     m = _mobius_step(g, phi)[1]
     return abs((1.0 + d_disp) * m - 1.0)
@@ -285,6 +289,8 @@ class AdmissibilityReport:
     sgp_pass iff the gcd of occurring nonzero modes is 1 (a coarser set can
     only generate 2 pi / divisor - periodic functions); a common zero of the
     base fields is a fiber fixed by the whole set, killing transitivity.
+    fixed_fiber is the smallest such angle in [0, 2 pi), decided from the
+    exact gcd of the fields (0.0 when every field vanishes identically).
     """
 
     period_divisor: int
@@ -293,80 +299,73 @@ class AdmissibilityReport:
     sgp_pass: bool
 
 
-_ROOT_RESIDUAL_TOL = 1e-10
+# a root w of the square-free gcd s lies on |z| = 1 when ||w| - 1| is within
+# this times sum |s_k| / |s'(w)|, the first-order rounding error of a simple
+# root: the audit's one float decision, never whether the fields share a zero
+_ROOT_ROUNDING = 64 * _UNIT_ROUNDOFF
 
 
-def _circle_roots(f: TrigPoly):
-    """Zeros of f on [0, 2 pi), via companion-matrix roots of the Laurent
-    polynomial plus Newton polish where the root is simple."""
-    if f.is_zero or f.support == (0,):
-        return []
+def _monic(p):
+    """p (QC coefficients, highest degree first) stripped and made monic; [] is 0."""
+    while p and not p[0]:
+        p = p[1:]
+    return [c / p[0] for c in p] if p else []
+
+
+def _divmod(a, b):
+    """Exact quotient and remainder (leading zeros kept) of a by the monic b."""
+    q, r = [], a
+    while len(r) >= len(b):
+        q.append(r[0])
+        r = [x - r[0] * y for x, y in zip(r[1:], b[1:])] + r[len(b):]
+    return q, r
+
+
+def _gcd(a, b):
+    """Monic gcd by Euclid's algorithm."""
+    while b:
+        a, b = b, _monic(_divmod(a, b)[1])
+    return a
+
+
+def _circle_poly(f: TrigPoly):
+    """Monic z^m f(z), m = max |mode|, zero at z = e^{i phi} where f(phi) = 0."""
     m = max(abs(j) for j in f.support)
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    for j, c in f.modes.items():
-        coeffs[j + m] = complex(c)
-    poly = coeffs[::-1]  # np.roots wants the highest degree first
-    poly = np.trim_zeros(poly, "f")
-    if poly.size < 2:
-        return []
-    roots = np.roots(poly)
-    fp = f.derivative()
-    scale = max(abs(complex(c)) for c in f.modes.values())
-    out = []
-    for w in roots:
-        if abs(abs(w) - 1.0) > 1e-6:
-            continue
-        phi = math.atan2(w.imag, w.real) % TWO_PI
-        for _ in range(50):  # Newton, safeguarded against flat derivatives
-            d = fp(phi)
-            if abs(d) < 1e-8 * scale:
-                break
-            step = f(phi) / d
-            if abs(step) > 0.5:
-                break
-            phi -= step
-            if abs(step) < 1e-15:
-                break
-        phi %= TWO_PI
-        if abs(f(phi)) <= _ROOT_RESIDUAL_TOL * max(1.0, scale):
-            out.append(phi)
-    out.sort()
-    deduped = []
-    for phi in out:
-        if not deduped or min(abs(phi - q) for q in deduped) > 1e-6:
-            deduped.append(phi)
-    return deduped
+    return _monic([f.get(j) for j in range(m, -m - 1, -1)])
+
+
+def _first_circle_zero(g):
+    """Smallest phi in [0, 2 pi) with g(e^{i phi}) = 0, or None: a root of the
+    square-free part s = g / gcd(g, g'), all of whose roots are simple, tested
+    exactly at z = 1 and placed by ``np.roots`` elsewhere."""
+    n = len(g) - 1
+    s = _divmod(g, _gcd(g, _monic([c * (n - i) for i, c in enumerate(g[:-1])])))[0]
+    if not sum(s, QC(0)):
+        return 0.0
+    p = np.array([complex(c) for c in s])
+    ds, err = np.polyder(p), _ROOT_ROUNDING * np.abs(p).sum()
+    return min((cmath.phase(w) % TWO_PI for w in np.roots(p)
+                if abs(abs(w) - 1.0) * abs(np.polyval(ds, w)) <= err), default=None)
 
 
 def admissibility_audit(generators) -> AdmissibilityReport:
     """Audit a generating set of momentum functions p * f_i(phi).
 
-    period_divisor is the gcd of all nonzero mode indices (0-modes ignored);
-    the fixed fiber, if any, is a common zero of the base fields found by
-    root isolation; transitivity additionally needs a rotation part (some
-    generator with a nonzero 0-mode).
+    period_divisor is the gcd of all nonzero mode indices (0-modes ignored).
+    The base fields share a zero exactly when the gcd of their circle
+    polynomials z^m f_i(z), taken by Euclid's algorithm over the exact
+    coefficients, has a root on |z| = 1; the fixed fiber is the smallest
+    angle of such a root.  Transitivity additionally needs a rotation part
+    (some generator with a nonzero 0-mode).
     """
     gens = list(generators)
     if not gens:
         raise ValueError("generators must be nonempty")
     modes = sorted({abs(j) for F in gens for j in F.base.support if j != 0})
     divisor = reduce(math.gcd, modes, 0)
-
-    fixed = None
     bases = [F.base for F in gens if not F.base.is_zero]
-    if not bases:
-        fixed = 0.0  # every generator vanishes: all fibers are fixed
-    else:
-        candidates = []
-        for f in bases:
-            candidates.extend(_circle_roots(f))
-        for phi in sorted(candidates):
-            scales = [max(abs(complex(c)) for c in f.modes.values()) for f in bases]
-            if all(abs(f(phi)) <= _ROOT_RESIDUAL_TOL * max(1.0, s)
-                   for f, s in zip(bases, scales)):
-                fixed = phi
-                break
-
+    # when every generator vanishes, every fiber is fixed
+    fixed = _first_circle_zero(reduce(_gcd, map(_circle_poly, bases))) if bases else 0.0
     has_rotation = any(0 in F.base.support for F in gens)
     transitive = fixed is None and has_rotation
     return AdmissibilityReport(period_divisor=divisor, fixed_fiber=fixed,

@@ -163,12 +163,12 @@ def _cmd_orbit(args) -> int:
     a, b = _parse_point(args.src), _parse_point(args.dst)
     try:
         g = cl.transport(a, b, args.l)
+        symp = cl.check_symplectic(g, a)
     except ValueError as exc:
         raise ConfigError(str(exc))
     y = cl.act_lifted(g, a)
     res_phi = cl.angle_gap(y.phi, b.phi)
     res_p = abs(y.p - b.p)
-    symp = cl.check_symplectic(g, a)
     doc = {
         "l": args.l,
         "gamma": [g.gamma.real, g.gamma.imag],

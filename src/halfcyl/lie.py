@@ -98,9 +98,10 @@ class ClosureResult:
 
 
 def _sort_key(elem: WittElement):
+    """Total order on exact values: the support, then each coefficient's
+    canonical integer triple."""
     return (elem.support,
-            tuple((complex(c).real, complex(c).imag)
-                  for _, c in sorted(elem.coeffs.items())))
+            tuple((c._x, c._y, c._d) for _, c in sorted(elem.coeffs.items())))
 
 
 def _top_mode(elem: WittElement) -> int:
@@ -265,7 +266,7 @@ def vector_field_to_so12(l: int, v: WittElement) -> So12Element:
     """Map a real field in span{T, S_l, C_l} to so(1,2) via T/l -> T0 etc.
 
     Rejects elements outside the admissible span with a diagnostic naming
-    the offending mode, and non-real combinations.
+    the offending mode, and combinations that are not exactly real.
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
@@ -274,10 +275,8 @@ def vector_field_to_so12(l: int, v: WittElement) -> So12Element:
         if j not in allowed:
             raise ValueError(f"mode {j} not in l={l} span")
     a0, ap, am = v.get(0), v.get(l), v.get(-l)
-    b0 = complex(-1j * complex(a0))
-    b1 = complex(ap) - complex(am)
-    b2 = complex(-1j * (complex(ap) + complex(am)))
-    for name, b in (("T", b0), ("S", b1), ("C", b2)):
-        if abs(b.imag) > 1e-12:
+    coeffs = {"T": -QC_I * a0, "S": ap - am, "C": -QC_I * (ap + am)}
+    for name, b in coeffs.items():
+        if b.im:
             raise ValueError(f"coefficient of {name}_{l} is not real: {b}")
-    return So12Element(l * b0.real, l * b1.real, l * b2.real)
+    return So12Element(*(l * complex(b).real for b in coeffs.values()))

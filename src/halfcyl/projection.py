@@ -132,7 +132,7 @@ def isometry_report(ps: ProjectedSpace, label=None) -> list:
     # leading top x top block, which therefore carries the rank and column 0
     top = 1 + max((int(np.flatnonzero(b).max()) + abs(d)
                    for d, b in defect.bands.items() if b.any()), default=0)
-    head = defect.block(0, top).matrix
+    head = defect.block(0, top).dot(np.eye(top))
 
     def hermitean_gap(op):
         m = ps.project(op)

@@ -71,12 +71,11 @@ class TruncatedOperator:
     product of banded operators costs O(dim * bands * bands).  Composites
     add reaches, sums take the max; the interior span where identities are
     exact consists of the columns 0..dim-1-reach.  Bands are the only
-    storage, each of shape (dim - |d|,); ``matrix`` is a cached, read-only
-    dense view built from them, for tests and for the leading blocks
-    compared with the boost exponentials.
+    storage, each of shape (dim - |d|,); ``matrix`` is a read-only dense
+    view built from them on every read, for tests and benchmarks.
     """
 
-    __slots__ = ("bands", "dim", "reach", "_dense")
+    __slots__ = ("bands", "dim", "reach")
 
     def __init__(self, bands: dict, dim: int, reach: int):
         """Operator with the given diagonals; the arrays are frozen, not copied."""
@@ -85,13 +84,13 @@ class TruncatedOperator:
                 raise ValueError(f"band {d} of a dim-{dim} operator has shape "
                                  f"{b.shape}, expected ({dim - abs(d)},)")
             b.setflags(write=False)
-        self.bands, self.dim, self.reach, self._dense = bands, dim, reach, None
+        self.bands, self.dim, self.reach = bands, dim, reach
 
     @classmethod
-    def diag(cls, values, reach: int = 0) -> "TruncatedOperator":
+    def diag(cls, values) -> "TruncatedOperator":
         """Diagonal operator diag(values)."""
         values = np.asarray(values, dtype=complex)
-        return cls({0: values}, values.size, reach)
+        return cls({0: values}, values.size, 0)
 
     @property
     def interior(self):
@@ -100,16 +99,14 @@ class TruncatedOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._dense is None:
-            n = self.dim
-            m = np.zeros((n, n), dtype=complex)
-            flat = m.reshape(-1)
-            for d, b in self.bands.items():
-                start = d if d >= 0 else -d * n
-                flat[start:start + b.size * (n + 1):n + 1] = b
-            m.setflags(write=False)
-            self._dense = m
-        return self._dense
+        n = self.dim
+        m = np.zeros((n, n), dtype=complex)
+        flat = m.reshape(-1)
+        for d, b in self.bands.items():
+            start = d if d >= 0 else -d * n
+            flat[start:start + b.size * (n + 1):n + 1] = b
+        m.setflags(write=False)
+        return m
 
     def max_abs(self) -> float:
         """Largest entry modulus; NaN if any entry is NaN."""

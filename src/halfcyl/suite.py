@@ -342,7 +342,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         h = 1e-3 / max(1.0, boost_norm(rc))
         fd = (-exp_generator("T1", 2 * h, rc) + 8 * exp_generator("T1", h, rc)
               - 8 * exp_generator("T1", -h, rc) + exp_generator("T1", -2 * h, rc)) / (12 * h)
-        return np.abs(fd - gs.T1.block(0, rows).matrix[:, :cols]).max()
+        return np.abs(fd - gs.T1.block(0, rows).dot(np.eye(rows, cols))).max()
 
     # exp(t T) H exp(-t T) = cosh t H + sinh t [T, H] is tridiagonal, so each
     # column n of exp(t T) is its eigenvector with eigenvalue k + n

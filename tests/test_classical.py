@@ -188,6 +188,12 @@ def test_symplectic_rejects_bad_step():
         check_symplectic(CoveringElement(0, 0, 1), PhasePoint(1, 1), h=0.0)
 
 
+def test_symplectic_rejects_step_below_float_spacing():
+    # phi + h == phi - h: the central difference would divide by zero
+    with pytest.raises(ValueError, match="step h = 1e-20 is below the float spacing"):
+        check_symplectic(CoveringElement(0, 0, 1), PhasePoint(1, 1), h=1e-20)
+
+
 # ---------------------------------------------------------------------------
 # momentum functions and Poisson brackets
 # ---------------------------------------------------------------------------
@@ -308,17 +314,56 @@ def test_audit_fixed_fiber():
             lift_hamiltonian(TrigPoly.const(1) + TrigPoly.sin(1))]
     rep = admissibility_audit(gens)
     assert rep.fixed_fiber is not None
-    assert abs(rep.fixed_fiber - 1.5 * math.pi) < 1e-10
+    assert abs(rep.fixed_fiber - 1.5 * math.pi) < 1e-12
     assert not rep.transitive
 
 
 def test_audit_two_dim_other_class():
-    # cos(2 phi) and 1 - sin(2 phi) share the zero at phi = pi/4
+    # cos(2 phi) and 1 - sin(2 phi) share the zero at phi = pi/4, a double
+    # zero of the second field
     gens = [lift_hamiltonian(TrigPoly.cos(2)),
             lift_hamiltonian(TrigPoly.const(1) - TrigPoly.sin(2))]
     rep = admissibility_audit(gens)
     assert rep.fixed_fiber is not None
-    assert abs(rep.fixed_fiber - math.pi / 4) < 1e-8
+    assert abs(rep.fixed_fiber - math.pi / 4) < 1e-12
+
+
+def test_audit_stabilizer_fixes_phi_zero_exactly():
+    # cos 2 phi - 1 = -2 sin^2 phi: double zeros at 0 and pi
+    rep = admissibility_audit([lift_hamiltonian(TrigPoly.cos(2) - TrigPoly.const(1))])
+    assert rep.fixed_fiber == 0.0
+
+
+def test_audit_nearby_distinct_zeros_fix_no_fiber():
+    # sin phi vanishes at 0 and pi, g = sin(phi - 1e-11) at 1e-11 and
+    # pi + 1e-11: no common zero, though each field is below 1e-10 at the
+    # other's zeros
+    g = math.cos(1e-11) * TrigPoly.sin(1) - math.sin(1e-11) * TrigPoly.cos(1)
+    rep = admissibility_audit([lift_hamiltonian(TrigPoly.sin(1)), lift_hamiltonian(g)])
+    assert rep.fixed_fiber is None
+
+
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+rational_trig = st.builds(lambda a0, terms: sum(
+    (a * TrigPoly.cos(l) + b * TrigPoly.sin(l) for l, a, b in terms), TrigPoly.const(a0)),
+    rational, st.lists(st.tuples(st.integers(1, 3), rational, rational), max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_trig, rational_trig,
+       st.fractions(min_value=-1, max_value=1, max_denominator=1000).filter(
+           lambda r: abs(r) < 1))
+def test_audit_finds_a_planted_common_zero(a, b, r):
+    # c = cos phi - r vanishes at +-acos(r), so a c and b c share that zero
+    # (and perhaps others, when a and b share one)
+    c = TrigPoly.cos(1) - TrigPoly.const(r)
+    fields = [a.product(c), b.product(c)]
+    rep = admissibility_audit([lift_hamiltonian(f) for f in fields])
+    assert rep.fixed_fiber is not None
+    assert rep.fixed_fiber <= math.acos(r) + 1e-12
+    for f in fields:
+        scale = sum(abs(complex(x)) for x in f.coeffs.values())
+        assert abs(f(rep.fixed_fiber)) <= 1e-12 * scale
 
 
 def test_audit_requires_generators():

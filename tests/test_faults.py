@@ -7,12 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from halfcyl import equivalence, lie, projection, suite
+from halfcyl import classical, equivalence, lie, projection, suite
 from halfcyl.cli import main
 from halfcyl.rep import TruncatedOperator
 from halfcyl.suite import SuiteConfig, run_suite
 
 
+_admissibility_audit = classical.admissibility_audit
 _exp_generator = suite.exp_generator
 _witt_bracket = lie.witt_bracket
 _normalization_diagonal = equivalence.normalization_diagonal
@@ -86,6 +87,8 @@ FAULTS = [
      lambda a, b: -_witt_bracket(a, b), {"witt_structure_constants"}),
     ("2[a, b] for [a, b]", "halfcyl.lie.witt_bracket",
      lambda a, b: 2 * _witt_bracket(a, b), {"witt_structure_constants"}),
+    ("audit reads only the first generator", "halfcyl.classical.admissibility_audit",
+     lambda gens: _admissibility_audit(list(gens)[:1]), {"fixed_fiber_detection", "sgp_audit"}),
     # the module checkers' records
     ("c_3 x (1 + 1e-6)", "halfcyl.equivalence.normalization_diagonal",
      _perturbed_normalization, {"conjugation_T+", "conjugation_T-"}),

@@ -150,6 +150,14 @@ def test_closure_order_independent():
     assert all(r.closed and r.dimension == 3 for r in results)
 
 
+def test_closure_order_is_exact():
+    # the two constants differ by 1e-30, below the float spacing at 1/3: only
+    # an exact order tells them apart
+    a = WittElement({0: Fraction(1, 3), 1: 1})
+    b = WittElement({0: Fraction(1, 3) + Fraction(1, 10 ** 30), 1: 1})
+    assert witt_closure([a, b]).basis == witt_closure([b, a]).basis
+
+
 def test_closure_handles_combined_generators():
     # the closure of {L_0, L_1 + L_2} leaves any finite span
     res = witt_closure([L(0), L(1) + L(2)])
@@ -331,6 +339,12 @@ def test_dictionary_rejects_wrong_mode():
 def test_dictionary_rejects_non_real():
     with pytest.raises(ValueError, match="not real"):
         vector_field_to_so12(1, L(1))
+
+
+def test_dictionary_reality_check_is_exact():
+    # an imaginary T part of 1e-13 is not real, however small
+    with pytest.raises(ValueError, match="coefficient of T_1 is not real"):
+        vector_field_to_so12(1, witt_T() + WittElement({0: 1e-13}))
 
 
 def test_dictionary_is_bracket_homomorphism():

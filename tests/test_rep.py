@@ -362,8 +362,8 @@ def test_toeplitz_measure_only_at_half():
 # ---------------------------------------------------------------------------
 
 def test_reach_arithmetic():
-    a = TruncatedOperator.diag(np.ones(5), 1)
-    b = TruncatedOperator.diag(np.ones(5), 2)
+    a = TruncatedOperator({0: np.ones(5)}, 5, 1)
+    b = TruncatedOperator({0: np.ones(5)}, 5, 2)
     assert (a @ b).reach == 3
     assert (a + b).reach == 2
     assert (a - b).reach == 2

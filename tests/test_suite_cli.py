@@ -510,6 +510,14 @@ def test_cli_orbit_rejects_unrepresentable_momentum_ratio():
     assert "momentum ratio" in proc.stderr
 
 
+def test_cli_orbit_rejects_step_below_float_spacing():
+    # at l = 10^20 the default step (u l)^(1/3) / l is about 2e-19, below the
+    # float spacing at phi = 1, so the audit has no difference to take
+    proc = _run_cli("orbit", "--l", str(10 ** 20), "--from", "1,1", "--to", "1,2")
+    _assert_usage_error(proc)
+    assert "below the float spacing at phi = 1" in proc.stderr
+
+
 # Arrays of 10**17 entries (about an exbibyte) exceed any 64-bit address
 # space, so the allocation fails at once and nothing is ever touched.
 @pytest.mark.parametrize("args,config", [
