@@ -25,7 +25,7 @@ from .exact import QC, ModeSeries
 __all__ = [
     "PhasePoint", "CoveringElement", "TrigPoly", "MomentumFunction",
     "AdmissibilityReport",
-    "act_lifted", "compose", "inverse", "rotation_element", "boost_element",
+    "act_lifted", "compose", "inverse", "rotation_element",
     "angle_gap",
     "lift_hamiltonian", "poisson_bracket", "hamiltonian_vector_field",
     "check_symplectic", "admissibility_audit", "transport",
@@ -96,11 +96,6 @@ class CoveringElement:
 def rotation_element(l: int, dphi: float) -> CoveringElement:
     """Pure rotation moving every base angle by dphi."""
     return CoveringElement(0.0, 0.5 * l * dphi, l)
-
-
-def boost_element(l: int, s: float) -> CoveringElement:
-    """Boost fixing the fiber phi = 0, scaling its momentum by exp(2s)."""
-    return CoveringElement(math.tanh(s), 0.0, l)
 
 
 def compose(g1: CoveringElement, g2: CoveringElement) -> CoveringElement:
@@ -176,21 +171,21 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
 
 
 def transport(a: PhasePoint, b: PhasePoint, l: int = 1) -> CoveringElement:
-    """Covering element mapping a to b: rotation aligning the angles, then a
-    boost along the fiber (base flow tan(l phi/2) -> e^t tan(l phi/2)).
+    """Covering element mapping a to b: the rotation taking a.phi to 0, the
+    boost along that fiber (base flow tan(l phi/2) -> e^t tan(l phi/2)) by
+    tanh(s), then the rotation taking 0 to b.phi.  The three compose in
+    closed form to gamma = tanh(s) e^{il a.phi}, omega = l (b.phi - a.phi) / 2.
 
     Raises ValueError when the momentum ratio b.p / a.p is so far from 1
     (beyond about 3.5e16 either way) that the boost parameter tanh(s)
     rounds to +-1 and no covering element represents it.
     """
     s = 0.5 * (math.log(b.p) - math.log(a.p))
-    if not abs(math.tanh(s)) < 1.0:
+    t = math.tanh(s)
+    if not abs(t) < 1.0:
         raise ValueError(f"momentum ratio {b.p:.3g}/{a.p:.3g} is beyond the range of a "
                          f"representable boost (tanh of {s:.3g} rounds to +-1)")
-    rot_in = rotation_element(l, -a.phi)
-    boost = boost_element(l, s)
-    rot_out = rotation_element(l, b.phi)
-    return compose(rot_out, compose(boost, rot_in))
+    return CoveringElement(t * cmath.exp(1j * l * a.phi), 0.5 * l * (b.phi - a.phi), l)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .report import CheckReport
 from .suite import ConfigError, SuiteConfig, emit_spectrum, report_header, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# above this l the symplectic audit's rounding, about (u l)^(2/3), nears 1e-6
+ORBIT_MAX_L = 10 ** 6
 
 
 def _build_parser():
@@ -166,6 +168,9 @@ def _cmd_orbit(args) -> int:
         symp = cl.check_symplectic(g, a)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if args.l > ORBIT_MAX_L:
+        raise ConfigError(f"l = {args.l} is above {ORBIT_MAX_L}, the largest covering index at "
+                          f"which the symplectic audit's rounding stays below its 1e-6 gate")
     y = cl.act_lifted(g, a)
     res_phi = cl.angle_gap(y.phi, b.phi)
     res_p = abs(y.p - b.p)

@@ -11,8 +11,10 @@ and for every l the span of T/l, S_l/l, C_l/l is an so(1,2) copy.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -104,31 +106,43 @@ def _sort_key(elem: WittElement):
             tuple((c._x, c._y, c._d) for _, c in sorted(elem.coeffs.items())))
 
 
-def _top_mode(elem: WittElement) -> int:
+def _top_mode(modes) -> int:
     """Mode of largest |index| (ties resolved positive)."""
-    return max(elem.support, key=lambda j: (abs(j), j))
+    return max(modes, key=lambda j: (abs(j), j))
 
 
 class _ExactSpan:
-    """Row-echelon span over exact complex rationals, keyed by pivot mode."""
+    """Row-echelon span by fraction-free elimination (Bareiss 1968).
+
+    A row is a primitive Gaussian-integer multiple of an element, held as
+    ``{mode: (x, y)}`` for x + iy, and keyed by its pivot, its top mode.
+    The rows are kept in descending pivot order, so one pass reduces.
+    """
 
     def __init__(self):
-        self.rows = {}  # pivot mode -> monic WittElement
-
-    def reduce(self, elem):
-        for pivot in sorted(self.rows, key=lambda j: (abs(j), j), reverse=True):
-            c = elem.coeffs.get(pivot)
-            if c:
-                elem = elem - c * self.rows[pivot]
-        return elem
+        self.rows = []  # (pivot mode, row), pivots descending by (|j|, j)
 
     def insert(self, elem):
-        """Reduce elem; if independent, add it and return True."""
-        r = self.reduce(elem)
-        if r.is_zero:
+        """Reduce elem; if a remainder is left, add it as a row and return True.
+        A step r <- a r - c row (a the row's pivot entry, c r's) is a nonzero
+        multiple of the rational one, so zero tests and top modes agree."""
+        den = lcm(*(q._d for q in elem.coeffs.values()))
+        r = {j: (q._x * (den // q._d), q._y * (den // q._d)) for j, q in elem.coeffs.items()}
+        for pivot, row in self.rows:
+            if pivot not in r:
+                continue
+            (a, b), (u, v) = row[pivot], r[pivot]
+            out = {j: (a * x - b * y, a * y + b * x) for j, (x, y) in r.items()}
+            for j, (x, y) in row.items():
+                s, t = out.get(j, (0, 0))
+                out[j] = (s - u * x + v * y, t - u * y - v * x)
+            r = {j: xy for j, xy in out.items() if xy != (0, 0)}
+            g = gcd(*(n for xy in r.values() for n in xy))
+            if g > 1:
+                r = {j: (x // g, y // g) for j, (x, y) in r.items()}
+        if not r:
             return False
-        pivot = _top_mode(r)
-        self.rows[pivot] = (QC(1) / r.coeffs[pivot]) * r
+        insort(self.rows, (_top_mode(r), r), key=lambda e: (-abs(e[0]), -e[0]))
         return True
 
 
@@ -176,10 +190,10 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
             continue
         if max(abs(m) for m in c.support) > mode_bound:
             return ClosureResult(False, None, witness if witness is not None
-                                 else _top_mode(c))
+                                 else _top_mode(c.coeffs))
         if span.insert(c):
             if witness is None:
-                witness = _top_mode(c)
+                witness = _top_mode(c.coeffs)
             basis.append(c)
             n = len(basis) - 1
             if n + 1 > dim_bound:

@@ -19,6 +19,7 @@ _witt_bracket = lie.witt_bracket
 _normalization_diagonal = equivalence.normalization_diagonal
 _phase_operator = equivalence.phase_operator
 _theta_shift = projection.ThetaSpace.shift
+_transport = classical.transport
 
 
 def _reversed_boost(direction):
@@ -66,6 +67,27 @@ def _symmetric_bracket(a, b):
     return out
 
 
+class _AllButLast(list):
+    """A list whose iteration leaves out its last entry."""
+
+    def __iter__(self):
+        return iter(self[:-1])
+
+
+class _SpanSkippingLowestPivot(lie._ExactSpan):
+    """_ExactSpan that never reduces against its lowest pivot."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = _AllButLast()
+
+
+def _transport_without_final_rotation(a, b, l=1):
+    """transport with the rotation taking phi = 0 to b.phi left out."""
+    g = _transport(a, b, l)
+    return classical.CoveringElement(g.gamma, g.omega - 0.5 * l * b.phi, l)
+
+
 # (fault id, dotted name of the replaced attribute, its replacement, base
 # names of the records that must fail: every record of that base name, the
 # unlabeled ones of the lie and classical cells and the labeled ones of
@@ -87,6 +109,10 @@ FAULTS = [
      lambda a, b: -_witt_bracket(a, b), {"witt_structure_constants"}),
     ("2[a, b] for [a, b]", "halfcyl.lie.witt_bracket",
      lambda a, b: 2 * _witt_bracket(a, b), {"witt_structure_constants"}),
+    ("span never reduces against its lowest pivot", "halfcyl.lie._ExactSpan",
+     _SpanSkippingLowestPivot, {"witt_sl2_towers"}),
+    ("transport omits the final rotation", "halfcyl.classical.transport",
+     _transport_without_final_rotation, {"transport_roundtrip"}),
     ("audit reads only the first generator", "halfcyl.classical.admissibility_audit",
      lambda gens: _admissibility_audit(list(gens)[:1]), {"fixed_fiber_detection", "sgp_audit"}),
     # the module checkers' records

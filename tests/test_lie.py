@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -240,6 +242,84 @@ def test_float_rank_is_exact_rank():
     res = witt_closure([WittElement({0: 1.0}), WittElement({0: 1.0, 1: 1e-12})])
     assert res.closed and res.dimension == 2
     assert {b.support for b in res.basis} == {(0,), (0, 1)}
+
+
+def test_closure_runs_no_qc_arithmetic(monkeypatch):
+    # the bracket kernel and the span's elimination run on the integers of
+    # each QC, so closing a span never calls QC arithmetic
+    towers = ([WittElement({-3: 0.7, 0: 0.1}), WittElement({0: 1.3, 3: -0.2}),
+               WittElement({-3: 0.25, 3: 1e-3})],
+              [WittElement({0: Fraction(2, 3), 4: 2}), WittElement({-4: -4, 0: -1, 4: 3}),
+               WittElement({-4: 2, 0: -1, 4: -1})])
+
+    def forbidden(*args):
+        raise AssertionError("QC arithmetic in the closure search")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__neg__"):
+        monkeypatch.setattr(QC, name, forbidden)
+    for gens in towers:
+        res = witt_closure(gens)
+        assert res.closed and res.dimension == 3
+
+
+def _rank(elems):
+    """Exact rank over Q(i): half the rank over Q of every v and i v, written
+    as the real Fraction vectors (Re v, Im v) on the modes."""
+    modes = sorted({j for e in elems for j in e.coeffs})
+    rows = []
+    for e in elems:
+        re = [Fraction(e.get(j).re) for j in modes]
+        im = [Fraction(e.get(j).im) for j in modes]
+        rows += [re + im, [-x for x in im] + re]
+    rank = 0
+    for col in range(2 * len(modes)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank // 2
+
+
+_coefficient = rationals | st.floats(-4, 4)
+
+
+@st.composite
+def shared_mode_generators(draw):
+    """Rational and float generators on one mode set, and whether that set
+    lies in a closed <L_-l, L_0, L_l> or <L_0, L_l>; the last generator may
+    be a combination of two others, exact or off by 1e-12."""
+    l = draw(st.integers(1, 6))
+    modes = draw(st.sampled_from([(-l, 0, l), (0, l), (-l, l), (0, l, 2 * l)]))
+    gens = [WittElement(dict(zip(modes, draw(st.lists(
+        _coefficient, min_size=len(modes), max_size=len(modes))))))
+        for _ in range(draw(st.integers(1, 3)))]
+    if len(gens) >= 2 and draw(st.booleans()):
+        eps = draw(st.sampled_from([0, 1e-12, Fraction(1, 10 ** 12)]))
+        gens.append(draw(_coefficient) * gens[0] + draw(_coefficient) * gens[1]
+                    + WittElement({modes[-1]: eps}))
+    return gens, modes != (0, l, 2 * l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_mode_generators())
+def test_closed_basis_has_exact_rank_and_closes(case):
+    gens, in_closed_span = case
+    if all(g.is_zero for g in gens):
+        return
+    res = witt_closure(gens)
+    if in_closed_span:
+        assert res.closed
+    if not res.closed:
+        return
+    basis = list(res.basis)
+    assert _rank(basis) == res.dimension == _rank(basis + gens)
+    for a, b in itertools.combinations(basis, 2):
+        assert _rank(basis + [witt_bracket(a, b)]) == res.dimension
 
 
 def test_closure_preconditions():

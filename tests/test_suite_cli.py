@@ -510,6 +510,16 @@ def test_cli_orbit_rejects_unrepresentable_momentum_ratio():
     assert "momentum ratio" in proc.stderr
 
 
+@pytest.mark.parametrize("l", [10 ** 7, 10 ** 12])
+def test_cli_orbit_rejects_covering_index_beyond_the_audit(l):
+    # the audit's rounding, about (u l)^(2/3), passes the 1e-6 gate on a
+    # correct transport above l = 10^6 (1.9e-6 at l = 10^7), so such an l is
+    # refused rather than reported as a failed check
+    proc = _run_cli("orbit", "--l", str(l), "--from", "0,1", "--to", "1,2")
+    _assert_usage_error(proc)
+    assert "above 1000000" in proc.stderr
+
+
 def test_cli_orbit_rejects_step_below_float_spacing():
     # at l = 10^20 the default step (u l)^(1/3) / l is about 2e-19, below the
     # float spacing at phi = 1, so the audit has no difference to take
