@@ -10,13 +10,14 @@ the note of the ``scaling_hermitean`` line.
 
 import math
 
-from halfcyl.projection import halfline_commutator_residual, halfline_demo
+from halfcyl.projection import (HALFLINE_BOX, HALFLINE_POINTS,
+                                halfline_commutator_residual, halfline_demo)
 from halfcyl.report import CheckReport
 
 
 def main():
-    box = 4.0
-    grids = [64, 128, 256, 512, 1024]
+    box = HALFLINE_BOX
+    grids = [HALFLINE_POINTS * 2 ** i for i in range(5)]
     residuals = [halfline_commutator_residual(n, box) for n in grids]
     print(f"periodic log grid, box width {box}")
     print(f"{'n':>6} {'residual':>12} {'order':>7}")
@@ -24,7 +25,7 @@ def main():
         order = "" if i == 0 else f"{math.log2(residuals[i - 1] / r):7.3f}"
         print(f"{n:6d} {r:12.4e} {order:>7}")
 
-    rep = CheckReport(halfline_demo(grids[0], box))
+    rep = CheckReport(halfline_demo())
     print()
     for line in rep.summary_lines():
         print(line)

@@ -37,6 +37,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = 2.0 ** -53
+_AUXILIARY_STEP = 1e-5  # central-difference step of auxiliary_symplectic_residual
 
 # Global sign relating {F_v, F_w} to F_[v,w] for the lifted fields, measured
 # once from {p, p sin phi} = -p cos phi and asserted stable by the suite.
@@ -152,13 +153,17 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     so no branch seam is ever near.  The displacement oscillates as
     e^{il phi}, so the difference has truncation error ~ (l h)^2 and
     rounding error ~ u / h (u the unit roundoff); the default step
-    h = (u l)^{1/3} / l balances the two, which keeps the residual of a
-    correct map near 1e-7 even at l = 10^6.  An explicit h is used as given.
+    h = (u l)^{1/3} / l balances the two, times min(1, |1 + conj(gamma)
+    e^{il phi}|), the scale (times l) on which the displacement varies near
+    the Moebius pole.  The rounding part grows as (u l)^{2/3} (1 + |gamma|)
+    / (1 - |gamma|), so a correct map audits below 1e-6 up to l = 10^6
+    only near gamma = 0.  An explicit h is used as given.
     A step below the float spacing at phi, where phi + h == phi - h, raises
     ValueError.
     """
     if h is None:
-        h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l
+        w = abs(1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * x.phi))
+        h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l * min(1.0, w)
     if not h > 0:
         raise ValueError("step h must be positive")
     phi = x.phi
@@ -425,7 +430,7 @@ def compose_auxiliary(model: str, g1, g2):
     return (a1 + a2 / l1, l1 * l2)
 
 
-def auxiliary_symplectic_residual(model: str, g, x, h: float = 1e-5) -> float:
+def auxiliary_symplectic_residual(model: str, g, x) -> float:
     """Central-difference || J^T Omega J - Omega || for an auxiliary action."""
     if model == "affine_halfline":
         def flat(v):
@@ -444,8 +449,8 @@ def auxiliary_symplectic_residual(model: str, g, x, h: float = 1e-5) -> float:
     jac = np.zeros((n, n))
     for i in range(n):
         e = np.zeros(n)
-        e[i] = h
-        jac[:, i] = (flat(x0 + e) - flat(x0 - e)) / (2 * h)
+        e[i] = _AUXILIARY_STEP
+        jac[:, i] = (flat(x0 + e) - flat(x0 - e)) / (2 * _AUXILIARY_STEP)
     half = n // 2
     omega = np.block([[np.zeros((half, half)), np.eye(half)],
                       [-np.eye(half), np.zeros((half, half))]])

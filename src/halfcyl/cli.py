@@ -2,7 +2,7 @@
 
 Subcommands: verify (full check grid), spectrum, closure, orbit, equiv.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-config error.
+config error (any ``ValueError`` the library raises on an input).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .report import CheckReport
 from .suite import ConfigError, SuiteConfig, emit_spectrum, report_header, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-# above this l the symplectic audit's rounding, about (u l)^(2/3), nears 1e-6
+# above this l the symplectic audit's rounding, about (u l)^(2/3) times
+# (1 + |gamma|) / (1 - |gamma|), nears 1e-6 even at gamma = 0
 ORBIT_MAX_L = 10 ** 6
 
 
@@ -37,12 +38,14 @@ def _build_parser():
                    help="override the config profile")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="print the momentum spectrum hbar(k+n)")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="largest level index")
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(run=_cmd_spectrum)
 
     p = sub.add_parser("closure", help="bracket-closure search for Witt spans")
     p.add_argument("--generators", required=True,
@@ -50,17 +53,20 @@ def _build_parser():
                         " or 'L0+2*L2, 1/2*L1'")
     p.add_argument("--mode-bound", type=int, default=lie.DEFAULT_MODE_BOUND)
     p.add_argument("--dim-bound", type=int, default=lie.DEFAULT_DIM_BOUND)
+    p.set_defaults(run=_cmd_closure)
 
     p = sub.add_parser("orbit", help="transport witness between phase points")
     p.add_argument("--l", type=int, default=1, help="covering index")
     p.add_argument("--from", dest="src", required=True, metavar="PHI,P")
     p.add_argument("--to", dest="dst", required=True, metavar="PHI,P")
+    p.set_defaults(run=_cmd_orbit)
 
     p = sub.add_parser("equiv", help="projected picture vs phase-operator picture")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--mmin", type=int, default=0)
     p.add_argument("--m", type=int, default=48, help="cylinder window half-width")
     p.add_argument("--n", type=int, default=32, help="weight-basis cutoff")
+    p.set_defaults(run=_cmd_equiv)
     return parser
 
 
@@ -147,11 +153,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_closure(args) -> int:
     gens = parse_generators(args.generators)
-    try:
-        res = lie.witt_closure(gens, mode_bound=args.mode_bound,
-                               dim_bound=args.dim_bound)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    res = lie.witt_closure(gens, mode_bound=args.mode_bound, dim_bound=args.dim_bound)
     doc = {"closed": res.closed, "dimension": res.dimension,
            "witness_mode": res.witness_mode,
            "basis": [repr(b) for b in res.basis] if res.basis else None}
@@ -163,11 +165,8 @@ def _cmd_orbit(args) -> int:
     if args.l < 1:
         raise ConfigError("l must be a positive integer")
     a, b = _parse_point(args.src), _parse_point(args.dst)
-    try:
-        g = cl.transport(a, b, args.l)
-        symp = cl.check_symplectic(g, a)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    g = cl.transport(a, b, args.l)
+    symp = cl.check_symplectic(g, a)
     if args.l > ORBIT_MAX_L:
         raise ConfigError(f"l = {args.l} is above {ORBIT_MAX_L}, the largest covering index at "
                           f"which the symplectic audit's rounding stays below its 1e-6 gate")
@@ -188,11 +187,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    try:
-        ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
-        checks = identification_report(ps, N=args.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
+    checks = identification_report(ps, N=args.n)
     echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,
             "M": args.m, "N": args.n}
     # the meta names the cutoff as identification_report clamps it
@@ -201,9 +197,8 @@ def _cmd_equiv(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # argparse reads an option value of exactly "--" (--k=--) as an empty list
@@ -211,19 +206,11 @@ def main(argv=None) -> int:
     if empty:
         print(f"error: option {empty[0]!r} has no value", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "verify": _cmd_verify,
-        "spectrum": _cmd_spectrum,
-        "closure": _cmd_closure,
-        "orbit": _cmd_orbit,
-        "equiv": _cmd_equiv,
-    }
     try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # unreadable config, unwritable --out
+        return args.run(args)
+    # ConfigError and every library ValueError name an invalid input; an
+    # OSError is an unreadable config or an unwritable --out
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a size too large to allocate

@@ -224,11 +224,6 @@ def _exact_bracket(a: dict, b: dict) -> dict:
     return out
 
 
-def _canonical(coeffs: dict) -> dict:
-    """Drop zero coefficients."""
-    return {j: c for j, c in coeffs.items() if c}
-
-
 class ModeSeries:
     """Finite complex combination sum_j c_j e_j of integer modes.
 
@@ -244,13 +239,13 @@ class ModeSeries:
         lifted = {int(j): _lift(c) for j, c in (coeffs or {}).items()}
         if any(c is NotImplemented for c in lifted.values()):
             raise TypeError(f"mode coefficients must be numbers: {coeffs!r}")
-        self.coeffs = _canonical(lifted)
+        self.coeffs = {j: c for j, c in lifted.items() if c}
 
     @classmethod
     def _new(cls, coeffs):
         """Series from canonical scalars, without a subclass's input checks."""
         out = object.__new__(cls)
-        out.coeffs = _canonical(coeffs)
+        out.coeffs = {j: c for j, c in coeffs.items() if c}
         return out
 
     # -- queries --------------------------------------------------------

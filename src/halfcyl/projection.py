@@ -164,6 +164,9 @@ def isometry_report(ps: ProjectedSpace, label=None) -> list:
 # half-line demo on a periodic log grid
 # ---------------------------------------------------------------------------
 
+HALFLINE_POINTS, HALFLINE_BOX = 64, 4.0  # the demo's grid in x = ln q
+
+
 def _log_grid_operators(n_points: int, box_width: float, hbar: float):
     """Grid in x = ln q (measure dq/q = counting), q = e^x positive.
 
@@ -191,32 +194,28 @@ def halfline_commutator_residual(n_points: int, box_width: float,
     return float(np.abs(resid[inner]).max() / np.abs(psi).max())
 
 
-def halfline_demo(n_points: int = 128, box_width: float = 4.0,
-                  hbar: float = 1.0, label=None) -> list:
-    """Records of the positive-operator restriction of the line, on a
-    periodic log grid.
+def halfline_demo(hbar: float = 1.0, label=None) -> list:
+    """Records of the positive-operator restriction of the line, on the
+    periodic log grid of ``HALFLINE_POINTS`` points and width ``HALFLINE_BOX``.
 
     Exhibits: a positive-definite position operator, dilations as exact
     unitaries (their flow respects the half-line, unlike translations),
     a hermitean scaling generator and the canonical commutator at measured
     second order.  The plain momentum -i hbar d/dq is not hermitean on the
     half-line; its defect is carried in the note of ``scaling_hermitean``.
-    Fewer than 64 points raise ``ValueError``.
     """
-    if n_points < 64:
-        raise ValueError(f"n_points must be >= 64, got {n_points}")
-    _, q, dil, qp, mom = _log_grid_operators(n_points, box_width, hbar)
+    _, q, dil, qp, mom = _log_grid_operators(HALFLINE_POINTS, HALFLINE_BOX, hbar)
     q_min = np.diag(q).real.min()
     # r1, r2 and the defect fill notes, so they are computed before the rows run
-    r1 = halfline_commutator_residual(n_points, box_width, hbar)
-    r2 = halfline_commutator_residual(2 * n_points, box_width, hbar)
+    r1 = halfline_commutator_residual(HALFLINE_POINTS, HALFLINE_BOX, hbar)
+    r2 = halfline_commutator_residual(2 * HALFLINE_POINTS, HALFLINE_BOX, hbar)
     order = math.log2(r1 / r2)
     defect = np.abs(mom - mom.conj().T).max()
     return judge([
         ("position_positive", "spec(q) = e^x > 0", 0.0,
          lambda: max(0.0, -q_min), f"min eigenvalue {q_min:.3e}"),
         ("dilation_unitary", "U*U = 1 exactly", 0.0,
-         lambda: np.abs(dil.T @ dil - np.eye(n_points)).max()),
+         lambda: np.abs(dil.T @ dil - np.eye(HALFLINE_POINTS)).max()),
         ("scaling_hermitean", "(qp)* = qp exactly", 0.0,
          lambda: np.abs(qp - qp.conj().T).max(),
          f"plain momentum -i hbar d/dq: |p* - p| = {defect:.3e} (boundary symptom)"),

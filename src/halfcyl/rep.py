@@ -29,7 +29,8 @@ from .report import worst_of
 __all__ = [
     "RepConfig", "TruncatedOperator", "GeneratorSet",
     "build_generators", "casimir", "spectrum_p", "rotation_rep",
-    "exp_generator", "boost_norm", "boost_columns", "gram_weights", "toeplitz_measure_test",
+    "exp_generator", "boost_norm", "boost_columns", "boost_cutoff",
+    "gram_weights", "toeplitz_measure_test",
     "interior_residual", "commutator", "sin_cos", "tol",
     "REALIZATIONS", "PHASE_CONVENTIONS",
 ]
@@ -215,7 +216,6 @@ class GeneratorSet:
     T0: TruncatedOperator
     T1: TruncatedOperator
     T2: TruncatedOperator
-    realization: str
     config: RepConfig
 
 
@@ -281,8 +281,7 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     T0 = 1j * H
     T1 = 0.5 * (Tp - Tm)
     T2 = 0.5j * (Tp + Tm)
-    return GeneratorSet(H, Tp, Tm, T0, T1, T2,
-                        realization=realization, config=config)
+    return GeneratorSet(H, Tp, Tm, T0, T1, T2, config)
 
 
 def casimir(gs: GeneratorSet) -> TruncatedOperator:
@@ -331,7 +330,8 @@ def _boost_reach(t: float, k: float, n):
     """
     t = abs(t)
     tail = np.log(1e-13) / np.log(np.tanh(t / 2)) if t else 0.0
-    return np.exp(t) * (k + n) - k + tail * (1 + np.sqrt(k + n) / 6)
+    with np.errstate(over="ignore"):  # e^|t| (k + n) is inf for k near the float range
+        return np.exp(t) * (k + n) - k + tail * (1 + np.sqrt(k + n) / 6)
 
 
 def _boost_rows(config: RepConfig) -> int:
@@ -346,6 +346,12 @@ def boost_columns(t: float, config: RepConfig) -> int:
     rows = _boost_rows(config)
     reach = _boost_reach(t, config.k, np.arange(rows))
     return int(np.count_nonzero(reach <= rows))
+
+
+def boost_cutoff(t: float, k: float) -> float:
+    """Smallest N at which ``boost_columns`` certifies a column at weight k,
+    |t| <= 0.7: N + 1 rows reach column 0 (inf once its reach overflows)."""
+    return float(np.ceil(_boost_reach(t, k, 0))) - 1
 
 
 @functools.lru_cache(maxsize=1)

@@ -30,8 +30,8 @@ from .equivalence import (conjugate_realizations, identification_report,
                           phase_operator, sincos_operators, tplus_from_phase)
 from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
 from .report import CheckReport, judge, worst_of
-from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_norm,
-                  build_generators, casimir, commutator, exp_generator,
+from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_cutoff,
+                  boost_norm, build_generators, casimir, commutator, exp_generator,
                   gram_weights, interior_residual, rotation_rep, spectrum_p,
                   toeplitz_measure_test, tol)
 
@@ -42,6 +42,7 @@ PROFILES = ("physical", "full")
 
 # m_min values of the identification check in each profile's theta cell
 THETA_M_MINS = {"physical": (0,), "full": (0, 1, 3)}
+BOOST_TIMES = (0.1, 0.7)  # t of the rep cell's boosts exp(t T1), exp(t T2)
 
 
 class ConfigError(ValueError):
@@ -104,6 +105,12 @@ class SuiteConfig:
         object.__setattr__(self, "theta_values", theta_values)
         if not self.active_k_values:
             raise ConfigError(f"no k_values to check (physical keeps k <= 1), got {k_values}")
+        t = min(BOOST_TIMES)  # a grid that certifies no boost column cannot pass
+        for k in self.active_k_values:
+            if not boost_columns(t, RepConfig(k=k, N=self.N)):
+                raise ConfigError(f"N = {self.N} certifies no boost column at k = {k:g} "
+                                  f"(t = {t:g}); the smallest N that does is "
+                                  f"{boost_cutoff(t, k):.6g}")
 
     @property
     def active_k_values(self):
@@ -327,9 +334,9 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     # each boost exponential below is a probe block, columns of the
     # exponential of a leading block of rows; all share one cached SVD of the
     # chiral block of J (see rep._boost_svd)
-    boosts = {(d, t): exp_generator(d, t, rc) for d in ("T1", "T2") for t in (0.1, 0.7)}
-    rows, cols = boosts["T1", 0.1].shape
-    certified = {t: n for t in (0.1, 0.7) if (n := min(boost_columns(t, rc), cols))}
+    boosts = {(d, t): exp_generator(d, t, rc) for d in ("T1", "T2") for t in BOOST_TIMES}
+    rows, cols = boosts["T1", BOOST_TIMES[0]].shape
+    certified = {t: n for t in BOOST_TIMES if (n := min(boost_columns(t, rc), cols))}
     seen = ", ".join(f"0..{n - 1} at t={t:g}" for t, n in certified.items())
     u = phase_operator(gs)
 
@@ -431,7 +438,7 @@ def run_suite(config: SuiteConfig) -> CheckReport:
         checks += _rep_cell(k, config)
     for theta in config.theta_values:
         checks += _theta_cell(theta, config)
-    checks += halfline_demo(64, 4.0, config.hbar)
+    checks += halfline_demo(config.hbar)
     return CheckReport(checks, meta={
         "profile": config.profile,
         "seed": config.seed,

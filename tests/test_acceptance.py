@@ -226,7 +226,7 @@ def test_criterion_11_witt_closure():
 
 
 def test_criterion_12_halfline_demo():
-    recs = {r.name: r for r in halfline_demo(64, 4.0)}
+    recs = {r.name: r for r in halfline_demo()}
     positive = recs["position_positive"].residual == 0.0
     unitary = recs["dilation_unitary"].residual == 0.0
     r64 = halfline_commutator_residual(64, 4.0)

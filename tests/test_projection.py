@@ -167,22 +167,22 @@ def test_transported_operator_shape():
 # ---------------------------------------------------------------------------
 
 def test_halfline_demo_verdict():
-    rep = CheckReport(halfline_demo(64, 4.0))
+    rep = CheckReport(halfline_demo())
     assert rep.verdict, [r.name for r in rep.failures()]
 
 
 def test_halfline_position_positive():
-    rec = {r.name: r for r in halfline_demo(64, 4.0)}["position_positive"]
+    rec = {r.name: r for r in halfline_demo()}["position_positive"]
     assert rec.passed and rec.residual == 0.0
 
 
 def test_halfline_dilation_exactly_unitary():
-    rec = {r.name: r for r in halfline_demo(64, 4.0)}["dilation_unitary"]
+    rec = {r.name: r for r in halfline_demo()}["dilation_unitary"]
     assert rec.residual == 0.0
 
 
 def test_halfline_scaling_generator_hermitean():
-    rec = {r.name: r for r in halfline_demo(64, 4.0)}["scaling_hermitean"]
+    rec = {r.name: r for r in halfline_demo()}["scaling_hermitean"]
     assert rec.residual == 0.0
 
 
@@ -197,7 +197,7 @@ def test_halfline_commutator_second_order():
 def test_halfline_symptoms_live_in_notes():
     # the plain-momentum defect and the commutator residual are carried in
     # the notes of judged records, not as records of their own
-    rep = CheckReport(halfline_demo(64, 4.0))
+    rep = CheckReport(halfline_demo())
     recs = {r.name: r for r in rep.checks}
     assert set(recs) == {"position_positive", "dilation_unitary",
                          "scaling_hermitean", "commutator_order"}
@@ -209,8 +209,3 @@ def test_halfline_symptoms_live_in_notes():
     r1 = halfline_commutator_residual(64, 4.0)
     assert recs["commutator_order"].note.startswith(f"residuals {r1:.3e} -> ")
     assert rep.verdict
-
-
-def test_halfline_requires_enough_points():
-    with pytest.raises(ValueError):
-        halfline_demo(32, 4.0)

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halfcyl.rep import (
-    REALIZATIONS, RepConfig, TruncatedOperator, boost_norm, build_generators, casimir,
-    commutator, exp_generator, gram_weights, interior_residual,
+    REALIZATIONS, RepConfig, TruncatedOperator, boost_columns, boost_cutoff, boost_norm,
+    build_generators, casimir, commutator, exp_generator, gram_weights, interior_residual,
     rotation_rep, spectrum_p, toeplitz_measure_test, tol,
 )
 
@@ -477,6 +477,18 @@ def test_boost_norm_is_spectral_norm():
     gs = build_generators("fock", cfg)
     for gen in (gs.T1, gs.T2):
         assert abs(boost_norm(cfg) - np.linalg.norm(gen.matrix, 2)) < 1e-12 * boost_norm(cfg)
+
+
+# smallest N that certifies a boost column at t = 0.1, for each weight k
+@pytest.mark.parametrize("k, cutoff", [(0.25, 10), (0.5, 11), (1.0, 11), (1.5, 12),
+                                       (3.0, 13), (100.0, 37), (1000.0, 167)])
+@pytest.mark.parametrize("t", [0.1, -0.7])
+def test_boost_cutoff_is_the_smallest_certifying_n(k, cutoff, t):
+    n = int(boost_cutoff(t, k))
+    if t == 0.1:
+        assert n == cutoff
+    assert boost_columns(t, RepConfig(k=k, N=n)) > 0
+    assert boost_columns(t, RepConfig(k=k, N=n - 1)) == 0
 
 
 def _eigh_reference(direction, t, cfg):

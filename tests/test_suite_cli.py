@@ -98,10 +98,26 @@ def test_config_rejects_empty_grid(raw):
 
 
 def test_config_checks_window_against_largest_m_min():
-    SuiteConfig(N=5, M=8)  # physical: identification only at m_min = 0
+    SuiteConfig(N=16, M=8)  # physical: identification only at m_min = 0
     with pytest.raises(ConfigError, match="M must be >= 9"):
-        SuiteConfig(N=5, M=8, profile="full")
-    SuiteConfig(N=4, M=9, profile="full")
+        SuiteConfig(N=16, M=8, profile="full")
+    SuiteConfig(N=16, M=9, profile="full")
+
+
+@pytest.mark.parametrize("k,smallest", [(1000.0, "167"), (9e307, "9.46538e+306"),
+                                        (1.7e308, "inf")])
+def test_config_rejects_a_grid_that_certifies_no_boost_column(k, smallest):
+    # boost_adjoint_action would compare nothing at this k, so no run could pass
+    want = f"N = 64 certifies no boost column at k = .* is {re.escape(smallest)}$"
+    with pytest.raises(ConfigError, match=want):
+        SuiteConfig(k_values=(k,), profile="full")
+
+
+@pytest.mark.parametrize("profile,N", [("physical", 11), ("full", 13)])
+def test_smallest_grid_that_certifies_every_boost_passes(profile, N):
+    with pytest.raises(ConfigError, match=f"N = {N - 1} certifies no boost column"):
+        SuiteConfig(N=N - 1, profile=profile)
+    assert run_suite(SuiteConfig(N=N, profile=profile)).verdict
 
 
 def test_judge_rejects_a_row_without_a_tolerance():
@@ -202,7 +218,7 @@ def test_judge_only_renames_module_records():
     # a module checker's label renames its records and changes nothing else
     gs = build_generators("fock", RepConfig(k=1.0, N=16))
     for plain, labeled in ((sincos_operators(gs), sincos_operators(gs, "k=1")),
-                           (halfline_demo(64), halfline_demo(64, label="k=1"))):
+                           (halfline_demo(), halfline_demo(label="k=1"))):
         assert [r.name for r in labeled] == [r.name + "[k=1]" for r in plain]
         assert [replace(r, name=p.name) for r, p in zip(labeled, plain)] == plain
 
@@ -373,6 +389,19 @@ def test_cli_verify_rejects_string_number(tmp_path):
     _assert_usage_error(_run_cli("verify", config='{"hbar": "1"}', tmp_path=tmp_path))
 
 
+# one input per subcommand that the library itself rejects with a ValueError
+@pytest.mark.parametrize("args,config", [
+    (("closure", "--generators", "L-1,L0,L1", "--mode-bound", "-1"), None),
+    (("orbit", "--from", "0,1", "--to", "0,1e-300"), None),
+    (("equiv", "--theta", "1.5"), None),
+    (("spectrum", "--k", "-1", "--n", "3"), None),
+    (("verify",), '{"N": 8}')])
+def test_cli_library_value_error_is_a_usage_error(args, config, tmp_path):
+    proc = _run_cli(*args, config=config, tmp_path=tmp_path)
+    _assert_usage_error(proc)
+    assert proc.stderr.startswith("error: ")
+
+
 def test_cli_verify_rejects_infinite_k(tmp_path):
     _assert_usage_error(_run_cli("verify", config='{"k_values": [Infinity], "profile": "full"}',
                                  tmp_path=tmp_path))
@@ -416,6 +445,13 @@ def test_cli_orbit_audits_a_correct_transport_at_large_l(l, capsys):
     # l = 1000 and 6e-4 at l = 10^4, and 1e-5 / l gave 1.03e-6 at l = 10^5
     assert main(["orbit", "--l", str(l), "--from", "0,1", "--to", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out)["symplectic_residual"] < 1e-7
+
+
+def test_cli_orbit_audits_a_transport_near_the_moebius_pole(capsys):
+    # |gamma| = 0.9998: the displacement varies on the scale
+    # |1 + conj(gamma) e^{il phi}| / l, which the default step follows
+    assert main(["orbit", "--l", "1", "--from", "0,1", "--to", "0,0.0001"]) == 0
+    assert json.loads(capsys.readouterr().out)["symplectic_residual"] < 1e-9
 
 
 def test_cli_orbit_rejects_bad_point(capsys):
@@ -539,20 +575,14 @@ def test_cli_unallocatable_size_is_a_usage_error(args, config, tmp_path):
     assert proc.stderr.startswith("error: out of memory: ")
 
 
-# e^0.7 (k + 63) overflows to inf from k = 8.9e307 on: the boost probe block
-# still gets its rows, and the records that overflow at such a k fail as NaN
+# at such a k the boost reach is far beyond N = 64 (or overflows to inf), so
+# the config is refused with one line, and no overflow warning reaches stderr
 @pytest.mark.parametrize("k", [9e307, 1.7e308])
 def test_verify_at_overflowing_weight_reports_instead_of_raising(k, tmp_path):
     proc = _run_cli("verify", config=json.dumps({"k_values": [k], "profile": "full"}),
                     tmp_path=tmp_path)
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr
-
-    def reject(token):
-        raise ValueError(f"non-finite token {token} in report")
-
-    doc = json.loads(proc.stdout, parse_constant=reject)
-    assert doc["verdict"] == "fail"
-    assert any(c["residual"] is None for c in doc["checks"])
+    _assert_usage_error(proc)
+    assert "certifies no boost column" in proc.stderr
 
 
 def test_cli_equiv_builds_only_the_compared_block(tmp_path):
