@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from .exact import QC, ModeSeries
 
 __all__ = [
@@ -87,8 +85,10 @@ class CoveringElement:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "omega", float(self.omega) % (self.l * math.pi))
 
-    def su11_matrix(self) -> np.ndarray:
+    def su11_matrix(self):
         """Projected SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]]."""
+        import numpy as np
+
         aa = cmath.exp(1j * self.omega) / math.sqrt(1.0 - abs(self.gamma) ** 2)
         bb = aa * self.gamma
         return np.array([[aa, bb], [bb.conjugate(), aa.conjugate()]])
@@ -338,6 +338,8 @@ def _first_circle_zero(g):
     """Smallest phi in [0, 2 pi) with g(e^{i phi}) = 0, or None: a root of the
     square-free part s = g / gcd(g, g'), all of whose roots are simple, tested
     exactly at z = 1 and placed by ``np.roots`` elsewhere."""
+    import numpy as np
+
     n = len(g) - 1
     s = _divmod(g, _gcd(g, _monic([c * (n - i) for i, c in enumerate(g[:-1])])))[0]
     if not sum(s, QC(0)):
@@ -378,12 +380,16 @@ def admissibility_audit(generators) -> AdmissibilityReport:
 
 def lightcone_map(x: PhasePoint, l: int = 1):
     """(x0, x1, x2) = (p, Re p e^{-il phi}, Im p e^{-il phi}); null with x0 > 0."""
+    import numpy as np
+
     w = x.p * cmath.exp(-1j * l * x.phi)
     return np.array([x.p, w.real, w.imag])
 
 
 def lightcone_equivariance_residual(g: CoveringElement, x: PhasePoint) -> float:
     """Compare the lifted action with X -> A X A^dagger on the cone."""
+    import numpy as np
+
     x0, x1, x2 = lightcone_map(x, g.l)
     X = np.array([[x0, x1 - 1j * x2], [x1 + 1j * x2, x0]])
     A = g.su11_matrix()
@@ -432,6 +438,8 @@ def compose_auxiliary(model: str, g1, g2):
 
 def auxiliary_symplectic_residual(model: str, g, x) -> float:
     """Central-difference || J^T Omega J - Omega || for an auxiliary action."""
+    import numpy as np
+
     if model == "affine_halfline":
         def flat(v):
             return np.array(act_auxiliary(model, g, (v[0], v[1])))

@@ -3,22 +3,23 @@
 Subcommands: verify (full check grid), spectrum, closure, orbit, equiv.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error (any ``ValueError`` the library raises on an input).
+
+Each subcommand imports what it runs: ``spectrum``, ``closure`` and ``orbit``
+use only exact scalar code and never load numpy; ``verify`` and ``equiv``
+import the suite and the matrix modules when they start.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
-from . import classical as cl
 from . import lie
-from .equivalence import identification_report
-from .projection import ProjectedSpace, ThetaSpace
-from .report import CheckReport
-from .suite import ConfigError, SuiteConfig, emit_spectrum, report_header, run_suite
+from .report import CheckReport, ConfigError, _finite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 # above this l the symplectic audit's rounding, about (u l)^(2/3) times
@@ -104,7 +105,9 @@ def parse_generators(text: str):
     return [parse_witt_expression(p) for p in parts]
 
 
-def _parse_point(text: str) -> cl.PhasePoint:
+def _parse_point(text: str):
+    from . import classical as cl
+
     try:
         phi_s, p_s = text.split(",")
         return cl.PhasePoint(float(phi_s), float(p_s))
@@ -113,6 +116,8 @@ def _parse_point(text: str) -> cl.PhasePoint:
 
 
 def _emit_report(report: CheckReport, config_echo, out_path=None) -> int:
+    from .suite import report_header
+
     doc = report.to_dict(config_echo=config_echo, header=report_header())
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
@@ -130,6 +135,8 @@ def _emit_report(report: CheckReport, config_echo, out_path=None) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suite import SuiteConfig, run_suite
+
     raw = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -144,6 +151,24 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig.from_dict(raw)
     report = run_suite(config)
     return _emit_report(report, config.echo(), args.out)
+
+
+def emit_spectrum(k: float, N: int, hbar: float = 1.0, fmt: str = "table"):
+    """Render the momentum spectrum hbar (k + n), n = 0..N."""
+    if not _finite("k", k) > 0:
+        raise ConfigError("k must be positive")
+    if not _finite("hbar", hbar) > 0:
+        raise ConfigError("hbar must be positive")
+    if N < 0:
+        raise ConfigError("N must be nonnegative")
+    values = [hbar * (k + n) for n in range(N + 1)]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"the levels hbar (k + n) overflow at k = {k}, hbar = {hbar}")
+    if fmt == "table":
+        return "\n".join(f"{n:4d}  {v:.12g}" for n, v in enumerate(values))
+    if fmt == "json":
+        return json.dumps({"k": k, "N": N, "hbar": hbar, "spectrum": values}, allow_nan=False)
+    raise ConfigError(f"unknown format {fmt!r}")
 
 
 def _cmd_spectrum(args) -> int:
@@ -162,6 +187,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from . import classical as cl
+
     if args.l < 1:
         raise ConfigError("l must be a positive integer")
     a, b = _parse_point(args.src), _parse_point(args.dst)
@@ -187,6 +214,9 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .equivalence import identification_report
+    from .projection import ProjectedSpace, ThetaSpace
+
     ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
     checks = identification_report(ps, N=args.n)
     echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,

@@ -14,9 +14,8 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-
-import numpy as np
 
 from .exact import QC, QC_I, ModeSeries
 
@@ -226,6 +225,8 @@ class So12Element:
     __mul__ = __rmul__
 
     def as_array(self):
+        import numpy as np
+
         return np.array([self.t0, self.t1, self.t2], dtype=float)
 
 
@@ -238,33 +239,35 @@ def so12_bracket(a: So12Element, b: So12Element) -> So12Element:
     )
 
 
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-_SIGMA_P = (_SIGMA1 + 1j * _SIGMA2) / 2
-_SIGMA_M = (_SIGMA1 - 1j * _SIGMA2) / 2
+@cache
+def _basis_images():
+    """T0, T1, T2 as 2x2 matrices in each target algebra."""
+    import numpy as np
 
-_BASIS_IMAGES = {
-    # T0, T1, T2 as 2x2 matrices in each target algebra.
-    "sl2r": ((_SIGMA_P - _SIGMA_M) / 2, (_SIGMA_P + _SIGMA_M) / 2, _SIGMA3 / 2),
-    "su11": (-0.5j * _SIGMA3, _SIGMA1 / 2, _SIGMA2 / 2),
-}
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
+    sp, sm = (s1 + 1j * s2) / 2, (s1 - 1j * s2) / 2
+    return {"sl2r": ((sp - sm) / 2, (sp + sm) / 2, s3 / 2),
+            "su11": (-0.5j * s3, s1 / 2, s2 / 2)}
 
 
-def algebra_isomorphism(target: str, a: So12Element) -> np.ndarray:
+def algebra_isomorphism(target: str, a: So12Element):
     """2x2 matrix image of ``a`` under the so(1,2) -> sl(2,R)/su(1,1) dictionary.
 
     Linear, and a bracket homomorphism: the image of so12_bracket(a, b)
     is the matrix commutator of the images.
     """
     try:
-        m0, m1, m2 = _BASIS_IMAGES[target]
+        m0, m1, m2 = _basis_images()[target]
     except KeyError:
         raise ValueError(f"unknown target algebra {target!r}; use 'sl2r' or 'su11'")
     return a.t0 * m0 + a.t1 * m1 + a.t2 * m2
 
 
-def _ad_matrix(a: So12Element) -> np.ndarray:
+def _ad_matrix(a: So12Element):
+    import numpy as np
+
     cols = []
     for e in (So12Element(1, 0, 0), So12Element(0, 1, 0), So12Element(0, 0, 1)):
         cols.append(so12_bracket(a, e).as_array())
@@ -273,6 +276,8 @@ def _ad_matrix(a: So12Element) -> np.ndarray:
 
 def killing_form(a: So12Element, b: So12Element) -> float:
     """tr(ad_a ad_b); on the T basis this is 2*diag(-1, 1, 1)."""
+    import numpy as np
+
     return float(np.trace(_ad_matrix(a) @ _ad_matrix(b)).real)
 
 

@@ -9,6 +9,23 @@ from dataclasses import dataclass, field
 SCHEMA_VERSION = "1"
 
 
+class ConfigError(ValueError):
+    """Raised for an invalid input or config (CLI exit code 2)."""
+
+
+def _finite(name, value) -> float:
+    """``value`` as a finite float; ConfigError names ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One identity check: residual against a pinned tolerance.

@@ -18,24 +18,25 @@ import cmath
 import datetime
 import itertools
 import math
-import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from . import classical as cl
 from . import lie
 from .equivalence import (conjugate_realizations, identification_report,
                           phase_operator, sincos_operators, tplus_from_phase)
 from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
-from .report import CheckReport, judge, worst_of
+from .report import CheckReport, ConfigError, _finite, judge, worst_of
 from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_cutoff,
                   boost_norm, build_generators, casimir, commutator, exp_generator,
                   gram_weights, interior_residual, rotation_rep, spectrum_p,
                   toeplitz_measure_test, tol)
 
-__all__ = ["SuiteConfig", "ConfigError", "run_suite", "emit_spectrum", "PROFILES"]
+__all__ = ["SuiteConfig", "ConfigError", "run_suite", "PROFILES"]
 
 PROFILES = ("physical", "full")
 
@@ -43,22 +44,6 @@ PROFILES = ("physical", "full")
 # m_min values of the identification check in each profile's theta cell
 THETA_M_MINS = {"physical": (0,), "full": (0, 1, 3)}
 BOOST_TIMES = (0.1, 0.7)  # t of the rep cell's boosts exp(t T1), exp(t T2)
-
-
-class ConfigError(ValueError):
-    """Raised for schema violations in a suite config (CLI exit code 2)."""
-
-
-def _finite(name, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -446,25 +431,12 @@ def run_suite(config: SuiteConfig) -> CheckReport:
     })
 
 
-def emit_spectrum(k: float, N: int, hbar: float = 1.0, fmt: str = "table"):
-    """Render the momentum spectrum hbar (k + n), n = 0..N."""
-    if not _finite("k", k) > 0:
-        raise ConfigError("k must be positive")
-    if not _finite("hbar", hbar) > 0:
-        raise ConfigError("hbar must be positive")
-    if N < 0:
-        raise ConfigError("N must be nonnegative")
-    values = [hbar * (k + n) for n in range(N + 1)]
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"the levels hbar (k + n) overflow at k = {k}, hbar = {hbar}")
-    if fmt == "table":
-        return "\n".join(f"{n:4d}  {v:.12g}" for n, v in enumerate(values))
-    if fmt == "json":
-        import json
-        return json.dumps({"k": k, "N": N, "hbar": hbar, "spectrum": values}, allow_nan=False)
-    raise ConfigError(f"unknown format {fmt!r}")
-
-
 def report_header() -> dict:
+    """When and under which environment a report was made: a flat object of
+    strings, kept out of the body so that the body stays byte-identical."""
     return {"generated_at": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds")}
+            .isoformat(timespec="seconds"),
+            "halfcyl": __version__,
+            "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "platform": sys.platform}

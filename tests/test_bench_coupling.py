@@ -6,8 +6,10 @@ one of those names breaks a traced benchmark run, which no other test
 exercises.
 """
 
+import importlib
 import importlib.util
 import pathlib
+import sys
 from fractions import Fraction
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -54,3 +56,36 @@ def test_workload_entry_points_exist():
     gs = rep.build_generators("fock", rep.RepConfig(k=0.5, N=12))
     for op in (gs.H, gs.Tplus, gs.Tminus):
         assert op.matrix.shape == (13, 13)
+
+
+def _resolve(modname, path):
+    owner = importlib.import_module(modname)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_traced_verify_sees_every_layer_through_deferred_imports(tmp_path, capsys):
+    """The CLI imports the suite only when ``verify`` runs; the spans that
+    bench/spans.py patches into the modules must still see it."""
+    from halfcyl import cli
+
+    spans = _load_spans()
+    originals = {name: _resolve(*target) for name, target in spans.TARGETS.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"N": 16, "M": 16}')
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for layer in ("cli.main", "suite.run_suite", "suite.rep_cell"):
+        assert tracer.stats[layer]["calls"] >= 1, layer
+    assert {name: _resolve(*target) for name, target in spans.TARGETS.items()} == originals
+    left = [f"{key}.{attr}" for key, mod in list(sys.modules.items())
+            if key == "halfcyl" or key.startswith("halfcyl.")
+            for attr, value in vars(mod).items()
+            if getattr(value, "__module__", None) == spans.__name__]
+    assert not left, left

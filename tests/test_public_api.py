@@ -1,11 +1,9 @@
 """The public names resolve: every entry of a module's ``__all__`` and every
-name that the package ``__init__`` imports, so that deleting a function
-cannot leave a dangling export behind."""
+name of the package's lazy export map, so that deleting a function cannot
+leave a dangling export behind."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -23,11 +21,27 @@ def test_every_name_in_all_resolves(name):
     assert not missing, f"halfcyl.{name}.__all__ names missing objects: {missing}"
 
 
+def test_export_map_names_real_modules():
+    assert halfcyl._EXPORTS, "the export map is empty"
+    assert set(halfcyl._EXPORTS.values()) <= set(MODULES)
+    assert sorted(halfcyl.__all__) == sorted(halfcyl._EXPORTS)
+
+
 def test_every_name_the_package_imports_resolves():
-    tree = ast.parse(Path(halfcyl.__file__).read_text(encoding="utf-8"))
-    imported = [(node.module, alias.asname or alias.name)
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names]
-    assert {module for module, _ in imported} <= set(MODULES)
-    missing = [f"{module}.{n}" for module, n in imported if not hasattr(halfcyl, n)]
+    """Each name of ``halfcyl.__all__`` resolves through the package to the
+    very object that its module defines."""
+    missing, other = [], []
+    for name in halfcyl.__all__:
+        module = importlib.import_module(f"halfcyl.{halfcyl._EXPORTS[name]}")
+        if not hasattr(module, name):
+            missing.append(f"{module.__name__}.{name}")
+        elif getattr(halfcyl, name) is not getattr(module, name):
+            other.append(name)
     assert not missing, missing
+    assert not other, other
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        halfcyl.no_such_name  # noqa: B018
+    assert not hasattr(halfcyl, "no_such_name")

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halfcyl
 from halfcyl import suite
-from halfcyl.cli import main, parse_generators, parse_witt_expression
+from halfcyl.cli import emit_spectrum, main, parse_generators, parse_witt_expression
 from halfcyl.equivalence import sincos_operators
 from halfcyl.lie import L, WittElement
 from halfcyl.projection import halfline_demo
 from halfcyl.report import CheckRecord, CheckReport, judge
 from halfcyl.rep import RepConfig, build_generators
-from halfcyl.suite import ConfigError, SuiteConfig, emit_spectrum, run_suite
+from halfcyl.suite import ConfigError, SuiteConfig, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +519,30 @@ def test_cli_verify_byte_identical_reports(tmp_path):
     assert outs[0] == outs[1]
 
 
+# how a consumer that compares report bodies as text (the benchmark's
+# determinism oracle) strips the header: only a flat object matches
+_HEADER_BLOCK = re.compile(r'\n  "header": \{[^{}]*\},?')
+
+
+def test_report_header_is_a_flat_environment_and_bodies_stay_identical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"N": 16, "M": 16, "seed": 3}')
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    header = json.loads(texts[0])["header"]
+    assert header == {"generated_at": header["generated_at"],
+                      "halfcyl": halfcyl.__version__, "numpy": np.__version__,
+                      "python": "%d.%d.%d" % sys.version_info[:3],
+                      "platform": sys.platform}
+    assert all(isinstance(v, str) and not set(v) & set("{}") for v in header.values())
+    bodies = [_HEADER_BLOCK.sub("", t) for t in texts]
+    assert "generated_at" not in bodies[0] and '"header"' not in bodies[0]
+    assert bodies[0] == bodies[1]
+
+
 def test_cli_profile_override(tmp_path):
     cfg = {"k_values": [0.5, 2.5], "theta_values": [1.0], "N": 16, "M": 16}
     path = tmp_path / "cfg.json"
@@ -598,10 +623,43 @@ def test_cli_equiv_builds_only_the_compared_block(tmp_path):
     assert big == body(48) and big["verdict"] == "pass"
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, halfcyl; assert 'scipy' not in sys.modules, 'scipy imported'"
+# run in a fresh interpreter: cli.main(argv) with stdout discarded, then the
+# assertion on sys.modules
+_FOOTPRINT = """
+import contextlib, io, sys
+from halfcyl import cli
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    {check}
+"""
+
+
+def _footprint(commands, check):
+    proc = _run_python("-c", _FOOTPRINT.format(commands=commands, check=check))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, halfcyl; assert 'numpy' not in sys.modules, 'numpy imported'"
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scalar_subcommands_leave_numpy_out():
+    _footprint([["spectrum", "--k", "0.7", "--n", "64", "--format", "json"],
+                ["closure", "--generators", "L-3,L0,L3"],
+                ["orbit", "--l", "2", "--from", "1.0,0.5", "--to", "2.0,3.0"]],
+               "assert 'numpy' not in sys.modules, f'numpy imported by {argv}'")
+
+
+def test_import_leaves_scipy_out(tmp_path):
+    # a bare import loads no submodule, so a small verify loads them all
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"N": 16, "M": 16}')
+    _footprint([["verify", "--config", str(cfg)]],
+               "assert 'numpy' in sys.modules, 'verify ran without numpy'; "
+               "assert 'scipy' not in sys.modules, 'scipy imported'")
 
 
 def test_non_finite_residual_serialises_as_failed_null():
