@@ -48,23 +48,23 @@ _MINUS_I = QC(0, -1)
 # points and group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PhasePoint:
     """Point (phi, p) on the half-cylinder; p > 0, phi reduced mod 2 pi."""
 
     phi: float
     p: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        if not 0 < self.p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {self.p}")
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
-        object.__setattr__(self, "p", float(self.p))
+    def __init__(self, phi, p):
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p}")
+        object.__setattr__(self, "phi", float(phi) % TWO_PI)
+        object.__setattr__(self, "p", float(p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoveringElement:
     """Element (gamma, omega, l) of the l-fold covering of SO^(1,2).
 
@@ -76,14 +76,15 @@ class CoveringElement:
     omega: float
     l: int = 1
 
-    def __post_init__(self):
-        if self.l < 1:
+    def __init__(self, gamma, omega, l=1):
+        if l < 1:
             raise ValueError("covering index l must be a positive integer")
-        g = complex(self.gamma)
+        g = complex(gamma)
         if not abs(g) < 1:
             raise ValueError(f"|gamma| must be < 1, got {abs(g)}")
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "omega", float(self.omega) % (self.l * math.pi))
+        object.__setattr__(self, "omega", float(omega) % (l * math.pi))
+        object.__setattr__(self, "l", l)
 
     def su11_matrix(self):
         """Projected SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]]."""

@@ -110,37 +110,55 @@ def _top_mode(modes) -> int:
     return max(modes, key=lambda j: (abs(j), j))
 
 
+def _primitive(r):
+    """Row ``{mode: (x, y)}`` divided by the gcd of its integers."""
+    g = gcd(*(n for xy in r.values() for n in xy))
+    return {j: (x // g, y // g) for j, (x, y) in r.items()} if g > 1 else r
+
+
 class _ExactSpan:
     """Row-echelon span by fraction-free elimination (Bareiss 1968).
 
     A row is a primitive Gaussian-integer multiple of an element, held as
     ``{mode: (x, y)}`` for x + iy, and keyed by its pivot, its top mode.
     The rows are kept in descending pivot order, so one pass reduces.
+    While there are as many rows as modes they touch, the span is the
+    coordinate span of those modes and membership is read off the support.
     """
 
     def __init__(self):
         self.rows = []  # (pivot mode, row), pivots descending by (|j|, j)
+        self.modes = set()  # the modes the rows touch
 
     def insert(self, elem):
         """Reduce elem; if a remainder is left, add it as a row and return True.
-        A step r <- a r - c row (a the row's pivot entry, c r's) is a nonzero
+        In a coordinate span the remainder is elem without the span's modes,
+        so its pivot lies outside every row's.  Otherwise a step
+        r <- a r - c row (a the row's pivot entry, c r's) is a nonzero
         multiple of the rational one, so zero tests and top modes agree."""
-        den = lcm(*(q._d for q in elem.coeffs.values()))
-        r = {j: (q._x * (den // q._d), q._y * (den // q._d)) for j, q in elem.coeffs.items()}
-        for pivot, row in self.rows:
-            if pivot not in r:
-                continue
-            (a, b), (u, v) = row[pivot], r[pivot]
-            out = {j: (a * x - b * y, a * y + b * x) for j, (x, y) in r.items()}
-            for j, (x, y) in row.items():
-                s, t = out.get(j, (0, 0))
-                out[j] = (s - u * x + v * y, t - u * y - v * x)
-            r = {j: xy for j, xy in out.items() if xy != (0, 0)}
-            g = gcd(*(n for xy in r.values() for n in xy))
-            if g > 1:
-                r = {j: (x // g, y // g) for j, (x, y) in r.items()}
-        if not r:
+        coeffs = elem.coeffs
+        coordinate = len(self.rows) == len(self.modes)
+        if coordinate:
+            coeffs = {j: q for j, q in coeffs.items() if j not in self.modes}
+        if not coeffs:
             return False
+        den = lcm(*(q._d for q in coeffs.values()))
+        r = {j: (q._x * (den // q._d), q._y * (den // q._d)) for j, q in coeffs.items()}
+        if coordinate:
+            r = _primitive(r)
+        else:
+            for pivot, row in self.rows:
+                if pivot not in r:
+                    continue
+                (a, b), (u, v) = row[pivot], r[pivot]
+                out = {j: (a * x - b * y, a * y + b * x) for j, (x, y) in r.items()}
+                for j, (x, y) in row.items():
+                    s, t = out.get(j, (0, 0))
+                    out[j] = (s - u * x + v * y, t - u * y - v * x)
+                r = _primitive({j: xy for j, xy in out.items() if xy != (0, 0)})
+            if not r:
+                return False
+        self.modes.update(r)
         insort(self.rows, (_top_mode(r), r), key=lambda e: (-abs(e[0]), -e[0]))
         return True
 

@@ -145,8 +145,12 @@ def _lie_cell(rng) -> list:
             yield abs(res.dimension - 3) if res.closed else math.inf
 
     def two_dim():
-        res = lie.witt_closure([lie.L(0), lie.L(2)])
-        return abs(res.dimension - 2) if res.closed else math.inf
+        # the Borel <L_1 + 3 L_0 + 2 L_-1, -L_1 - L_0> = exp(ad L_-1) <L_0, L_1>,
+        # recombined, is no coordinate span, so its closure runs the elimination
+        for gens in ([lie.L(0), lie.L(2)],
+                     [lie.L(1) + 3 * lie.L(0) + 2 * lie.L(-1), -lie.L(1) - lie.L(0)]):
+            res = lie.witt_closure(gens)
+            yield abs(res.dimension - 2) if res.closed else math.inf
 
     def divergent():
         res = lie.witt_closure([lie.L(1), lie.L(2)])
@@ -224,7 +228,8 @@ def _classical_cell(rng) -> list:
         trans += [cl.angle_gap(z.phi, y.phi), abs(z.p - y.p) / y.p]
         cone.append(cl.lightcone_equivariance_residual(g1, x))
         v = cl.lightcone_map(x, l)
-        null.append(abs(v[0] ** 2 - v[1] ** 2 - v[2] ** 2))
+        null += [abs(v[0] ** 2 - v[1] ** 2 - v[2] ** 2), abs(v[0] - x.p),
+                 abs(complex(v[1], v[2]) - x.p * cmath.exp(-1j * l * x.phi))]
 
     def effectiveness():
         for l in (2, 3):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,50 @@ def test_covering_element_validation():
         CoveringElement(0.0, 0.0, 0)
     g = CoveringElement(0.0, 2.5 * math.pi, 2)
     assert abs(g.omega - 0.5 * math.pi) < 1e-12
+
+
+def test_values_are_frozen_and_slotted():
+    x, g = PhasePoint(0.5, 2.0), CoveringElement(0.25j, 1.0, 2)
+    for value, name in ((x, "phi"), (x, "p"), (g, "gamma"), (g, "omega"), (g, "l")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1.0)
+        assert not hasattr(value, "__dict__")
+    assert [f.name for f in dataclasses.fields(PhasePoint)] == ["phi", "p"]
+    assert [f.name for f in dataclasses.fields(CoveringElement)] == ["gamma", "omega", "l"]
+
+
+def test_values_compare_hash_and_print_by_their_fields():
+    x = PhasePoint(0.5, 2)
+    assert repr(x) == "PhasePoint(phi=0.5, p=2.0)" and type(x.p) is float
+    assert x == PhasePoint(0.5, 2.0) != PhasePoint(0.5, 3.0)
+    assert hash(x) == hash((0.5, 2.0)) and x != (0.5, 2.0)
+    g = CoveringElement(0.25j, 1, 2)
+    assert repr(g) == "CoveringElement(gamma=0.25j, omega=1.0, l=2)"
+    assert g == CoveringElement(complex(0, 0.25), 1.0, 2) != CoveringElement(0.25j, 1.0, 3)
+    assert hash(g) == hash((0.25j, 1.0, 2))
+
+
+def test_values_take_keywords_and_default_l():
+    assert PhasePoint(p=2.0, phi=0.5) == PhasePoint(0.5, 2.0)
+    assert CoveringElement(omega=1.0, gamma=0.5, l=3) == CoveringElement(0.5, 1.0, 3)
+    g = CoveringElement(0.5, 4.0)
+    assert g.l == 1 and g.gamma == 0.5 + 0j and g.omega == 4.0 % math.pi
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PhasePoint(math.nan, 1.0), "phi must be finite, got nan"),
+    (lambda: PhasePoint(math.inf, 1.0), "phi must be finite, got inf"),
+    (lambda: PhasePoint(0.0, 0.0), "p must be positive and finite, got 0.0"),
+    (lambda: PhasePoint(0.0, -1), "p must be positive and finite, got -1"),
+    (lambda: PhasePoint(0.0, math.inf), "p must be positive and finite, got inf"),
+    (lambda: CoveringElement(0.0, 0.0, 0), "covering index l must be a positive integer"),
+    (lambda: CoveringElement(1.0, 0.0), "|gamma| must be < 1, got 1.0"),
+    (lambda: CoveringElement(0.6 + 0.8j, 0.0, 2), "|gamma| must be < 1, got 1.0"),
+])
+def test_value_errors_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ _normalization_diagonal = equivalence.normalization_diagonal
 _phase_operator = equivalence.phase_operator
 _theta_shift = projection.ThetaSpace.shift
 _transport = classical.transport
+_lightcone_map = classical.lightcone_map
 
 
 def _reversed_boost(direction):
@@ -82,6 +83,26 @@ class _SpanSkippingLowestPivot(lie._ExactSpan):
         self.rows = _AllButLast()
 
 
+class _AllButLowest(set):
+    """A set that does not report holding its lowest member."""
+
+    def __contains__(self, j):
+        return set.__contains__(self, j) and j != min(self)
+
+
+class _SpanMissingLowestMode(lie._ExactSpan):
+    """_ExactSpan whose coordinate test leaves out its lowest mode."""
+
+    def __init__(self):
+        super().__init__()
+        self.modes = _AllButLowest()
+
+
+def _lightcone_map_doubled(x, l=1):
+    """lightcone_map scaled by 2: still null, positive and equivariant."""
+    return 2 * _lightcone_map(x, l)
+
+
 def _transport_without_final_rotation(a, b, l=1):
     """transport with the rotation taking phi = 0 to b.phi left out."""
     g = _transport(a, b, l)
@@ -109,10 +130,16 @@ FAULTS = [
      lambda a, b: -_witt_bracket(a, b), {"witt_structure_constants"}),
     ("2[a, b] for [a, b]", "halfcyl.lie.witt_bracket",
      lambda a, b: 2 * _witt_bracket(a, b), {"witt_structure_constants"}),
+    # the sl(2) towers are coordinate spans, decided from the support alone;
+    # only a span that is no coordinate span runs the elimination
     ("span never reduces against its lowest pivot", "halfcyl.lie._ExactSpan",
-     _SpanSkippingLowestPivot, {"witt_sl2_towers"}),
+     _SpanSkippingLowestPivot, {"witt_two_dim"}),
+    ("coordinate span misses its lowest mode", "halfcyl.lie._ExactSpan",
+     _SpanMissingLowestMode, {"witt_sl2_towers"}),
     ("transport omits the final rotation", "halfcyl.classical.transport",
      _transport_without_final_rotation, {"transport_roundtrip"}),
+    ("lightcone_map x 2", "halfcyl.classical.lightcone_map", _lightcone_map_doubled,
+     {"lightcone_null"}),
     ("audit reads only the first generator", "halfcyl.classical.admissibility_audit",
      lambda gens: _admissibility_audit(list(gens)[:1]), {"fixed_fiber_detection", "sgp_audit"}),
     # the module checkers' records

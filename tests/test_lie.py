@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from halfcyl.exact import QC
 from halfcyl.lie import (
-    L, So12Element, WittElement, algebra_isomorphism, killing_form,
+    _ExactSpan, L, So12Element, WittElement, algebra_isomorphism, killing_form,
     so12_bracket, vector_field_to_so12, witt_bracket, witt_closure,
     witt_C, witt_S, witt_T,
 )
@@ -320,6 +320,58 @@ def test_closed_basis_has_exact_rank_and_closes(case):
     assert _rank(basis) == res.dimension == _rank(basis + gens)
     for a, b in itertools.combinations(basis, 2):
         assert _rank(basis + [witt_bracket(a, b)]) == res.dimension
+
+
+_scalar = (_coefficient | st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                             allow_infinity=False)
+           | st.builds(QC, rationals, rationals))
+
+
+@st.composite
+def insertion_sequences(draw):
+    """Elements on the modes -2..2, exact or float-lifted: single modes keep a
+    span coordinate, combinations of modes leave that state or (once their
+    modes are all covered) return to it, and combinations of earlier
+    elements lie in the span."""
+    seq = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["mode", "mixed", "dependent"]))
+        if kind == "dependent" and seq:
+            a, b = draw(st.sampled_from(seq)), draw(st.sampled_from(seq))
+            seq.append(draw(_scalar) * a + draw(_scalar) * b)
+            continue
+        modes = draw(st.lists(st.integers(-2, 2), min_size=1,
+                              max_size=1 if kind == "mode" else 3, unique=True))
+        seq.append(WittElement({j: draw(_scalar) for j in modes}))
+    return seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(insertion_sequences())
+def test_span_membership_matches_exact_rank(seq):
+    span, inserted = _ExactSpan(), []
+    for elem in seq:
+        grows = _rank(inserted + [elem]) > _rank(inserted)
+        assert span.insert(elem) == grows
+        if grows:
+            inserted.append(elem)
+
+
+@pytest.mark.parametrize("seq, coordinate", [
+    # coordinate from the start
+    ([L(0), L(1), 3 * L(0) - L(1), L(2)], [True, True, True, True]),
+    # leaves the coordinate state, then returns to it once L_0 covers L_0 + L_1
+    ([L(0) + L(1), 2 * L(0) + 2 * L(1), L(0), L(1), L(-1)], [False, False, True, True, True]),
+    # the Borel <L_1 + 3 L_0 + 2 L_-1, -L_1 - L_0> never is a coordinate span
+    ([L(1) + 3 * L(0) + 2 * L(-1), -L(1) - L(0), 4 * L(-1) + 2 * L(0) - 2 * L(1)],
+     [False, False, False]),
+], ids=["coordinate", "becomes-coordinate", "never-coordinate"])
+def test_span_coordinate_state(seq, coordinate):
+    span, inserted = _ExactSpan(), []
+    for elem, want in zip(seq, coordinate):
+        assert span.insert(elem) == (_rank(inserted + [elem]) > _rank(inserted))
+        inserted.append(elem)
+        assert (len(span.rows) == len(span.modes)) == want
 
 
 def test_closure_preconditions():
