@@ -87,12 +87,10 @@ class CoveringElement:
         object.__setattr__(self, "l", l)
 
     def su11_matrix(self):
-        """Projected SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]]."""
-        import numpy as np
-
+        """Projected SU(1,1) matrix ((alpha, beta), (conj beta, conj alpha))."""
         aa = cmath.exp(1j * self.omega) / math.sqrt(1.0 - abs(self.gamma) ** 2)
         bb = aa * self.gamma
-        return np.array([[aa, bb], [bb.conjugate(), aa.conjugate()]])
+        return ((aa, bb), (bb.conjugate(), aa.conjugate()))
 
 
 def rotation_element(l: int, dphi: float) -> CoveringElement:
@@ -381,23 +379,25 @@ def admissibility_audit(generators) -> AdmissibilityReport:
 
 def lightcone_map(x: PhasePoint, l: int = 1):
     """(x0, x1, x2) = (p, Re p e^{-il phi}, Im p e^{-il phi}); null with x0 > 0."""
-    import numpy as np
-
     w = x.p * cmath.exp(-1j * l * x.phi)
-    return np.array([x.p, w.real, w.imag])
+    return (x.p, w.real, w.imag)
+
+
+def _matmul(a, b):
+    """Product of two matrices given as tuples of rows."""
+    return tuple(tuple(sum(r * c for r, c in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def lightcone_equivariance_residual(g: CoveringElement, x: PhasePoint) -> float:
     """Compare the lifted action with X -> A X A^dagger on the cone."""
-    import numpy as np
-
     x0, x1, x2 = lightcone_map(x, g.l)
-    X = np.array([[x0, x1 - 1j * x2], [x1 + 1j * x2, x0]])
+    X = ((x0, x1 - 1j * x2), (x1 + 1j * x2, x0))
     A = g.su11_matrix()
-    Y = A @ X @ A.conj().T
+    (a, b), (b_bar, a_bar) = A
+    Y = _matmul(_matmul(A, X), ((a_bar, b), (b_bar, a)))  # A X A^dagger
     y = lightcone_map(act_lifted(g, x), g.l)
-    target = np.array([Y[0, 0].real, Y[1, 0].real, Y[1, 0].imag])
-    return float(np.abs(y - target).max())
+    target = (Y[0][0].real, Y[1][0].real, Y[1][0].imag)
+    return max(abs(u - v) for u, v in zip(y, target))
 
 
 # ---------------------------------------------------------------------------
@@ -439,31 +439,28 @@ def compose_auxiliary(model: str, g1, g2):
 
 def auxiliary_symplectic_residual(model: str, g, x) -> float:
     """Central-difference || J^T Omega J - Omega || for an auxiliary action."""
-    import numpy as np
-
     if model == "affine_halfline":
         def flat(v):
-            return np.array(act_auxiliary(model, g, (v[0], v[1])))
-        x0 = np.array(x, dtype=float)
-        n = 2
+            return act_auxiliary(model, g, (v[0], v[1]))
+        x0 = [float(c) for c in x]
     elif model == "plane_punctured":
         def flat(v):
             z, p = act_auxiliary(model, g, (v[0] + 1j * v[1], v[2] - 1j * v[3]))
-            return np.array([z.real, z.imag, p.real, -p.imag])
+            return (z.real, z.imag, p.real, -p.imag)
         z, p = complex(x[0]), complex(x[1])
-        x0 = np.array([z.real, z.imag, p.real, -p.imag])
-        n = 4
+        x0 = [z.real, z.imag, p.real, -p.imag]
     else:
         raise ValueError(f"unknown auxiliary model {model!r}")
-    jac = np.zeros((n, n))
+    n, half = len(x0), len(x0) // 2
+    jac_t = []  # the rows of J^T, the columns of J
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = _AUXILIARY_STEP
-        jac[:, i] = (flat(x0 + e) - flat(x0 - e)) / (2 * _AUXILIARY_STEP)
-    half = n // 2
-    omega = np.block([[np.zeros((half, half)), np.eye(half)],
-                      [-np.eye(half), np.zeros((half, half))]])
-    return float(np.abs(jac.T @ omega @ jac - omega).max())
+        up, down = list(x0), list(x0)
+        up[i] += _AUXILIARY_STEP
+        down[i] -= _AUXILIARY_STEP
+        jac_t.append([(a - b) / (2 * _AUXILIARY_STEP) for a, b in zip(flat(up), flat(down))])
+    omega = [[float(j - i == half) - float(i - j == half) for j in range(n)] for i in range(n)]
+    form = _matmul(_matmul(jac_t, omega), tuple(zip(*jac_t)))
+    return max(abs(a - b) for row, want in zip(form, omega) for a, b in zip(row, want))
 
 
 def poisson_bracket_poly(F: dict, G: dict) -> dict:

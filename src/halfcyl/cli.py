@@ -214,15 +214,14 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .equivalence import identification_report
+    from .equivalence import identification_cutoff, identification_report
     from .projection import ProjectedSpace, ThetaSpace
 
     ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
     checks = identification_report(ps, N=args.n)
     echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,
             "M": args.m, "N": args.n}
-    # the meta names the cutoff as identification_report clamps it
-    report = CheckReport(checks, meta={**echo, "N": min(args.n, ps.dim - 3)})
+    report = CheckReport(checks, meta={**echo, "N": identification_cutoff(ps, args.n)})
     return _emit_report(report, echo)
 
 

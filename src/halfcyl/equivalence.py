@@ -21,7 +21,7 @@ from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   gram_weights, interior_residual, sin_cos, tol)
 
 __all__ = [
-    "identification_report",
+    "identification_report", "identification_cutoff",
     "phase_operator", "tplus_from_phase", "sincos_operators",
     "conjugate_realizations", "normalization_diagonal",
 ]
@@ -126,20 +126,26 @@ def conjugate_realizations(config: RepConfig, label=None) -> list:
     return judge(rows, label)
 
 
+def identification_cutoff(ps: ProjectedSpace, N: int) -> int:
+    """Cutoff of ``identification_report``: N clamped to the projected window,
+    ``ps.dim - 3``; a window too small for a cutoff >= 4 raises ValueError."""
+    N = min(N, ps.dim - 3)
+    if N < 4:
+        raise ValueError(f"weight-basis cutoff min(N, M - m_min - 2) = {N} is below 4")
+    return N
+
+
 def identification_report(ps: ProjectedSpace, N: int = 32, label=None) -> list:
     """Records of the full-diagram commutativity under the k = theta + m_min
     identification.
 
     Checks that the projected momentum matches hbar H entrywise, and that
     the projected shift matches the phase operator entrywise, over the
-    common index window (both in the creation_plus gauge).  The cutoff N
-    is clamped to the projected window, ``ps.dim - 3``, and the comparison
-    stays at least 4 indices clear of the window's truncation edge; a
-    window too small for N >= 4 raises ``ValueError``.
+    common index window (both in the creation_plus gauge), at the cutoff
+    ``identification_cutoff(ps, N)``.  The comparison stays at least 4
+    indices clear of the window's truncation edge.
     """
-    N = min(N, ps.dim - 3)
-    if N < 4:
-        raise ValueError(f"weight-basis cutoff min(N, M - m_min - 2) = {N} is below 4")
+    N = identification_cutoff(ps, N)
     hbar = ps.parent.hbar
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))

@@ -14,10 +14,9 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
-from .exact import QC, QC_I, ModeSeries
+from .exact import QC, QC_I, ModeSeries, _lift
 
 __all__ = [
     "WittElement", "L", "witt_T", "witt_S", "witt_C",
@@ -112,7 +111,7 @@ def _top_mode(modes) -> int:
 
 def _primitive(r):
     """Row ``{mode: (x, y)}`` divided by the gcd of its integers."""
-    g = gcd(*(n for xy in r.values() for n in xy))
+    g = gcd(*itertools.chain.from_iterable(r.values()))
     return {j: (x // g, y // g) for j, (x, y) in r.items()} if g > 1 else r
 
 
@@ -143,10 +142,9 @@ class _ExactSpan:
         if not coeffs:
             return False
         den = lcm(*(q._d for q in coeffs.values()))
-        r = {j: (q._x * (den // q._d), q._y * (den // q._d)) for j, q in coeffs.items()}
-        if coordinate:
-            r = _primitive(r)
-        else:
+        r = _primitive({j: (q._x * (den // q._d), q._y * (den // q._d))
+                        for j, q in coeffs.items()})
+        if not coordinate:
             for pivot, row in self.rows:
                 if pivot not in r:
                     continue
@@ -223,13 +221,25 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
 # so(1,2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class So12Element:
-    """Real combination t0*T0 + t1*T1 + t2*T2 of the so(1,2) basis."""
+    """Real combination t0*T0 + t1*T1 + t2*T2 of the so(1,2) basis, exact.
 
-    t0: float
-    t1: float
-    t2: float
+    Each coefficient is a ``QC``, lifted as ``ModeSeries`` lifts its own (a
+    float to the value it stores); one that is not a finite real number
+    raises ``ValueError``.
+    """
+
+    t0: QC
+    t1: QC
+    t2: QC
+
+    def __init__(self, t0, t1, t2):
+        for name, t in (("t0", t0), ("t1", t1), ("t2", t2)):
+            q = _lift(t)
+            if q is NotImplemented or q._y:
+                raise ValueError(f"{name} must be a real number, got {t!r}")
+            object.__setattr__(self, name, q)
 
     def __add__(self, other):
         return So12Element(self.t0 + other.t0, self.t1 + other.t1, self.t2 + other.t2)
@@ -242,11 +252,6 @@ class So12Element:
 
     __mul__ = __rmul__
 
-    def as_array(self):
-        import numpy as np
-
-        return np.array([self.t0, self.t1, self.t2], dtype=float)
-
 
 def so12_bracket(a: So12Element, b: So12Element) -> So12Element:
     """Bracket with [T0,T1] = T2, [T0,T2] = -T1, [T1,T2] = -T0."""
@@ -257,46 +262,31 @@ def so12_bracket(a: So12Element, b: So12Element) -> So12Element:
     )
 
 
-@cache
-def _basis_images():
-    """T0, T1, T2 as 2x2 matrices in each target algebra."""
-    import numpy as np
-
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    sp, sm = (s1 + 1j * s2) / 2, (s1 - 1j * s2) / 2
-    return {"sl2r": ((sp - sm) / 2, (sp + sm) / 2, s3 / 2),
-            "su11": (-0.5j * s3, s1 / 2, s2 / 2)}
+_SO12_BASIS = (So12Element(1, 0, 0), So12Element(0, 1, 0), So12Element(0, 0, 1))
+_HALF, _HALF_I = QC(Fraction(1, 2)), QC(0, Fraction(1, 2))
 
 
 def algebra_isomorphism(target: str, a: So12Element):
-    """2x2 matrix image of ``a`` under the so(1,2) -> sl(2,R)/su(1,1) dictionary.
+    """2x2 image ``((m00, m01), (m10, m11))`` of ``a``, entries ``QC``, under
+    the so(1,2) -> sl(2,R)/su(1,1) dictionary, written entry by entry.
 
     Linear, and a bracket homomorphism: the image of so12_bracket(a, b)
     is the matrix commutator of the images.
     """
-    try:
-        m0, m1, m2 = _basis_images()[target]
-    except KeyError:
-        raise ValueError(f"unknown target algebra {target!r}; use 'sl2r' or 'su11'")
-    return a.t0 * m0 + a.t1 * m1 + a.t2 * m2
+    t0, t1, t2 = a.t0, a.t1, a.t2
+    if target == "sl2r":
+        return ((_HALF * t2, _HALF * (t0 + t1)), (_HALF * (t1 - t0), -_HALF * t2))
+    if target == "su11":
+        return ((-_HALF_I * t0, _HALF * t1 - _HALF_I * t2),
+                (_HALF * t1 + _HALF_I * t2, _HALF_I * t0))
+    raise ValueError(f"unknown target algebra {target!r}; use 'sl2r' or 'su11'")
 
 
-def _ad_matrix(a: So12Element):
-    import numpy as np
-
-    cols = []
-    for e in (So12Element(1, 0, 0), So12Element(0, 1, 0), So12Element(0, 0, 1)):
-        cols.append(so12_bracket(a, e).as_array())
-    return np.column_stack(cols)
-
-
-def killing_form(a: So12Element, b: So12Element) -> float:
-    """tr(ad_a ad_b); on the T basis this is 2*diag(-1, 1, 1)."""
-    import numpy as np
-
-    return float(np.trace(_ad_matrix(a) @ _ad_matrix(b)).real)
+def killing_form(a: So12Element, b: So12Element) -> QC:
+    """tr(ad_a ad_b) = sum_i ([a, [b, T_i]])_i, exact; on the T basis it is
+    2*diag(-1, 1, 1)."""
+    c0, c1, c2 = (so12_bracket(a, so12_bracket(b, e)) for e in _SO12_BASIS)
+    return c0.t0 + c1.t1 + c2.t2
 
 
 def vector_field_to_so12(l: int, v: WittElement) -> So12Element:
@@ -316,4 +306,4 @@ def vector_field_to_so12(l: int, v: WittElement) -> So12Element:
     for name, b in coeffs.items():
         if b.im:
             raise ValueError(f"coefficient of {name}_{l} is not real: {b}")
-    return So12Element(*(l * complex(b).real for b in coeffs.values()))
+    return So12Element(*(l * b for b in coeffs.values()))

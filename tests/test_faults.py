@@ -16,6 +16,8 @@ from halfcyl.suite import SuiteConfig, run_suite
 _admissibility_audit = classical.admissibility_audit
 _exp_generator = suite.exp_generator
 _witt_bracket = lie.witt_bracket
+_so12_bracket = lie.so12_bracket
+_algebra_isomorphism = lie.algebra_isomorphism
 _normalization_diagonal = equivalence.normalization_diagonal
 _phase_operator = equivalence.phase_operator
 _theta_shift = projection.ThetaSpace.shift
@@ -100,7 +102,22 @@ class _SpanMissingLowestMode(lie._ExactSpan):
 
 def _lightcone_map_doubled(x, l=1):
     """lightcone_map scaled by 2: still null, positive and equivariant."""
-    return 2 * _lightcone_map(x, l)
+    return tuple(2 * c for c in _lightcone_map(x, l))
+
+
+def _su11_t2_off(target, a):
+    """algebra_isomorphism with the su(1,1) image of T2 off by a relative 1e-13."""
+    m = _algebra_isomorphism(target, a)
+    if target != "su11":
+        return m
+    d = _algebra_isomorphism(target, lie.So12Element(0, 0, 1e-13 * a.t2))
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(m, d))
+
+
+def _so12_bracket_t0_off(a, b):
+    """so12_bracket with its T0 component off by a relative 1e-13."""
+    c = _so12_bracket(a, b)
+    return lie.So12Element((1 + 1e-13) * c.t0, c.t1, c.t2)
 
 
 def _transport_without_final_rotation(a, b, l=1):
@@ -136,6 +153,11 @@ FAULTS = [
      _SpanSkippingLowestPivot, {"witt_two_dim"}),
     ("coordinate span misses its lowest mode", "halfcyl.lie._ExactSpan",
      _SpanMissingLowestMode, {"witt_sl2_towers"}),
+    # the so(1,2) identities are exact, so a relative 1e-13 shows at tol 0
+    ("su(1,1) image of T2 x (1 + 1e-13)", "halfcyl.lie.algebra_isomorphism", _su11_t2_off,
+     {"isomorphism_homomorphism"}),
+    ("so12_bracket T0 part x (1 + 1e-13)", "halfcyl.lie.so12_bracket", _so12_bracket_t0_off,
+     {"killing_signature", "isomorphism_homomorphism"}),
     ("transport omits the final rotation", "halfcyl.classical.transport",
      _transport_without_final_rotation, {"transport_roundtrip"}),
     ("lightcone_map x 2", "halfcyl.classical.lightcone_map", _lightcone_map_doubled,

@@ -653,6 +653,24 @@ def test_scalar_subcommands_leave_numpy_out():
                "assert 'numpy' not in sys.modules, f'numpy imported by {argv}'")
 
 
+def test_exact_so12_layer_and_scalar_audits_leave_numpy_out():
+    code = """
+import sys
+from halfcyl import classical as cl, lie
+a, b = lie.So12Element(1, 0.5, -2), lie.So12Element(0, 3, 0.25)
+for target in ("sl2r", "su11"):
+    lie.algebra_isomorphism(target, lie.so12_bracket(a, b))
+lie.killing_form(a, b)
+lie.vector_field_to_so12(2, lie.witt_T() + lie.witt_S(2))
+cl.lightcone_equivariance_residual(cl.CoveringElement(0.3j, 0.4, 2), cl.PhasePoint(1.0, 2.0))
+cl.auxiliary_symplectic_residual("affine_halfline", (0.4, 2.5), (1.7, -0.3))
+cl.auxiliary_symplectic_residual("plane_punctured", (0.2 - 0.1j, 1.5 + 0.5j), (1 + 1j, 0.3 - 0.2j))
+assert 'numpy' not in sys.modules, 'numpy imported'
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_leaves_scipy_out(tmp_path):
     # a bare import loads no submodule, so a small verify loads them all
     cfg = tmp_path / "cfg.json"
