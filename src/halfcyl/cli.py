@@ -5,8 +5,9 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error (any ``ValueError`` the library raises on an input).
 
 Each subcommand imports what it runs: ``spectrum``, ``closure`` and ``orbit``
-use only exact scalar code and never load numpy; ``verify`` and ``equiv``
-import the suite and the matrix modules when they start.
+use only exact scalar code and never load numpy; ``verify`` imports the
+suite, and ``equiv`` only the matrix modules (``equivalence``,
+``projection``, ``rep``), when they start.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import lie
+from . import __version__, lie
 from .report import CheckReport, ConfigError, _finite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -116,9 +117,16 @@ def _parse_point(text: str):
 
 
 def _emit_report(report: CheckReport, config_echo, out_path=None) -> int:
-    from .suite import report_header
+    import datetime
 
-    doc = report.to_dict(config_echo=config_echo, header=report_header())
+    import numpy as np
+
+    # when and under which environment the report was made: a flat object of
+    # strings, kept out of the body so that the body stays byte-identical
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    header = {"generated_at": now, "halfcyl": __version__, "numpy": np.__version__,
+              "python": "%d.%d.%d" % sys.version_info[:3], "platform": sys.platform}
+    doc = report.to_dict(config_echo=config_echo, header=header)
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import judge
-from .rep import TruncatedOperator, interior_residual, sin_cos
+from .rep import TruncatedOperator, commutator, interior_residual, sin_cos
 
 __all__ = [
     "ThetaSpace", "ProjectedSpace", "isometry_report",
@@ -170,17 +170,20 @@ HALFLINE_POINTS, HALFLINE_BOX = 64, 4.0  # the demo's grid in x = ln q
 def _log_grid_operators(n_points: int, box_width: float, hbar: float):
     """Grid in x = ln q (measure dq/q = counting), q = e^x positive.
 
-    The dilation by one grid step is the exact cyclic shift; the scaling
-    generator is the central-difference -i hbar d/dx, hermitean including
-    the wrap.  The wrap-around contaminates exactly the two seam rows of
-    the commutator with q, which interior assertions exclude.
+    The dilation by one grid step is the exact cyclic shift: the subdiagonal
+    and the corner band n - 1 that closes the period, reach 0 (a periodic
+    grid truncates nothing).  The scaling generator -i hbar d/dx is the
+    central difference, -hbar/h times the sine of the shift, hermitean
+    including the wrap, which contaminates exactly the two seam rows of the
+    commutator with q; the residual drops them.
     """
     h = box_width / n_points
     x = -0.5 * box_width + h * np.arange(n_points)
-    q = np.diag(np.exp(x))
-    dil = np.roll(np.eye(n_points), 1, axis=0)   # psi(x) -> psi(x - h): unitary
-    qp = -1j * hbar * (dil.T - dil) / (2 * h)    # -i hbar d/dx, central
-    mom = np.diag(np.exp(-x)) @ qp               # -i hbar d/dq, the symptom
+    q = TruncatedOperator.diag(np.exp(x))
+    dil = TruncatedOperator({-1: np.ones(n_points - 1, complex),  # psi(x) -> psi(x - h)
+                             n_points - 1: np.ones(1, complex)}, n_points, 0)
+    qp = (-hbar / h) * sin_cos(dil)[0]             # -i hbar d/dx, central
+    mom = TruncatedOperator.diag(np.exp(-x)) @ qp  # -i hbar d/dq, the symptom
     return x, q, dil, qp, mom
 
 
@@ -188,8 +191,8 @@ def halfline_commutator_residual(n_points: int, box_width: float,
                                  hbar: float = 1.0) -> float:
     """Interior residual of [q, qp] - i hbar q on a smooth test function."""
     x, q, _, qp, _ = _log_grid_operators(n_points, box_width, hbar)
-    psi = np.exp(np.cos(2 * np.pi * x / box_width))
-    resid = (q @ qp - qp @ q) @ psi - 1j * hbar * (q @ psi)
+    psi = np.exp(np.cos(2 * np.pi * x / box_width))[:, None]
+    resid = commutator(q, qp).dot(psi) - 1j * hbar * q.dot(psi)
     inner = slice(1, n_points - 1)  # drop the two seam rows
     return float(np.abs(resid[inner]).max() / np.abs(psi).max())
 
@@ -205,19 +208,20 @@ def halfline_demo(hbar: float = 1.0, label=None) -> list:
     half-line; its defect is carried in the note of ``scaling_hermitean``.
     """
     _, q, dil, qp, mom = _log_grid_operators(HALFLINE_POINTS, HALFLINE_BOX, hbar)
-    q_min = np.diag(q).real.min()
+    q_min = q.bands[0].real.min()
     # r1, r2 and the defect fill notes, so they are computed before the rows run
     r1 = halfline_commutator_residual(HALFLINE_POINTS, HALFLINE_BOX, hbar)
     r2 = halfline_commutator_residual(2 * HALFLINE_POINTS, HALFLINE_BOX, hbar)
     order = math.log2(r1 / r2)
-    defect = np.abs(mom - mom.conj().T).max()
+    defect = (mom - mom.adjoint()).max_abs()
     return judge([
         ("position_positive", "spec(q) = e^x > 0", 0.0,
          lambda: max(0.0, -q_min), f"min eigenvalue {q_min:.3e}"),
         ("dilation_unitary", "U*U = 1 exactly", 0.0,
-         lambda: np.abs(dil.T @ dil - np.eye(HALFLINE_POINTS)).max()),
+         lambda: (dil.adjoint() @ dil - TruncatedOperator.diag(np.ones(HALFLINE_POINTS)))
+         .max_abs()),
         ("scaling_hermitean", "(qp)* = qp exactly", 0.0,
-         lambda: np.abs(qp - qp.conj().T).max(),
+         lambda: (qp - qp.adjoint()).max_abs(),
          f"plain momentum -i hbar d/dq: |p* - p| = {defect:.3e} (boundary symptom)"),
         ("commutator_order", "[q, qp] = i hbar q at order 2", 0.2,
          lambda: abs(order - 2.0), f"residuals {r1:.3e} -> {r2:.3e}, order {order:.3f}"),

@@ -219,13 +219,8 @@ class GeneratorSet:
     config: RepConfig
 
 
-def _log_norm_ratio(k: float, n: np.ndarray) -> np.ndarray:
-    """c_n / c_{n+1} = sqrt((n + 1) / (2k + n)) of the disc normalizations."""
-    return np.sqrt((n + 1.0) / (2.0 * k + n))
-
-
 def _ladder_bands(realization: str, config: RepConfig):
-    """Raw H diagonal and T+ / T- off-diagonals, in the native sign gauge.
+    """H diagonal and the moduli of the T+ / T- off-diagonals.
 
     T+ e_n has its coefficient on the subdiagonal (offset -1), T- e_{n+1}
     on the superdiagonal (offset +1); entry n of each belongs to e_n.
@@ -236,27 +231,24 @@ def _ladder_bands(realization: str, config: RepConfig):
 
     if realization == "fock":
         # abstract ladder: sqrt(q + lambda(lambda +- 1)) at lambda = k + n
-        up = np.sqrt((2 * k + lo) * (lo + 1))
-        dn = np.sqrt((lo + 1) * (2 * k + lo))
-        sign = 1.0
+        up = dn = np.sqrt((2 * k + lo) * (lo + 1))
     elif realization == "disc":
-        # differential action -2k zbar - zbar^2 d/dzbar on the normalized basis
-        up = (2 * k + lo) * _log_norm_ratio(k, lo)
-        dn = (lo + 1) / _log_norm_ratio(k, lo)
-        sign = -1.0
+        # differential action -2k zbar - zbar^2 d/dzbar on the normalized
+        # basis, through the ratio c_n / c_{n+1} of the disc normalizations
+        ratio = np.sqrt((lo + 1.0) / (2.0 * k + lo))
+        up = (2 * k + lo) * ratio
+        dn = (lo + 1) / ratio
     elif realization == "boundary":
         # exp(i phi)(-2k + i d/dphi) on the unnormalized Fourier basis
         up = 2 * k + lo
         dn = lo + 1
-        sign = -1.0
     elif realization == "hardy":
         # shift composed with the entrywise root of the positive diagonal
         # (2k - i d/dphi)(1 - i d/dphi) on the orthonormal Fourier basis
         up = dn = np.sqrt((2 * k + lo) * (1 + lo))
-        sign = -1.0
     else:
         raise ValueError(f"unknown realization {realization!r}")
-    return h, sign * up, sign * dn
+    return h, up, dn
 
 
 def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
@@ -265,13 +257,11 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     fock, disc and hardy live on orthonormal bases and come out
     entry-identical; boundary uses the unnormalized Fourier basis and is
     related to hardy by the diagonal normalization similarity (see the
-    equivalence module).  The requested phase convention is applied as the
-    (-1)^n gauge on top of the construction.
+    equivalence module).  Every realization is built with positive ladder
+    bands; the disc_minus convention negates both, the (-1)^n gauge.
     """
     h, up, dn = _ladder_bands(realization, config)
-    native_sign = 1.0 if realization == "fock" else -1.0
-    wanted_sign = 1.0 if config.phase_convention == "creation_plus" else -1.0
-    if native_sign != wanted_sign:
+    if config.phase_convention == "disc_minus":
         up, dn = -up, -dn
 
     dim = config.N + 1

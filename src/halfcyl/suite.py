@@ -15,16 +15,13 @@ timestamp header.
 from __future__ import annotations
 
 import cmath
-import datetime
 import itertools
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
 from . import classical as cl
 from . import lie
 from .equivalence import (conjugate_realizations, identification_report,
@@ -92,10 +89,9 @@ class SuiteConfig:
             raise ConfigError(f"no k_values to check (physical keeps k <= 1), got {k_values}")
         t = min(BOOST_TIMES)  # a grid that certifies no boost column cannot pass
         for k in self.active_k_values:
-            if not boost_columns(t, RepConfig(k=k, N=self.N)):
+            if self.N < (cutoff := boost_cutoff(t, k)):
                 raise ConfigError(f"N = {self.N} certifies no boost column at k = {k:g} "
-                                  f"(t = {t:g}); the smallest N that does is "
-                                  f"{boost_cutoff(t, k):.6g}")
+                                  f"(t = {t:g}); the smallest N that does is {cutoff:.6g}")
 
     @property
     def active_k_values(self):
@@ -379,8 +375,9 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         ("adjointness", "T- = T+ adjoint (orthonormal basis)", 0.0,
          lambda: (gs.Tminus - gs.Tplus.adjoint()).max_abs()),
         ("realization_coherence", "fock = disc = hardy entrywise", 1e-12,
-         lambda: ((build_generators(r, rc).Tplus - gs.Tplus).max_abs()
-                  for r in ("disc", "hardy"))),
+         lambda: ((getattr(g, band) - getattr(gs, band)).max_abs()
+                  for g in (build_generators(r, rc) for r in ("disc", "hardy"))
+                  for band in ("H", "Tplus", "Tminus"))),
         ("casimir_value", "C = k(1-k) on the interior", 1e-9,
          lambda: np.abs(cas_diag - k * (1 - k)).max()),
         ("casimir_flat", "interior Casimir diagonal is constant", 1e-10,
@@ -440,14 +437,3 @@ def run_suite(config: SuiteConfig) -> CheckReport:
         "seed": config.seed,
         "momentum_map_sign": cl.MOMENTUM_MAP_SIGN,
     })
-
-
-def report_header() -> dict:
-    """When and under which environment a report was made: a flat object of
-    strings, kept out of the body so that the body stays byte-identical."""
-    return {"generated_at": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds"),
-            "halfcyl": __version__,
-            "numpy": np.__version__,
-            "python": "%d.%d.%d" % sys.version_info[:3],
-            "platform": sys.platform}

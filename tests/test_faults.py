@@ -2,6 +2,7 @@
 names the records that must fail on it, so that no check passes a wrong
 program unseen."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,8 @@ from halfcyl.suite import SuiteConfig, run_suite
 
 _admissibility_audit = classical.admissibility_audit
 _exp_generator = suite.exp_generator
+_build_generators = suite.build_generators
+_log_grid_operators = projection._log_grid_operators
 _witt_bracket = lie.witt_bracket
 _so12_bracket = lie.so12_bracket
 _algebra_isomorphism = lie.algebra_isomorphism
@@ -53,12 +56,25 @@ def _perturbed_normalization(config):
 
 
 def _forward_log_grid(n_points, box_width, hbar):
-    """_log_grid_operators with a forward difference for the scaling generator."""
-    h = box_width / n_points
-    x = -0.5 * box_width + h * np.arange(n_points)
-    dil = np.roll(np.eye(n_points), 1, axis=0)
-    qp = -1j * hbar * (dil.T - np.eye(n_points)) / h
-    return x, np.diag(np.exp(x)), dil, qp, np.diag(np.exp(-x)) @ qp
+    """_log_grid_operators with the forward difference (-i hbar / h)(dil* - 1)
+    for the scaling generator."""
+    x, q, dil, _, _ = _log_grid_operators(n_points, box_width, hbar)
+    h, eye = box_width / n_points, TruncatedOperator.diag(np.ones(n_points))
+    qp = (-1j * hbar / h) * (dil.adjoint() - eye)
+    return x, q, dil, qp, TruncatedOperator.diag(np.exp(-x)) @ qp
+
+
+def _disc_entry_off(band, offset):
+    """build_generators with entry 5 of the disc realization's ``band``
+    (its diagonal ``offset``) off by a relative 1e-6."""
+    def fault(realization, config):
+        gs = _build_generators(realization, config)
+        if realization != "disc":
+            return gs
+        op = _scaled_entry(getattr(gs, band), offset, 5, 1 + 1e-6)
+        return dataclasses.replace(gs, **{band: op})
+
+    return fault
 
 
 def _symmetric_bracket(a, b):
@@ -176,6 +192,11 @@ FAULTS = [
      {"projected_shift_isometry", "parent_shift_unitary"}),
     ("forward-difference scaling generator", "halfcyl.projection._log_grid_operators",
      _forward_log_grid, {"scaling_hermitean", "commutator_order"}),
+    # realization_coherence compares every band of disc and hardy with fock
+    ("disc H entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
+     _disc_entry_off("H", 0), {"realization_coherence"}),
+    ("disc T- entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
+     _disc_entry_off("Tminus", 1), {"realization_coherence"}),
 ]
 
 

@@ -491,6 +491,18 @@ def test_boost_cutoff_is_the_smallest_certifying_n(k, cutoff, t):
     assert boost_columns(t, RepConfig(k=k, N=n - 1)) == 0
 
 
+def test_boost_cutoff_agrees_with_boost_columns():
+    # SuiteConfig rejects a grid by N < boost_cutoff alone; for |t| <= 0.7
+    # that is boost_columns(t, .) == 0, at any weight and at any N near the
+    # cutoff (seeded: k log-uniform in [0.01, 1e4])
+    rng = np.random.default_rng(23)
+    for k in np.exp(rng.uniform(np.log(0.01), np.log(1e4), size=1500)).tolist():
+        for t in (0.1, 0.7):
+            cutoff = boost_cutoff(t, k)
+            for n in range(max(4, int(cutoff) - 3), int(cutoff) + 4):
+                assert (boost_columns(t, RepConfig(k=k, N=n)) > 0) == (n >= cutoff), (k, t, n)
+
+
 def _eigh_reference(direction, t, cfg):
     """exp(t T) = V exp(-i t w) V* from numpy's eigh of the Hermitian i T."""
     w, v = np.linalg.eigh(1j * getattr(build_generators("fock", cfg), direction).matrix)

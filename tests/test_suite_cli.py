@@ -680,6 +680,14 @@ def test_import_leaves_scipy_out(tmp_path):
                "assert 'scipy' not in sys.modules, 'scipy imported'")
 
 
+def test_equiv_loads_only_the_matrix_modules():
+    # the report header is made in cli, so equiv needs neither the suite nor
+    # the classical layer that the suite imports
+    _footprint([["equiv", "--theta", "0.5"]],
+               "assert not {'halfcyl.suite', 'halfcyl.classical'} & set(sys.modules), "
+               "'suite or classical imported'")
+
+
 def test_non_finite_residual_serialises_as_failed_null():
     doc = CheckRecord("a", "x = y", math.nan, 1e-9).to_dict()
     assert doc["residual"] is None and doc["pass"] is False
