@@ -144,8 +144,8 @@ class TruncatedOperator:
     def dot(self, x: np.ndarray) -> np.ndarray:
         """Product with the dense columns ``x`` of shape (dim, m), in
         O(dim * bands * m)."""
-        if x.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {x.shape[0]} rows")
+        if x.ndim != 2 or x.shape[0] != self.dim:
+            raise ValueError(f"dot expects columns of shape ({self.dim}, m), got {x.shape}")
         out = np.zeros(x.shape, complex)
         for d, b in self.bands.items():
             lo = max(0, -d)  # first row of diagonal d; row i reads x[i + d]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -47,7 +48,9 @@ BOOST_TIMES = (0.1, 0.7)  # t of the rep cell's boosts exp(t T1), exp(t T2)
 class SuiteConfig:
     """Grid of one verification run.
 
-    The ``physical`` profile keeps only weights k in (0, 1] and projects
+    ``seed`` seeds the Python ``random.Random`` from which the lie and
+    classical cells draw their sample points (no ``numpy.random``).  The
+    ``physical`` profile keeps only weights k in (0, 1] and projects
     with m_min = 0 (the maximal positive subspace); ``full`` runs every
     configured weight and also exercises m_min > 0 identifications.
     """
@@ -124,16 +127,6 @@ def _max_coefficient(*series) -> float:
     return worst_of(abs(complex(c)) for s in series for c in s.coeffs.values())
 
 
-def _jacobi_draws(rng) -> list:
-    """The 200 triples of the Jacobi record as nested lists of ints: each of
-    the three elements is two modes in -5..5, then their two coefficients in
-    -4..4.  One call to ``rng.integers`` with per-entry bounds yields the
-    same integers, and leaves the same generator state, as the 1,200 calls
-    ``rng.integers(-5, 6, size=2)``, ``rng.integers(-4, 5, size=2)`` in turn."""
-    draws = rng.integers(np.tile([-5, -5, -4, -4], 600), np.tile([6, 6, 5, 5], 600))
-    return draws.reshape(200, 3, 4).tolist()
-
-
 def _lie_cell(rng) -> list:
     def towers():
         for l in range(1, 9):
@@ -153,8 +146,11 @@ def _lie_cell(rng) -> list:
         return math.inf if res.closed else abs(res.witness_mode - 3)
 
     def jacobi():
-        for triple in _jacobi_draws(rng):
-            a, b, c = (lie.WittElement(dict(zip(row[:2], row[2:]))) for row in triple)
+        for _ in range(200):
+            # each element: two modes in -5..5, then their two coefficients in -4..4
+            rows = [[rng.randint(-5, 5), rng.randint(-5, 5),
+                     rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(3)]
+            a, b, c = (lie.WittElement(dict(zip(row[:2], row[2:]))) for row in rows)
             jac = (lie.witt_bracket(a, lie.witt_bracket(b, c))
                    + lie.witt_bracket(b, lie.witt_bracket(c, a))
                    + lie.witt_bracket(c, lie.witt_bracket(a, b)))
@@ -174,7 +170,7 @@ def _lie_cell(rng) -> list:
         # integer draws: the identity is bilinear, so integers test it exactly
         for target in ("sl2r", "su11"):
             for _ in range(50):
-                a, b = (lie.So12Element(*(round(8 * x) for x in rng.normal(size=3).tolist()))
+                a, b = (lie.So12Element(*(round(8 * rng.gauss(0.0, 1.0)) for _ in range(3)))
                         for _ in range(2))
                 lhs = lie.algebra_isomorphism(target, lie.so12_bracket(a, b))
                 ma, mb = (lie.algebra_isomorphism(target, x) for x in (a, b))
@@ -205,7 +201,7 @@ def _lie_cell(rng) -> list:
 
 def _classical_cell(rng) -> list:
     def rand_element(l):
-        r = 0.7 * math.sqrt(rng.uniform())
+        r = 0.7 * math.sqrt(rng.random())
         th = rng.uniform(0, 2 * math.pi)
         return cl.CoveringElement(r * cmath.exp(1j * th),
                                   rng.uniform(0, l * math.pi), l)
@@ -217,7 +213,7 @@ def _classical_cell(rng) -> list:
     # one draw feeds five records, so the draws come before any row runs
     law, symp, trans, cone, null = [], [], [], [], []
     for _ in range(100):
-        l = int(rng.integers(1, 4))
+        l = rng.randint(1, 3)
         g1, g2, x = rand_element(l), rand_element(l), rand_point()
         a = cl.act_lifted(g1, cl.act_lifted(g2, x))
         b = cl.act_lifted(cl.compose(g1, g2), x)
@@ -263,18 +259,21 @@ def _classical_cell(rng) -> list:
         return math.inf if fiber is None else abs(fiber - 1.5 * math.pi)
 
     def auxiliary_law():
+        def normal():
+            return rng.gauss(0.0, 1.0)
+
         for _ in range(25):
-            g1 = (rng.normal(), math.exp(rng.normal()))
-            g2 = (rng.normal(), math.exp(rng.normal()))
-            x = (math.exp(rng.normal()), rng.normal())
+            g1 = (normal(), math.exp(normal()))
+            g2 = (normal(), math.exp(normal()))
+            x = (math.exp(normal()), normal())
             lhs = cl.act_auxiliary("affine_halfline", g1,
                                    cl.act_auxiliary("affine_halfline", g2, x))
             rhs = cl.act_auxiliary("affine_halfline",
                                    cl.compose_auxiliary("affine_halfline", g1, g2), x)
             yield from (abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
-            c1 = (rng.normal() + 1j * rng.normal(), cmath.exp(rng.normal() + 1j * rng.normal()))
-            c2 = (rng.normal() + 1j * rng.normal(), cmath.exp(rng.normal() + 1j * rng.normal()))
-            z = (rng.normal() + 1j * rng.normal() + 2.0, rng.normal() + 1j * rng.normal())
+            c1 = (normal() + 1j * normal(), cmath.exp(normal() + 1j * normal()))
+            c2 = (normal() + 1j * normal(), cmath.exp(normal() + 1j * normal()))
+            z = (normal() + 1j * normal() + 2.0, normal() + 1j * normal())
             lhs = cl.act_auxiliary("plane_punctured", c1,
                                    cl.act_auxiliary("plane_punctured", c2, z))
             rhs = cl.act_auxiliary("plane_punctured",
@@ -286,6 +285,20 @@ def _classical_cell(rng) -> list:
         return (abs(got.get(m, 0) - want.get(m, 0)) for m in got.keys() | want.keys())
 
     stab = cl.lift_hamiltonian(cl.TrigPoly.cos(2) - cl.TrigPoly.const(1))
+
+    def flow(h=1e-5):
+        # the field against (dF/dp, -dF/dphi) from central differences of F;
+        # the last row, so its points come after every other draw of the cell
+        funcs = (stab, cl.lift_hamiltonian(cl.TrigPoly.const(1) + cl.TrigPoly.sin(1)),
+                 cl.lift_hamiltonian(cl.TrigPoly.cos(3)))
+        for x in [rand_point() for _ in range(25)]:
+            for F in funcs:
+                dp = F(cl.PhasePoint(x.phi, x.p + h)) - F(cl.PhasePoint(x.phi, x.p - h))
+                dphi = F(cl.PhasePoint(x.phi + h, x.p)) - F(cl.PhasePoint(x.phi - h, x.p))
+                for got, want in zip(cl.hamiltonian_vector_field(F, x),
+                                     (dp / (2 * h), -dphi / (2 * h))):
+                    yield abs(got - want) / max(1.0, abs(want))
+
     return judge([
         ("group_law", "act(g1 g2) = act(g1) act(g2), 100 draws", 1e-9, lambda: law),
         ("symplectic_random", "finite-difference J^T Omega J = Omega", 1e-6, lambda: symp),
@@ -312,6 +325,7 @@ def _classical_cell(rng) -> list:
                   cl.auxiliary_symplectic_residual("plane_punctured", (0.2 - 0.1j, 1.5 + 0.5j),
                                                    (1 + 1j, 0.3 - 0.2j)))),
         ("affine_bracket", "{q, qp} = q exactly", 0.0, affine_gap),
+        ("hamiltonian_flow", "X_F = (dF/dp, -dF/dphi) for F = p f(phi), 25 draws", 1e-7, flow),
     ])
 
 
@@ -422,10 +436,12 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
 def run_suite(config: SuiteConfig) -> CheckReport:
     """Execute every check suite over the configuration grid.
 
-    Deterministic for a given seed; the verdict is the conjunction of all
-    records, each judged at its pinned tolerance.
+    Deterministic for a given seed, which seeds the one ``random.Random``
+    that the lie and classical cells draw from in turn (no ``numpy.random``);
+    the verdict is the conjunction of all records, each judged at its pinned
+    tolerance.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     checks = _lie_cell(rng) + _classical_cell(rng)
     for k in config.active_k_values:
         checks += _rep_cell(k, config)

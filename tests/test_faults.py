@@ -26,6 +26,7 @@ _phase_operator = equivalence.phase_operator
 _theta_shift = projection.ThetaSpace.shift
 _transport = classical.transport
 _lightcone_map = classical.lightcone_map
+_hamiltonian_vector_field = classical.hamiltonian_vector_field
 
 
 def _reversed_boost(direction):
@@ -178,6 +179,10 @@ FAULTS = [
      _transport_without_final_rotation, {"transport_roundtrip"}),
     ("lightcone_map x 2", "halfcyl.classical.lightcone_map", _lightcone_map_doubled,
      {"lightcone_null"}),
+    # the field still vanishes where F's base field does, so only its
+    # comparison with the derivatives of F sees the scale
+    ("hamiltonian_vector_field x 2", "halfcyl.classical.hamiltonian_vector_field",
+     lambda F, x: tuple(2 * v for v in _hamiltonian_vector_field(F, x)), {"hamiltonian_flow"}),
     ("audit reads only the first generator", "halfcyl.classical.admissibility_audit",
      lambda gens: _admissibility_audit(list(gens)[:1]), {"fixed_fiber_detection", "sgp_audit"}),
     # the module checkers' records

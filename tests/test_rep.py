@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +436,18 @@ def test_banded_arithmetic_matches_dense(pair, scalar, trim):
                 interior_residual(op, trim_bottom=trim)
         else:
             assert interior_residual(op, trim_bottom=trim) == np.abs(m[:, trim:hi]).max()
+
+
+def test_dot_takes_columns_and_matches_the_dense_product():
+    # a 1-D vector would broadcast each band into a square block
+    for x in (np.ones(4), np.ones((3, 2)), np.ones((4, 2, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"shape (4, m), got {x.shape}")):
+            TruncatedOperator.diag(np.arange(4.0)).dot(x)
+    rng = np.random.default_rng(4)
+    op = TruncatedOperator({d: rng.normal(size=9 - abs(d)) + 1j * rng.normal(size=9 - abs(d))
+                            for d in (-3, -1, 0, 2)}, 9, 1)
+    x = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+    assert np.allclose(op.dot(x), op.matrix @ x, rtol=0, atol=1e-13)
 
 
 def test_max_abs_and_interior_residual_propagate_nan():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfcyl
-from halfcyl import suite
+from halfcyl import classical, suite
 from halfcyl.cli import emit_spectrum, main, parse_generators, parse_witt_expression
 from halfcyl.equivalence import sincos_operators
 from halfcyl.lie import L, WittElement
@@ -688,6 +689,20 @@ def test_equiv_loads_only_the_matrix_modules():
                "'suite or classical imported'")
 
 
+def test_verify_and_equiv_leave_numpy_random_out(tmp_path):
+    # the suite draws from random.Random; numpy.random would bring secrets and
+    # hashlib with it.  numpy 1.x loads numpy.random on import, so only what a
+    # bare import numpy leaves out is asserted
+    heavy = {"numpy.random", "secrets", "hashlib", "_hashlib"}
+    proc = _run_python("-c", "import json, sys, numpy; print(json.dumps(list(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    absent = heavy - set(json.loads(proc.stdout))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"profile": "full"}')
+    _footprint([["verify"], ["verify", "--config", str(cfg)], ["equiv", "--theta", "0.5"]],
+               f"assert not {absent!r} & set(sys.modules), f'{{argv}} loaded numpy.random'")
+
+
 def test_non_finite_residual_serialises_as_failed_null():
     doc = CheckRecord("a", "x = y", math.nan, 1e-9).to_dict()
     assert doc["residual"] is None and doc["pass"] is False
@@ -726,18 +741,29 @@ def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tm
 @pytest.mark.parametrize("profile", ["physical", "full"])
 def test_record_names_are_unique(profile):
     names = [r.name for r in run_suite(SuiteConfig(profile=profile)).checks]
-    assert len(names) == len(set(names)) == {"physical": 135, "full": 199}[profile]
+    assert len(names) == len(set(names)) == {"physical": 136, "full": 200}[profile]
 
 
-def test_jacobi_draws_match_the_per_call_draws():
-    # one rng.integers call with per-entry bounds against the 1,200 calls
-    # it replaced: the same integers and the same final generator state
-    for seed in range(200):
-        one, calls = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [[calls.integers(-5, 6, size=2).tolist() + calls.integers(-4, 5, size=2).tolist()
-                 for _ in range(3)] for _ in range(200)]
-        assert suite._jacobi_draws(one) == want
-        assert one.bit_generator.state == calls.bit_generator.state
+def test_suite_draws_pin_the_random_stream(monkeypatch):
+    # the first Jacobi triple and the first classical-cell point at seed 0: a
+    # Python whose random.Random stream differs fails here instead of
+    # silently moving the residuals of the sampled records
+    class Recording(random.Random):
+        def randint(self, a, b):
+            self.ints.append(value := super().randint(a, b))
+            return value
+
+    rng = Recording(0)
+    rng.ints = []
+    suite._lie_cell(rng)
+    assert rng.ints[:12] == [1, 1, -4, 0, 3, 2, 2, 0, 2, 0, -1, 4]
+    assert len(rng.ints) == 2400
+    points, act_lifted = [], classical.act_lifted
+    monkeypatch.setattr(classical, "act_lifted",
+                        lambda g, x: points.append(x) or act_lifted(g, x))
+    suite._classical_cell(rng)
+    assert (points[0].phi, points[0].p) == pytest.approx(
+        (2.4534993699965066, 0.14788652569247776), rel=1e-12)
 
 
 def test_full_suite_passes_at_large_cutoff():
