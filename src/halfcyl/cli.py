@@ -199,12 +199,12 @@ def _cmd_orbit(args) -> int:
 
     if args.l < 1:
         raise ConfigError("l must be a positive integer")
-    a, b = _parse_point(args.src), _parse_point(args.dst)
-    g = cl.transport(a, b, args.l)
-    symp = cl.check_symplectic(g, a)
     if args.l > ORBIT_MAX_L:
         raise ConfigError(f"l = {args.l} is above {ORBIT_MAX_L}, the largest covering index at "
                           f"which the symplectic audit's rounding stays below its 1e-6 gate")
+    a, b = _parse_point(args.src), _parse_point(args.dst)
+    g = cl.transport(a, b, args.l)
+    symp = cl.check_symplectic(g, a)
     y = cl.act_lifted(g, a)
     res_phi = cl.angle_gap(y.phi, b.phi)
     res_p = abs(y.p - b.p)

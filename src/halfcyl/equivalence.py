@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .projection import ProjectedSpace
+from .projection import ProjectedSpace, ThetaSpace
 from .report import judge, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   gram_weights, interior_residual, sin_cos, tol)
@@ -143,16 +143,19 @@ def identification_report(ps: ProjectedSpace, N: int = 32, label=None) -> list:
     the projected shift matches the phase operator entrywise, over the
     common index window (both in the creation_plus gauge), at the cutoff
     ``identification_cutoff(ps, N)``.  The comparison stays at least 4
-    indices clear of the window's truncation edge.
+    indices clear of the window's truncation edge, in the narrowest window
+    that does so: a wider one leaves the blocks unchanged and costs O(M).
     """
     N = identification_cutoff(ps, N)
     hbar = ps.parent.hbar
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))
     n = min(ps.dim - 4, N + 1)
+    M = min(ps.parent.M, max(8, 2 * ps.m_min, ps.m_min + n + 3))
+    ps = ProjectedSpace(ThetaSpace(ps.parent.theta, M, hbar), ps.m_min)
     return judge([
         ("spectra_match", "projected p = hbar H entrywise", 1e-12,
-         lambda: (ps.momentum(n) - (hbar * gs.H).block(0, n)).max_abs()),
+         lambda: (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()),
         ("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", 1e-12,
-         lambda: (ps.shift(n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()),
+         lambda: (ps.shift().block(0, n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()),
     ], label)

@@ -5,9 +5,9 @@ f_{theta,m} = exp(i (m + theta) phi), m in Z, on which the momentum is
 diagonal with eigenvalues hbar (m + theta).  Restricting to the maximal
 subspace with positive momentum (m >= 0 for theta in (0,1]) transports an
 operator as pi o O o iota for the inclusion iota and its adjoint pi; on the
-stored diagonals that is index slicing of the trailing block.  A projected
-unitary is only isometric: the shift acquires a rank-one defect on the
-lowest state.
+stored diagonals that is index slicing of the trailing block, the one route
+into the subspace.  A projected unitary is only isometric: the shift
+acquires a rank-one defect on the lowest state.
 """
 
 from __future__ import annotations
@@ -51,18 +51,13 @@ class ThetaSpace:
         return np.arange(-self.M, self.M + 1)
 
     # -- operators on the window ---------------------------------------
-    def momentum(self, lo: int = 0, hi: int | None = None) -> TruncatedOperator:
-        """p f_{theta,m} = hbar (m + theta) f_{theta,m}; its principal block
-        on the window indices lo..hi-1 (default: the whole window)."""
-        hi = self.dim if hi is None else hi
-        return TruncatedOperator.diag(
-            self.hbar * (np.arange(lo - self.M, hi - self.M) + self.theta))
+    def momentum(self) -> TruncatedOperator:
+        """p f_{theta,m} = hbar (m + theta) f_{theta,m}."""
+        return TruncatedOperator.diag(self.hbar * (self.modes + self.theta))
 
-    def shift(self, lo: int = 0, hi: int | None = None) -> TruncatedOperator:
-        """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi)); its
-        principal block on the window indices lo..hi-1."""
-        hi = self.dim if hi is None else hi
-        return TruncatedOperator({-1: np.ones(hi - lo - 1, complex)}, hi - lo, 1)
+    def shift(self) -> TruncatedOperator:
+        """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
+        return TruncatedOperator({-1: np.ones(self.dim - 1, complex)}, self.dim, 1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,8 @@ class ProjectedSpace:
     the spectral projector of the positive-momentum inequality.  Basis
     vector e_j is the mode m_min + j (``modes``), at parent window index
     m_min + M + j; ``project`` slices an operator's diagonals to that
-    trailing block.  The subspace is the lowest-weight series of weight
+    trailing block, and ``momentum`` and ``shift`` are its images of the
+    window's own.  The subspace is the lowest-weight series of weight
     k = theta + m_min under e_j <-> f_{theta, m_min + j}.
     """
 
@@ -109,17 +105,13 @@ class ProjectedSpace:
         return op.block(self.m_min + self.parent.M, self.parent.dim)
 
     # -- the transported elementary operators ---------------------------
-    # built directly on the trailing block, so that a leading n x n block
-    # costs O(n) however wide the parent window
-    def momentum(self, n: int | None = None) -> TruncatedOperator:
-        """Projected momentum, or its leading n x n block."""
-        lo = self.m_min + self.parent.M
-        return self.parent.momentum(lo, lo + (self.dim if n is None else n))
+    def momentum(self) -> TruncatedOperator:
+        """Projected momentum pi o p o iota."""
+        return self.project(self.parent.momentum())
 
-    def shift(self, n: int | None = None) -> TruncatedOperator:
-        """Projected shift, or its leading n x n block."""
-        lo = self.m_min + self.parent.M
-        return self.parent.shift(lo, lo + (self.dim if n is None else n))
+    def shift(self) -> TruncatedOperator:
+        """Projected shift pi o U o iota."""
+        return self.project(self.parent.shift())
 
 
 def isometry_report(ps: ProjectedSpace, label=None) -> list:

@@ -220,7 +220,7 @@ class GeneratorSet:
 
 
 def _ladder_bands(realization: str, config: RepConfig):
-    """H diagonal and the moduli of the T+ / T- off-diagonals.
+    """H diagonal and the T+ / T- off-diagonals: moduli, negated in disc_minus.
 
     T+ e_n has its coefficient on the subdiagonal (offset -1), T- e_{n+1}
     on the superdiagonal (offset +1); entry n of each belongs to e_n.
@@ -248,6 +248,8 @@ def _ladder_bands(realization: str, config: RepConfig):
         up = dn = np.sqrt((2 * k + lo) * (1 + lo))
     else:
         raise ValueError(f"unknown realization {realization!r}")
+    if config.phase_convention == "disc_minus":
+        up, dn = -up, -dn
     return h, up, dn
 
 
@@ -261,9 +263,6 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     bands; the disc_minus convention negates both, the (-1)^n gauge.
     """
     h, up, dn = _ladder_bands(realization, config)
-    if config.phase_convention == "disc_minus":
-        up, dn = -up, -dn
-
     dim = config.N + 1
     H = TruncatedOperator.diag(h)
     Tp = TruncatedOperator({-1: up.astype(complex)}, dim, 1)
@@ -361,8 +360,10 @@ def _boost_svd(config: RepConfig):
     which fail the boost records, where the SVD itself would raise.
     """
     rows = _boost_rows(config)
-    off = 0.5 * build_generators("fock", config).Tplus.bands[-1][:rows - 1].real
-    b = (np.diag(off, 1) + np.diag(off, -1))[0::2, 1::2]
+    off = 0.5 * _ladder_bands("fock", config)[1][:rows - 1]  # J[n, n+1] = J[n+1, n]
+    b = np.zeros(((rows + 1) // 2, rows // 2))
+    np.fill_diagonal(b, off[0::2])      # B[r, r] = J[2r, 2r+1]
+    np.fill_diagonal(b[1:], off[1::2])  # B[r, r-1] = J[2r, 2r-1]
     if not np.isfinite(b).all():
         m, n = b.shape
         return np.full((m, m), np.nan), np.full(n, np.nan), np.full((n, n), np.nan)

@@ -191,10 +191,16 @@ FAULTS = [
     ("phase operator subdiagonal entry 2 x 1.001", "halfcyl.equivalence.phase_operator",
      lambda gs: _scaled_entry(_phase_operator(gs), -1, 2, 1.001),
      {"sincos_square_anomaly", "diagram_commutes"}),
+    # the middle entry maps m = 0 to m = 1, the first entry of the projected
+    # shift at m_min = 0, which the identification compares too
     ("cylinder shift middle entry x 1.001", "halfcyl.projection.ThetaSpace.shift",
-     lambda space, lo=0, hi=None: _scaled_entry(
-         _theta_shift(space, lo, hi), -1, (space.dim if hi is None else hi - lo) // 2, 1.001),
-     {"projected_shift_isometry", "parent_shift_unitary"}),
+     lambda space: _scaled_entry(_theta_shift(space), -1, space.dim // 2, 1.001),
+     {"projected_shift_isometry", "projected_shift_defect", "defect_rank_one",
+      "parent_shift_unitary", "diagram_commutes"}),
+    # the leading block is a shift too, so only the spectrum sees which block
+    # the projection took
+    ("project returns the leading block", "halfcyl.projection.ProjectedSpace.project",
+     lambda ps, op: op.block(0, ps.dim), {"spectra_match"}),
     ("forward-difference scaling generator", "halfcyl.projection._log_grid_operators",
      _forward_log_grid, {"scaling_hermitean", "commutator_order"}),
     # realization_coherence compares every band of disc and hardy with fock

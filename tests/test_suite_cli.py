@@ -582,12 +582,14 @@ def test_cli_orbit_rejects_covering_index_beyond_the_audit(l):
     assert "above 1000000" in proc.stderr
 
 
-def test_cli_orbit_rejects_step_below_float_spacing():
+def test_cli_orbit_rejects_covering_index_before_the_audit_step():
     # at l = 10^20 the default step (u l)^(1/3) / l is about 2e-19, below the
-    # float spacing at phi = 1, so the audit has no difference to take
+    # float spacing at phi = 1; the bound on l is tested before the audit
+    # runs, so the message is the bound's (the audit's own refusal of such a
+    # step is tested in test_classical)
     proc = _run_cli("orbit", "--l", str(10 ** 20), "--from", "1,1", "--to", "1,2")
     _assert_usage_error(proc)
-    assert "below the float spacing at phi = 1" in proc.stderr
+    assert "above 1000000" in proc.stderr
 
 
 # Arrays of 10**17 entries (about an exbibyte) exceed any 64-bit address
