@@ -122,12 +122,20 @@ class _ExactSpan:
     ``{mode: (x, y)}`` for x + iy, and keyed by its pivot, its top mode.
     The rows are kept in descending pivot order, so one pass reduces.
     While there are as many rows as modes they touch, the span is the
-    coordinate span of those modes and membership is read off the support.
+    coordinate span of those modes and membership is read off the support;
+    a bracket whose mode sums all lie in those modes is then not computed.
     """
 
     def __init__(self):
         self.rows = []  # (pivot mode, row), pivots descending by (|j|, j)
         self.modes = set()  # the modes the rows touch
+
+    def holds_bracket(self, a, b):
+        """True if the span is a coordinate span holding every mode j + k
+        (j != k) that [a, b] can reach, so that [a, b] lies in it."""
+        modes = self.modes
+        return len(self.rows) == len(modes) and all(
+            j + k in modes for j in a.coeffs for k in b.coeffs if j != k)
 
     def insert(self, elem):
         """Reduce elem; if a remainder is left, add it as a row and return True.
@@ -165,6 +173,9 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
                  dim_bound=DEFAULT_DIM_BOUND) -> ClosureResult:
     """Close the span of ``generators`` under the Witt bracket, within bounds.
 
+    While the span is a coordinate span, a pair whose mode sums j + k all
+    lie in its modes is skipped: its bracket is never computed.
+
     Parameters
     ----------
     generators : iterable of WittElement
@@ -200,6 +211,8 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
     frontier = list(itertools.combinations(range(len(basis)), 2))
     while frontier:
         i, j = frontier.pop(0)
+        if span.holds_bracket(basis[i], basis[j]):
+            continue
         c = witt_bracket(basis[i], basis[j])
         if c.is_zero:
             continue

@@ -170,6 +170,10 @@ FAULTS = [
      _SpanSkippingLowestPivot, {"witt_two_dim"}),
     ("coordinate span misses its lowest mode", "halfcyl.lie._ExactSpan",
      _SpanMissingLowestMode, {"witt_sl2_towers"}),
+    # {L_1, L_2} is a coordinate span whose bracket escapes it; every other
+    # closure record closes, so a skipped bracket changes no other verdict
+    ("coordinate span claims every bracket", "halfcyl.lie._ExactSpan.holds_bracket",
+     lambda span, a, b: len(span.rows) == len(span.modes), {"witt_divergent"}),
     # the so(1,2) identities are exact, so a relative 1e-13 shows at tol 0
     ("su(1,1) image of T2 x (1 + 1e-13)", "halfcyl.lie.algebra_isomorphism", _su11_t2_off,
      {"isomorphism_homomorphism"}),

@@ -7,6 +7,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from halfcyl import lie
+from halfcyl.cli import parse_generators
 from halfcyl.exact import QC
 from halfcyl.lie import (
     _ExactSpan, L, So12Element, WittElement, algebra_isomorphism, killing_form,
@@ -264,6 +266,33 @@ def test_closure_runs_no_qc_arithmetic(monkeypatch):
         assert res.closed and res.dimension == 3
 
 
+def test_closure_skips_brackets_a_coordinate_span_holds(monkeypatch):
+    # a coordinate span holds every bracket whose mode sums lie in its modes,
+    # so closing a tower or a pair that starts as one computes no bracket
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return a.bracket(b)
+
+    monkeypatch.setattr(lie, "witt_bracket", counted)
+    for gens in ([L(-2), L(0), L(2)],
+                 [WittElement({0: Fraction(2, 3), 4: 2}), WittElement({-4: -4, 0: -1, 4: 3}),
+                  WittElement({-4: 2, 0: -1, 4: -1})],
+                 [WittElement({-3: 0.7, 0: 0.1}), WittElement({0: 1.3, 3: -0.2}),
+                  WittElement({-3: 0.25, 3: 1e-3})],
+                 [L(0), L(5)]):
+        res = witt_closure(gens)
+        assert res.closed and res.dimension == len(gens)
+        assert calls == []
+    res = witt_closure([L(1), L(2)])
+    assert not res.closed and res.witness_mode == 3 and calls
+    calls.clear()
+    # the Borel recombination never is a coordinate span
+    res = witt_closure([L(1) + 3 * L(0) + 2 * L(-1), -L(1) - L(0)])
+    assert res.closed and res.dimension == 2 and calls
+
+
 def _rank(elems):
     """Exact rank over Q(i): half the rank over Q of every v and i v, written
     as the real Fraction vectors (Re v, Im v) on the modes."""
@@ -306,12 +335,27 @@ def shared_mode_generators(draw):
     return gens, modes != (0, l, 2 * l)
 
 
+def _closure_key(gens, **bounds):
+    res = witt_closure(gens, **bounds)
+    return res.closed, res.witness_mode, res.basis and [repr(b) for b in res.basis]
+
+
+def _assert_skip_changes_nothing(gens, **bounds):
+    """The closure with the coordinate-span skip equals the closure that
+    computes every bracket."""
+    skipped = _closure_key(gens, **bounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ExactSpan, "holds_bracket", lambda self, a, b: False)
+        assert _closure_key(gens, **bounds) == skipped
+
+
 @settings(max_examples=80, deadline=None)
 @given(shared_mode_generators())
 def test_closed_basis_has_exact_rank_and_closes(case):
     gens, in_closed_span = case
     if all(g.is_zero for g in gens):
         return
+    _assert_skip_changes_nothing(gens)
     res = witt_closure(gens)
     if in_closed_span:
         assert res.closed
@@ -321,6 +365,40 @@ def test_closed_basis_has_exact_rank_and_closes(case):
     assert _rank(basis) == res.dimension == _rank(basis + gens)
     for a, b in itertools.combinations(basis, 2):
         assert _rank(basis + [witt_bracket(a, b)]) == res.dimension
+
+
+@pytest.mark.parametrize("text", [
+    # the README and CI closure examples
+    "L-1,L0,L1", "L0 + 2*L2, 1/2*L1", "L1,L2",
+    "2/3*L0 + 2*L4, -4*L-4 - L0 + 3*L4, 2*L-4 - L0 - L4",
+    "L1 + 3*L0 + 2*L-1, -L1 - L0",
+    # not a coordinate span, yet every mode sum lands in its modes: dimension 3
+    "L0, L-1 + L1",
+    # a coordinate span that one mode sum escapes: witness 3
+    "L1 + L2, L2",
+    # one mode sum of the last pair (1 + 2) escapes, the others stay in
+    "L0, L0 + L1, L0 + L2",
+])
+def test_bracket_skip_matches_full_closure_on_examples(text):
+    _assert_skip_changes_nothing(parse_generators(text))
+
+
+def test_bracket_skip_pinned_closures():
+    res = witt_closure(parse_generators("L0, L-1 + L1"))
+    assert res.closed and res.dimension == 3
+    for text in ("L1 + L2, L2", "L0, L0 + L1, L0 + L2"):
+        res = witt_closure(parse_generators(text))
+        assert not res.closed and res.witness_mode == 3
+
+
+def test_bracket_skip_matches_full_closure_on_low_mode_pairs():
+    # T, S_1..3 and C_1..3, singly and in pairs with coefficients +-1 (49
+    # fields), closed in pairs at the bounds of the uniqueness sweep
+    base = [witt_T()] + [f(l) for f in (witt_S, witt_C) for l in (1, 2, 3)]
+    fields = base + [a + s * b for a, b in itertools.combinations(base, 2) for s in (1, -1)]
+    assert len(fields) == 49
+    for a, b in itertools.combinations(fields, 2):
+        _assert_skip_changes_nothing([a, b], mode_bound=8, dim_bound=6)
 
 
 _scalar = (_coefficient | st.complex_numbers(max_magnitude=4, allow_nan=False,
