@@ -225,10 +225,11 @@ def _cmd_equiv(args) -> int:
     from .equivalence import identification_cutoff, identification_report
     from .projection import ProjectedSpace, ThetaSpace
 
-    ps = ProjectedSpace(ThetaSpace(args.theta, args.m), args.mmin)
+    if args.m < 8:
+        raise ConfigError(f"window half-width M must be >= 8, got {args.m}")
+    ps = ProjectedSpace(ThetaSpace(args.theta, range(-args.m, args.m + 1)), args.mmin)
     checks = identification_report(ps, N=args.n)
-    echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k,
-            "M": args.m, "N": args.n}
+    echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k, "M": args.m, "N": args.n}
     report = CheckReport(checks, meta={**echo, "N": identification_cutoff(ps, args.n)})
     return _emit_report(report, echo)
 

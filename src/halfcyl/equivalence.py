@@ -142,17 +142,16 @@ def identification_report(ps: ProjectedSpace, N: int = 32, label=None) -> list:
     Checks that the projected momentum matches hbar H entrywise, and that
     the projected shift matches the phase operator entrywise, over the
     common index window (both in the creation_plus gauge), at the cutoff
-    ``identification_cutoff(ps, N)``.  The comparison stays at least 4
-    indices clear of the window's truncation edge, in the narrowest window
-    that does so: a wider one leaves the blocks unchanged and costs O(M).
+    ``identification_cutoff(ps, N)``, both projected from the modes m_min - 4
+    to m_min + n + 3 only; the 4 below m_min set the leading block's spectrum apart.
     """
     N = identification_cutoff(ps, N)
     hbar = ps.parent.hbar
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))
     n = min(ps.dim - 4, N + 1)
-    M = min(ps.parent.M, max(8, 2 * ps.m_min, ps.m_min + n + 3))
-    ps = ProjectedSpace(ThetaSpace(ps.parent.theta, M, hbar), ps.m_min)
+    window = range(ps.m_min - 4, ps.m_min + n + 4)
+    ps = ProjectedSpace(ThetaSpace(ps.parent.theta, window, hbar), ps.m_min)
     return judge([
         ("spectra_match", "projected p = hbar H entrywise", 1e-12,
          lambda: (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()),

@@ -28,27 +28,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaSpace:
-    """Finite window m = -M..M of the theta-quantized cylinder."""
+    """Finite window of the theta-quantized cylinder: the modes of ``window``."""
 
     theta: float
-    M: int
+    window: range
     hbar: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.M < 8:
-            raise ValueError(f"window half-width M must be >= 8, got {self.M}")
+        if not (isinstance(self.window, range) and self.window and self.window.step == 1):
+            raise ValueError(f"window must be a nonempty step-1 range, got {self.window!r}")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
     @property
     def dim(self):
-        return 2 * self.M + 1
+        return len(self.window)
 
     @property
     def modes(self):
-        return np.arange(-self.M, self.M + 1)
+        return np.arange(self.window.start, self.window.stop)
 
     # -- operators on the window ---------------------------------------
     def momentum(self) -> TruncatedOperator:
@@ -66,26 +66,24 @@ class ProjectedSpace:
 
     For theta in (0, 1] the set {m : hbar (m + theta) > 0} is exactly
     {m >= 0}, so m_min = 0 is the maximal positive subspace, the range of
-    the spectral projector of the positive-momentum inequality.  Basis
-    vector e_j is the mode m_min + j (``modes``), at parent window index
-    m_min + M + j; ``project`` slices an operator's diagonals to that
-    trailing block, and ``momentum`` and ``shift`` are its images of the
-    window's own.  The subspace is the lowest-weight series of weight
-    k = theta + m_min under e_j <-> f_{theta, m_min + j}.
+    the spectral projector of the positive-momentum inequality; m_min is
+    any nonnegative mode of the window.  Basis vector e_j is the mode
+    m_min + j (``modes``), at window index m_min - window.start + j;
+    ``project`` slices an operator's diagonals to that trailing block, and
+    ``momentum`` and ``shift`` are its images of the window's own.  The
+    subspace is the weight k = theta + m_min series, e_j <-> f_{theta, m_min + j}.
     """
 
     parent: ThetaSpace
     m_min: int
 
     def __post_init__(self):
-        if not 0 <= self.m_min <= self.parent.M // 2:
-            raise ValueError(
-                f"m_min must lie in [0, M/2] = [0, {self.parent.M // 2}],"
-                f" got {self.m_min}")
+        if not (self.m_min >= 0 and self.m_min in self.parent.window):
+            raise ValueError(f"m_min must be a nonnegative mode of the window, got {self.m_min}")
 
     @property
     def dim(self):
-        return self.parent.M - self.m_min + 1
+        return self.parent.window.stop - self.m_min
 
     @property
     def k(self):
@@ -94,15 +92,15 @@ class ProjectedSpace:
 
     @property
     def modes(self):
-        """Cylinder modes m_min..M, paired with e_0, e_1, ... in order."""
-        return np.arange(self.m_min, self.parent.M + 1)
+        """Cylinder modes m_min.. of the window, paired with e_0, e_1, ... in order."""
+        return np.arange(self.m_min, self.parent.window.stop)
 
     def project(self, op: TruncatedOperator) -> TruncatedOperator:
         """Transported operator pi o O o iota: the trailing principal block."""
         if op.dim != self.parent.dim:
             raise ValueError(f"operator of dim {op.dim} does not act on the "
                              f"window of dim {self.parent.dim}")
-        return op.block(self.m_min + self.parent.M, self.parent.dim)
+        return op.block(self.m_min - self.parent.window.start, self.parent.dim)
 
     # -- the transported elementary operators ---------------------------
     def momentum(self) -> TruncatedOperator:

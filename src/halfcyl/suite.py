@@ -74,12 +74,10 @@ class SuiteConfig:
             raise ConfigError(f"theta_values must be nonempty in (0, 1], got {theta_values}")
         if not (isinstance(self.N, int) and self.N >= 4):
             raise ConfigError(f"N must be an integer >= 4, got {self.N!r}")
-        if not (isinstance(self.M, int) and self.M >= 8):
-            raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
-        m_min = max(THETA_M_MINS[self.profile])
-        if self.M - m_min - 2 < 4:
-            raise ConfigError(f"M must be >= {m_min + 6} for the identification at "
-                              f"m_min = {m_min} ({self.profile} profile), got {self.M}")
+        least = max(8, max(THETA_M_MINS[self.profile]) + 6)  # identification cutoff >= 4
+        if not (isinstance(self.M, int) and self.M >= least):
+            raise ConfigError(f"M must be >= {least} ({self.profile} profile) and an integer, "
+                              f"got {self.M!r}")
         hbar = _finite("hbar", self.hbar)
         if not hbar > 0:
             raise ConfigError("hbar must be positive")
@@ -127,6 +125,13 @@ def _max_coefficient(*series) -> float:
     return worst_of(abs(complex(c)) for s in series for c in s.coeffs.values())
 
 
+def _witt_sample(rng) -> lie.WittElement:
+    """Modes j, k in -5..5, then coefficients a, b in -4..4, as a two-term
+    element: a repeated k moves up one (5 wraps to -5), a zero reads 5."""
+    j, k, a, b = (rng.randint(*r) for r in ((-5, 5), (-5, 5), (-4, 4), (-4, 4)))
+    return lie.WittElement({j: a or 5, (j + 6) % 11 - 5 if k == j else k: b or 5})
+
+
 def _lie_cell(rng) -> list:
     def towers():
         for l in range(1, 9):
@@ -147,10 +152,7 @@ def _lie_cell(rng) -> list:
 
     def jacobi():
         for _ in range(200):
-            # each element: two modes in -5..5, then their two coefficients in -4..4
-            rows = [[rng.randint(-5, 5), rng.randint(-5, 5),
-                     rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(3)]
-            a, b, c = (lie.WittElement(dict(zip(row[:2], row[2:]))) for row in rows)
+            a, b, c = (_witt_sample(rng) for _ in range(3))
             jac = (lie.witt_bracket(a, lie.witt_bracket(b, c))
                    + lie.witt_bracket(b, lie.witt_bracket(c, a))
                    + lie.witt_bracket(c, lie.witt_bracket(a, b)))
@@ -421,7 +423,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
 
 def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     lab = f"theta={theta:g}"
-    space = ThetaSpace(theta, cfg.M, cfg.hbar)
+    space = ThetaSpace(theta, range(-cfg.M, cfg.M + 1), cfg.hbar)
     u, p = space.shift(), space.momentum()
     out = judge([
         ("cylinder_commutator", "[U, p] = -hbar U", 1e-12,

@@ -42,7 +42,7 @@ def fock(k, convention="creation_plus"):
 def test_criterion_01_spectra_exact():
     spec = spectrum_p(RepConfig(k=1.0, N=N, hbar=1.0))
     want = np.arange(1, N + 2, dtype=float)
-    ps = ProjectedSpace(ThetaSpace(1.0, N, hbar=1.0), 0)
+    ps = ProjectedSpace(ThetaSpace(1.0, range(-N, N + 1), hbar=1.0), 0)
     proj = np.diag(ps.momentum().matrix).real
     ok = np.array_equal(spec, want) and np.array_equal(proj[:N + 1], want)
     _criterion(1, "momentum spectra (group picture = projected picture)", ok,
@@ -78,7 +78,7 @@ def test_criterion_04_phase_operator_both_pictures():
     worst = 0.0
     agree = 0.0
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 2)):
-        k = ProjectedSpace(ThetaSpace(theta, N), m_min).k
+        k = ProjectedSpace(ThetaSpace(theta, range(-N, N + 1)), m_min).k
         gs = fock(k)
         u_rep = phase_operator(gs)
         eye = np.eye(N + 1)
@@ -88,7 +88,7 @@ def test_criterion_04_phase_operator_both_pictures():
                     interior_residual(u_rep.adjoint() @ u_rep
                                       - TruncatedOperator.diag(np.ones(N + 1))),
                     float(np.abs((u_rep @ u_rep.adjoint()).matrix - (eye - p0)).max()))
-        ps = ProjectedSpace(ThetaSpace(theta, N + m_min + 4), m_min)
+        ps = ProjectedSpace(ThetaSpace(theta, range(-N, N + m_min + 5)), m_min)
         u_proj = ps.shift()
         eye_p = np.eye(ps.dim)
         p0p = np.zeros_like(eye_p)

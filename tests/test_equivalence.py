@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,35 +28,49 @@ def unit_shift(n):
 # ---------------------------------------------------------------------------
 
 def test_identify_examples():
-    assert ProjectedSpace(ThetaSpace(0.25, 16), 0).k == 0.25
-    assert ProjectedSpace(ThetaSpace(1.0, 16), 2).k == 3.0
+    assert ProjectedSpace(ThetaSpace(0.25, range(-16, 17)), 0).k == 0.25
+    assert ProjectedSpace(ThetaSpace(1.0, range(-16, 17)), 2).k == 3.0
 
 
 def test_identify_validation():
     with pytest.raises(ValueError):
-        ProjectedSpace(ThetaSpace(0.0, 16), 0)
+        ProjectedSpace(ThetaSpace(0.0, range(-16, 17)), 0)
     with pytest.raises(ValueError):
-        ProjectedSpace(ThetaSpace(1.5, 16), 0)
+        ProjectedSpace(ThetaSpace(1.5, range(-16, 17)), 0)
     with pytest.raises(ValueError):
-        ProjectedSpace(ThetaSpace(0.5, 16), -1)
+        ProjectedSpace(ThetaSpace(0.5, range(-16, 17)), -1)
 
 
 def test_identify_basis_map():
-    ps = ProjectedSpace(ThetaSpace(0.5, 16), 2)
+    ps = ProjectedSpace(ThetaSpace(0.5, range(-16, 17)), 2)
     assert ps.modes[0] == 2
     assert list(ps.modes[:4]) == [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("theta,m_min", [(0.25, 0), (1.0, 0), (0.5, 1), (1.0, 3)])
 def test_identification_diagram_commutes(theta, m_min):
-    rep = CheckReport(identification_report(ProjectedSpace(ThetaSpace(theta, 48), m_min)))
+    rep = CheckReport(identification_report(ProjectedSpace(ThetaSpace(theta, range(-48, 49)), m_min)))
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
     for r in rep.checks:
         assert r.residual < 1e-12
 
 
+def test_identification_at_a_far_m_min_builds_only_the_compared_block():
+    # neither the window of 2 * 10**17 + 1 modes nor 4 m_min of them is
+    # built: the report projects from the modes m_min - 4 .. m_min + n + 3
+    ps = ProjectedSpace(ThetaSpace(0.5, range(-10 ** 17, 10 ** 17 + 1)), 10 ** 16)
+    tracemalloc.start()
+    try:
+        rep = CheckReport(identification_report(ps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict, [(r.name, r.residual, r.note) for r in rep.failures()]
+    assert peak < 2 ** 20
+
+
 def test_identified_spectra_entrywise():
-    ps = ProjectedSpace(ThetaSpace(0.25, 24), 0)
+    ps = ProjectedSpace(ThetaSpace(0.25, range(-24, 25)), 0)
     proj = np.diag(ps.momentum().matrix).real
     rep = 0.25 + np.arange(25)
     assert np.array_equal(proj, rep)
@@ -100,7 +116,7 @@ def test_phase_operator_input_diagonal_values():
 
 def test_phase_operator_matches_projected_shift():
     for theta, m_min in ((0.25, 0), (1.0, 0), (0.5, 2)):
-        ps = ProjectedSpace(ThetaSpace(theta, 40), m_min)
+        ps = ProjectedSpace(ThetaSpace(theta, range(-40, 41)), m_min)
         gs = fock(ps.k, N=24)
         u_rep = phase_operator(gs).matrix
         u_proj = ps.shift().matrix

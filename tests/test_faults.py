@@ -195,10 +195,11 @@ FAULTS = [
     ("phase operator subdiagonal entry 2 x 1.001", "halfcyl.equivalence.phase_operator",
      lambda gs: _scaled_entry(_phase_operator(gs), -1, 2, 1.001),
      {"sincos_square_anomaly", "diagram_commutes"}),
-    # the middle entry maps m = 0 to m = 1, the first entry of the projected
-    # shift at m_min = 0, which the identification compares too
+    # entry -window.start maps m = 0 to m = 1 in every window of the suite,
+    # the first entry of the projected shift at m_min = 0, which the
+    # identification compares too
     ("cylinder shift middle entry x 1.001", "halfcyl.projection.ThetaSpace.shift",
-     lambda space: _scaled_entry(_theta_shift(space), -1, space.dim // 2, 1.001),
+     lambda space: _scaled_entry(_theta_shift(space), -1, -space.window.start, 1.001),
      {"projected_shift_isometry", "projected_shift_defect", "defect_rank_one",
       "parent_shift_unitary", "diagram_commutes"}),
     # the leading block is a shift too, so only the spectrum sees which block

@@ -467,6 +467,18 @@ def test_cli_equiv(capsys):
     assert main(["equiv", "--theta", "1.25", "--mmin", "0"]) == 2
 
 
+def test_cli_equiv_takes_any_mode_of_the_window(capsys):
+    # m_min = 40 of the window -48..48 leaves 9 projected modes: cutoff 6
+    assert main(["equiv", "--theta", "0.5", "--m", "48", "--mmin", "40"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "pass" and doc["meta"]["N"] == 6
+    for mmin in ("49", str(10 ** 20)):  # not a mode of the window
+        assert main(["equiv", "--theta", "0.5", "--mmin", mmin]) == 2
+    # a far m_min is an input or a result, never a failed check
+    assert main(["equiv", "--theta", "0.5", "--m", str(10 ** 21),
+                 "--mmin", str(10 ** 20)]) in (0, 2)
+
+
 def test_cli_verify_default_config(tmp_path, capsys):
     cfg = {"k_values": [0.5], "theta_values": [1.0], "N": 16, "M": 16}
     path = tmp_path / "cfg.json"
@@ -766,6 +778,31 @@ def test_suite_draws_pin_the_random_stream(monkeypatch):
     suite._classical_cell(rng)
     assert (points[0].phi, points[0].p) == pytest.approx(
         (2.4534993699965066, 0.14788652569247776), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_jacobi_elements_have_two_terms_from_the_same_draws(seed):
+    # the Jacobi record's 600 elements at the seed, each from the draws
+    # mode j, mode k, coefficient a, coefficient b: a repeated mode moves up
+    # by one (5 wraps to -5) and a zero coefficient reads 5
+    class Recording(random.Random):
+        def randint(self, a, b):
+            self.calls.append((a, b, value := super().randint(a, b)))
+            return value
+
+    rng = Recording(seed)
+    rng.calls = []
+    elements = [suite._witt_sample(rng) for _ in range(600)]
+    assert [c[:2] for c in rng.calls] == [(-5, 5), (-5, 5), (-4, 4), (-4, 4)] * 600
+    draws = [[c[2] for c in rng.calls[i:i + 4]] for i in range(0, 2400, 4)]
+    for x, (j, k, a, b) in zip(elements, draws):
+        k = k if k != j else (j + 1 if j < 5 else -5)
+        assert x.coeffs == {j: a or 5, k: b or 5}
+    # the cell makes these calls and no other randint call
+    cell = Recording(seed)
+    cell.calls = []
+    suite._lie_cell(cell)
+    assert cell.calls == rng.calls
 
 
 def test_full_suite_passes_at_large_cutoff():
