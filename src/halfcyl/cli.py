@@ -28,8 +28,19 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 ORBIT_MAX_L = 10 ** 6
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` each subparser, that reads no
+    abbreviated option (``--m`` is not ``--mmin``) and errs in one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfcyl",
         description="verification suites for the half-cylinder quantizations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,7 +77,6 @@ def _build_parser():
     p = sub.add_parser("equiv", help="projected picture vs phase-operator picture")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--mmin", type=int, default=0)
-    p.add_argument("--m", type=int, default=48, help="cylinder window half-width")
     p.add_argument("--n", type=int, default=32, help="weight-basis cutoff")
     p.set_defaults(run=_cmd_equiv)
     return parser
@@ -222,16 +232,11 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .equivalence import identification_cutoff, identification_report
-    from .projection import ProjectedSpace, ThetaSpace
+    from .equivalence import identification_report
 
-    if args.m < 8:
-        raise ConfigError(f"window half-width M must be >= 8, got {args.m}")
-    ps = ProjectedSpace(ThetaSpace(args.theta, range(-args.m, args.m + 1)), args.mmin)
-    checks = identification_report(ps, N=args.n)
-    echo = {"theta": args.theta, "m_min": args.mmin, "k": ps.k, "M": args.m, "N": args.n}
-    report = CheckReport(checks, meta={**echo, "N": identification_cutoff(ps, args.n)})
-    return _emit_report(report, echo)
+    checks = identification_report(args.theta, args.mmin, args.n)
+    echo = {"theta": args.theta, "m_min": args.mmin, "k": args.theta + args.mmin, "N": args.n}
+    return _emit_report(CheckReport(checks, meta=echo), echo)
 
 
 def main(argv=None) -> int:

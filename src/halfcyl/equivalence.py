@@ -11,6 +11,7 @@ shift; the (-1)^n similarity carries everything to the disc_minus gauge.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -21,8 +22,7 @@ from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
                   gram_weights, interior_residual, sin_cos, tol)
 
 __all__ = [
-    "identification_report", "identification_cutoff",
-    "phase_operator", "tplus_from_phase", "sincos_operators",
+    "identification_report", "phase_operator", "tplus_from_phase", "sincos_operators",
     "conjugate_realizations", "normalization_diagonal",
 ]
 
@@ -126,35 +126,30 @@ def conjugate_realizations(config: RepConfig, label=None) -> list:
     return judge(rows, label)
 
 
-def identification_cutoff(ps: ProjectedSpace, N: int) -> int:
-    """Cutoff of ``identification_report``: N clamped to the projected window,
-    ``ps.dim - 3``; a window too small for a cutoff >= 4 raises ValueError."""
-    N = min(N, ps.dim - 3)
-    if N < 4:
-        raise ValueError(f"weight-basis cutoff min(N, M - m_min - 2) = {N} is below 4")
-    return N
-
-
-def identification_report(ps: ProjectedSpace, N: int = 32, label=None) -> list:
+def identification_report(theta: float, m_min: int, N: int = 32, hbar: float = 1.0,
+                          label=None) -> list:
     """Records of the full-diagram commutativity under the k = theta + m_min
-    identification.
+    identification, at the weight-basis cutoff N >= 4.
 
-    Checks that the projected momentum matches hbar H entrywise, and that
-    the projected shift matches the phase operator entrywise, over the
-    common index window (both in the creation_plus gauge), at the cutoff
-    ``identification_cutoff(ps, N)``, both projected from the modes m_min - 4
-    to m_min + n + 3 only; the 4 below m_min set the leading block's spectrum apart.
+    Checks that the projected momentum matches hbar H on rows 0..N and the
+    projected shift the phase operator on rows 0..N-1 (both in the
+    creation_plus gauge), projected from the modes m_min - 4 .. m_min + N + 4
+    alone; the 4 below m_min set the leading block's spectrum apart.  A top
+    mode at which floats cannot resolve theta raises ValueError.
     """
-    N = identification_cutoff(ps, N)
-    hbar = ps.parent.hbar
+    if N < 4:
+        raise ValueError(f"weight-basis cutoff N must be >= 4, got {N}")
+    ps = ProjectedSpace(ThetaSpace(theta, range(m_min - 4, m_min + N + 5), hbar), m_min)
+    top = ps.parent.window[-1]
+    # from 2**52 on the float spacing is >= 1, and float() overflows far above
+    if top >= 2 ** 52 or math.ulp(float(top)) > theta / 1024:
+        raise ValueError(f"floats near the top compared mode m_min + N + 4 cannot resolve "
+                         f"theta = {theta}: their spacing there exceeds theta / 1024")
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))
-    n = min(ps.dim - 4, N + 1)
-    window = range(ps.m_min - 4, ps.m_min + n + 4)
-    ps = ProjectedSpace(ThetaSpace(ps.parent.theta, window, hbar), ps.m_min)
     return judge([
         ("spectra_match", "projected p = hbar H entrywise", 1e-12,
-         lambda: (ps.momentum().block(0, n) - (hbar * gs.H).block(0, n)).max_abs()),
+         lambda: (ps.momentum().block(0, N + 1) - (hbar * gs.H)).max_abs()),
         ("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", 1e-12,
-         lambda: (ps.shift().block(0, n - 1) - phase_operator(gs).block(0, n - 1)).max_abs()),
+         lambda: (ps.shift().block(0, N) - phase_operator(gs).block(0, N)).max_abs()),
     ], label)

@@ -74,10 +74,8 @@ class SuiteConfig:
             raise ConfigError(f"theta_values must be nonempty in (0, 1], got {theta_values}")
         if not (isinstance(self.N, int) and self.N >= 4):
             raise ConfigError(f"N must be an integer >= 4, got {self.N!r}")
-        least = max(8, max(THETA_M_MINS[self.profile]) + 6)  # identification cutoff >= 4
-        if not (isinstance(self.M, int) and self.M >= least):
-            raise ConfigError(f"M must be >= {least} ({self.profile} profile) and an integer, "
-                              f"got {self.M!r}")
+        if not (isinstance(self.M, int) and self.M >= 8):
+            raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
         hbar = _finite("hbar", self.hbar)
         if not hbar > 0:
             raise ConfigError("hbar must be positive")
@@ -430,8 +428,7 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
          lambda: interior_residual((u @ p - p @ u) + cfg.hbar * u, trim_bottom=1)),
     ], lab) + isometry_report(ProjectedSpace(space, 0), lab)
     for m_min in THETA_M_MINS[cfg.profile]:
-        out += identification_report(ProjectedSpace(space, m_min), cfg.N,
-                                     f"{lab},m_min={m_min}")
+        out += identification_report(theta, m_min, cfg.N, cfg.hbar, f"{lab},m_min={m_min}")
     return out
 
 

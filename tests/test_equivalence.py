@@ -47,26 +47,60 @@ def test_identify_basis_map():
     assert list(ps.modes[:4]) == [2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("theta,m_min", [(0.25, 0), (1.0, 0), (0.5, 1), (1.0, 3)])
+@pytest.mark.parametrize("theta,m_min", [(0.25, 0), (1.0, 0), (0.5, 1), (1.0, 3),
+                                         (0.25, 10 ** 7), (0.5, 10 ** 7), (1.0, 10 ** 7)])
 def test_identification_diagram_commutes(theta, m_min):
-    rep = CheckReport(identification_report(ProjectedSpace(ThetaSpace(theta, range(-48, 49)), m_min)))
+    rep = CheckReport(identification_report(theta, m_min))
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
     for r in rep.checks:
         assert r.residual < 1e-12
 
 
 def test_identification_at_a_far_m_min_builds_only_the_compared_block():
-    # neither the window of 2 * 10**17 + 1 modes nor 4 m_min of them is
-    # built: the report projects from the modes m_min - 4 .. m_min + n + 3
-    ps = ProjectedSpace(ThetaSpace(0.5, range(-10 ** 17, 10 ** 17 + 1)), 10 ** 16)
+    # the report projects from the modes m_min - 4 .. m_min + N + 4 alone, so
+    # nothing of size m_min is built
     tracemalloc.start()
     try:
-        rep = CheckReport(identification_report(ps))
+        rep = CheckReport(identification_report(0.5, 10 ** 12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.verdict, [(r.name, r.residual, r.note) for r in rep.failures()]
     assert peak < 2 ** 20
+
+
+def test_identification_needs_cutoff_four():
+    assert CheckReport(identification_report(0.5, 0, N=4)).verdict
+    with pytest.raises(ValueError, match="N must be >= 4, got 3"):
+        identification_report(0.5, 0, N=3)
+
+
+def _entry_off(method, offset, mode):
+    """``ThetaSpace`` method whose diagonal ``offset`` is off by 1e-6 at the
+    entry of column ``mode``."""
+    def off(space):
+        op = method(space)
+        band = op.bands[offset].copy()
+        band[mode - space.window.start] += 1e-6
+        return TruncatedOperator({**op.bands, offset: band}, op.dim, op.reach)
+    return off
+
+
+@pytest.mark.parametrize("mode,failed", [(2 + 8, {"spectra_match"}), (2 + 9, set())])
+def test_identification_compares_spectra_on_rows_zero_to_n(monkeypatch, mode, failed):
+    monkeypatch.setattr(ThetaSpace, "momentum", _entry_off(ThetaSpace.momentum, 0, mode))
+    rep = CheckReport(identification_report(0.5, 2, N=8))
+    assert {r.name.split("[")[0] for r in rep.failures()} == failed
+
+
+# the shift's subdiagonal entry at column m maps mode m to m + 1: row 7 of
+# the weight basis for m = m_min + 6, row 8 for m = m_min + 7
+@pytest.mark.parametrize("mode,failed", [(2 + 6, {"diagram_commutes"}), (2 + 7, set())])
+def test_identification_compares_shifts_on_rows_zero_to_n_minus_one(monkeypatch, mode,
+                                                                     failed):
+    monkeypatch.setattr(ThetaSpace, "shift", _entry_off(ThetaSpace.shift, -1, mode))
+    rep = CheckReport(identification_report(0.5, 2, N=8))
+    assert {r.name.split("[")[0] for r in rep.failures()} == failed
 
 
 def test_identified_spectra_entrywise():

@@ -1,5 +1,7 @@
-"""Golden corpus: each committed ``verify`` body and ``equiv`` stdout under
-tests/golden, regenerated from this checkout and compared byte for byte.
+"""Golden corpus: each committed ``verify`` and ``equiv`` body, and the
+stdout of the README's ``spectrum``, ``closure`` and ``orbit`` examples,
+under tests/golden, regenerated from this checkout and compared byte for
+byte together with the exit code.
 
 A change that means to move a body regenerates the corpus with
 ``scripts/golden_corpus.py`` and names the records that moved."""
@@ -19,11 +21,14 @@ _spec.loader.exec_module(golden_corpus)
 EXITS = json.loads((golden_corpus.CORPUS_DIR / "exits.json").read_text())
 
 
-def _differences(want: str, got: str) -> list:
+def _differences(want_text: str, got_text: str) -> list:
     """Lines naming each top-level field and each record field that differs."""
-    if not (want and got):
-        return [f"stdout: {want[:60]!r} != {got[:60]!r}"]
-    want, got = json.loads(want), json.loads(got)
+    try:
+        want, got = json.loads(want_text), json.loads(got_text)
+    except ValueError:  # an empty stdout, or text kept verbatim
+        want = got = None
+    if not (isinstance(want, dict) and isinstance(got, dict)):
+        return [f"stdout: {want_text[:60]!r} != {got_text[:60]!r}"]
     out = [f"{key}: {want.get(key)!r} != {got.get(key)!r}"
            for key in sorted((set(want) | set(got)) - {"checks"})
            if want.get(key) != got.get(key)]

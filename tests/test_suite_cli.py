@@ -99,11 +99,22 @@ def test_config_rejects_empty_grid(raw):
         SuiteConfig.from_dict(raw)
 
 
-def test_config_checks_window_against_largest_m_min():
-    SuiteConfig(N=16, M=8)  # physical: identification only at m_min = 0
-    with pytest.raises(ConfigError, match="M must be >= 9"):
-        SuiteConfig(N=16, M=8, profile="full")
-    SuiteConfig(N=16, M=9, profile="full")
+def test_config_takes_one_window_rule_for_both_profiles():
+    # the identification builds its own window, so M bounds no cutoff
+    for profile in ("physical", "full"):
+        SuiteConfig(N=16, M=8, profile=profile)
+        with pytest.raises(ConfigError, match="M must be an integer >= 8, got 7"):
+            SuiteConfig(N=16, M=7, profile=profile)
+
+
+def test_identification_records_do_not_depend_on_the_window():
+    def identification(M):
+        return [r for r in run_suite(SuiteConfig(M=M, profile="full")).to_dict()["checks"]
+                if r["name"].startswith(("spectra_match[", "diagram_commutes["))]
+
+    small = identification(8)
+    assert len(small) == 2 * 3 * 3  # two records, three theta, three m_min
+    assert small == identification(48)
 
 
 @pytest.mark.parametrize("k,smallest", [(1000.0, "167"), (9e307, "9.46538e+306"),
@@ -351,11 +362,24 @@ def _assert_usage_error(proc):
 
 
 def test_cli_equiv_rejects_small_cutoff():
-    _assert_usage_error(_run_cli("equiv", "--theta", "0.5", "--mmin", "4", "--m", "8"))
+    _assert_usage_error(_run_cli("equiv", "--theta", "0.5", "--mmin", "4", "--n", "3"))
 
 
-def test_cli_equiv_rejects_small_window():
-    _assert_usage_error(_run_cli("equiv", "--theta", "0.5", "--m", "7"))
+def test_cli_rejects_abbreviated_options():
+    # --m is no option of equiv (and no prefix of --mmin), --prof none of verify
+    for args in (("equiv", "--theta", "0.5", "--m", "20"), ("verify", "--prof", "full")):
+        proc = _run_cli(*args)
+        _assert_usage_error(proc)
+        assert "unrecognized arguments" in proc.stderr
+
+
+# the float spacing near m_min + N + 4 is above theta / 1024, so the spectra
+# could not tell theta from 0; float(10**400) overflows
+@pytest.mark.parametrize("mmin", [str(2 ** 52), str(10 ** 16), "1" + "0" * 400])
+def test_cli_equiv_rejects_an_m_min_that_rounds_theta_away(mmin):
+    proc = _run_cli("equiv", "--theta", "0.5", "--mmin", mmin)
+    _assert_usage_error(proc)
+    assert "cannot resolve theta" in proc.stderr
 
 
 @pytest.mark.parametrize("args,config", [(("--seed", "-1"), None),
@@ -468,15 +492,12 @@ def test_cli_equiv(capsys):
 
 
 def test_cli_equiv_takes_any_mode_of_the_window(capsys):
-    # m_min = 40 of the window -48..48 leaves 9 projected modes: cutoff 6
-    assert main(["equiv", "--theta", "0.5", "--m", "48", "--mmin", "40"]) == 0
+    # the identification's window is m_min - 4 .. m_min + N + 4 at any m_min
+    assert main(["equiv", "--theta", "0.5", "--mmin", "40"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["verdict"] == "pass" and doc["meta"]["N"] == 6
-    for mmin in ("49", str(10 ** 20)):  # not a mode of the window
+    assert doc["verdict"] == "pass" and doc["meta"]["N"] == 32
+    for mmin in ("-1", str(10 ** 20)):  # no mode, or a mode that rounds theta away
         assert main(["equiv", "--theta", "0.5", "--mmin", mmin]) == 2
-    # a far m_min is an input or a result, never a failed check
-    assert main(["equiv", "--theta", "0.5", "--m", str(10 ** 21),
-                 "--mmin", str(10 ** 20)]) in (0, 2)
 
 
 def test_cli_verify_default_config(tmp_path, capsys):
@@ -605,9 +626,12 @@ def test_cli_orbit_rejects_covering_index_before_the_audit_step():
 
 
 # Arrays of 10**17 entries (about an exbibyte) exceed any 64-bit address
-# space, so the allocation fails at once and nothing is ever touched.
+# space, so the allocation fails at once and nothing is ever touched.  equiv
+# takes no cutoff that large (floats there cannot resolve theta); its 10**12
+# entries (8 TB) exceed any host's memory, which the kernel's default
+# overcommit heuristic refuses at once as well.
 @pytest.mark.parametrize("args,config", [
-    (("equiv", "--theta", "0.5", "--m", str(10 ** 17), "--n", str(10 ** 17)), None),
+    (("equiv", "--theta", "0.5", "--n", str(10 ** 12)), None),
     (("verify",), json.dumps({"N": 10 ** 17, "M": 10 ** 17}))])
 def test_cli_unallocatable_size_is_a_usage_error(args, config, tmp_path):
     proc = _run_cli(*args, config=config, tmp_path=tmp_path)
@@ -626,16 +650,17 @@ def test_verify_at_overflowing_weight_reports_instead_of_raising(k, tmp_path):
 
 
 def test_cli_equiv_builds_only_the_compared_block(tmp_path):
-    # the window of 2 * 10**17 + 1 modes is never built: the identification
-    # compares the same leading block as in a small window
-    def body(m):
-        doc = json.loads(_run_cli("equiv", "--theta", "0.5", "--mmin", "1",
-                                  "--m", str(m), tmp_path=tmp_path).stdout)
-        del doc["header"], doc["meta"]["M"], doc["config_echo"]["M"]
-        return doc
+    # nothing of size m_min is built: the records at m_min = 10**12 equal
+    # those at m_min = 1, and the echo names the identification alone
+    def body(mmin):
+        doc = json.loads(_run_cli("equiv", "--theta", "0.5", "--mmin", mmin,
+                                  tmp_path=tmp_path).stdout)
+        assert doc["meta"] == doc["config_echo"]
+        assert sorted(doc["meta"]) == ["N", "k", "m_min", "theta"]
+        return doc["verdict"], [(r["name"], r["residual"]) for r in doc["checks"]]
 
-    big = body(10 ** 17)
-    assert big == body(48) and big["verdict"] == "pass"
+    big = body(str(10 ** 12))
+    assert big == body("1") and big[0] == "pass"
 
 
 # run in a fresh interpreter: cli.main(argv) with stdout discarded, then the
@@ -881,9 +906,9 @@ _argv = st.one_of(
               _generators, st.integers(-5, 20), st.integers(-5, 20)),
     st.builds(lambda l, a, b: ["orbit", f"--l={l}", f"--from={a}", f"--to={b}"],
               _size, _point, _point),
-    st.builds(lambda theta, mmin, m, n: ["equiv", f"--theta={theta}", f"--mmin={mmin}",
-                                         f"--m={m}", f"--n={n}"],
-              _number, _size, _size, _size))
+    st.builds(lambda theta, mmin, n: ["equiv", f"--theta={theta}", f"--mmin={mmin}",
+                                      f"--n={n}"],
+              _number, _size, _size))
 
 
 @settings(max_examples=300, deadline=None)
