@@ -42,6 +42,7 @@ _AUXILIARY_STEP = 1e-5  # central-difference step of auxiliary_symplectic_residu
 MOMENTUM_MAP_SIGN = -1
 
 _MINUS_I = QC(0, -1)
+_set = object.__setattr__  # writes a frozen dataclass field, once validated
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,8 @@ class PhasePoint:
             raise ValueError(f"phi must be finite, got {phi}")
         if not 0 < p < math.inf:
             raise ValueError(f"p must be positive and finite, got {p}")
-        object.__setattr__(self, "phi", float(phi) % TWO_PI)
-        object.__setattr__(self, "p", float(p))
+        _set(self, "phi", float(phi) % TWO_PI)
+        _set(self, "p", float(p))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -82,9 +83,9 @@ class CoveringElement:
         g = complex(gamma)
         if not abs(g) < 1:
             raise ValueError(f"|gamma| must be < 1, got {abs(g)}")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "omega", float(omega) % (l * math.pi))
-        object.__setattr__(self, "l", l)
+        _set(self, "gamma", g)
+        _set(self, "omega", float(omega) % (l * math.pi))
+        _set(self, "l", l)
 
     def su11_matrix(self):
         """Projected SU(1,1) matrix ((alpha, beta), (conj beta, conj alpha))."""
@@ -118,22 +119,22 @@ def inverse(g: CoveringElement) -> CoveringElement:
     return CoveringElement(-g.gamma * cmath.exp(2j * g.omega), -g.omega, g.l)
 
 
-def _mobius_step(g: CoveringElement, phi: float) -> tuple[float, float]:
-    """(phi' - phi, p'/p) at phi, both from one Moebius factor
-    u = 1 + conj(gamma) e^{il phi}.
+def _mobius_u(g: CoveringElement, phi: float) -> complex:
+    """The Moebius factor u = 1 + conj(gamma) e^{il phi} of g at phi.
 
-    The displacement is continuous in phi (the Moebius part stays below
-    pi/l); the momentum factor |alpha e^{il phi} + beta|^2 is always positive.
+    The lifted action reads both of its parts from u: the displacement
+    phi' - phi = (2 omega - 2 arg u) / l, continuous in phi (the Moebius
+    part stays below pi/l), and the momentum factor p'/p = |u|^2 /
+    (1 - |gamma|^2) = |alpha e^{il phi} + beta|^2, always positive.
     """
-    u = 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * phi)
-    return ((2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l,
-            (u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2))
+    return 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * phi)
 
 
 def act_lifted(g: CoveringElement, x: PhasePoint) -> PhasePoint:
     """Lifted covering-group action on the half-cylinder."""
-    disp, factor = _mobius_step(g, x.phi)
-    return PhasePoint(x.phi + disp, x.p * factor)
+    u = _mobius_u(g, x.phi)
+    return PhasePoint(x.phi + (2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l,
+                      x.p * ((u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)))
 
 
 def angle_gap(a: float, b: float) -> float:
@@ -151,26 +152,30 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     p d mult/dphi entry drops out.  The displacement is globally smooth,
     so no branch seam is ever near.  The displacement oscillates as
     e^{il phi}, so the difference has truncation error ~ (l h)^2 and
-    rounding error ~ u / h (u the unit roundoff); the default step
-    h = (u l)^{1/3} / l balances the two, times min(1, |1 + conj(gamma)
-    e^{il phi}|), the scale (times l) on which the displacement varies near
-    the Moebius pole.  The rounding part grows as (u l)^{2/3} (1 + |gamma|)
-    / (1 - |gamma|), so a correct map audits below 1e-6 up to l = 10^6
-    only near gamma = 0.  An explicit h is used as given.
-    A step below the float spacing at phi, where phi + h == phi - h, raises
-    ValueError.
+    rounding error ~ eps / h (eps the unit roundoff); the default step
+    h = (eps l)^{1/3} / l balances the two, times min(1, |u|), u the
+    Moebius factor at phi (``_mobius_u``), the scale (times l) on which the
+    displacement varies near the Moebius pole.  The rounding part grows as
+    (eps l)^{2/3} (1 + |gamma|) / (1 - |gamma|), so a correct map audits
+    below 1e-6 up to l = 10^6 only near gamma = 0.  An explicit h is used
+    as given.  A step below the float spacing at phi, where phi + h ==
+    phi - h, raises ValueError.  The displacements are read from u at
+    phi +- h, the momentum factor from u at phi, as ``act_lifted`` reads
+    them.
     """
+    phi = x.phi
+    u = _mobius_u(g, phi)
     if h is None:
-        w = abs(1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * x.phi))
-        h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l * min(1.0, w)
+        h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l * min(1.0, abs(u))
     if not h > 0:
         raise ValueError("step h must be positive")
-    phi = x.phi
     dphi = (phi + h) - (phi - h)
     if not dphi:
         raise ValueError(f"step h = {h:.3g} is below the float spacing at phi = {phi:.17g}")
-    d_disp = (_mobius_step(g, phi + h)[0] - _mobius_step(g, phi - h)[0]) / dphi
-    m = _mobius_step(g, phi)[1]
+    up, down = _mobius_u(g, phi + h), _mobius_u(g, phi - h)
+    d_disp = ((2.0 * g.omega - 2.0 * math.atan2(up.imag, up.real)) / g.l
+              - (2.0 * g.omega - 2.0 * math.atan2(down.imag, down.real)) / g.l) / dphi
+    m = (u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)
     return abs((1.0 + d_disp) * m - 1.0)
 
 

@@ -179,7 +179,11 @@ def emit_spectrum(k: float, N: int, hbar: float = 1.0, fmt: str = "table"):
         raise ConfigError("hbar must be positive")
     if N < 0:
         raise ConfigError("N must be nonnegative")
-    values = [hbar * (k + n) for n in range(N + 1)]
+    # allocated up front, so that an N too large to hold fails at once with
+    # MemoryError instead of growing the list until memory runs out
+    values = [0.0] * (N + 1)
+    for n in range(N + 1):
+        values[n] = hbar * (k + n)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"the levels hbar (k + n) overflow at k = {k}, hbar = {hbar}")
     if fmt == "table":

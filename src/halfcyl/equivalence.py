@@ -126,6 +126,18 @@ def conjugate_realizations(config: RepConfig, label=None) -> list:
     return judge(rows, label)
 
 
+def theta_resolution_problem(theta: float, top: int) -> str | None:
+    """Why floats near the mode ``top`` cannot resolve theta, or None.
+
+    The identification compares spectra at modes up to m_min + N + 4; from
+    2**52 on the float spacing is >= 1, and float() overflows far above.
+    """
+    if top >= 2 ** 52 or math.ulp(float(top)) > theta / 1024:
+        return (f"floats near the top compared mode m_min + N + 4 cannot resolve "
+                f"theta = {theta}: their spacing there exceeds theta / 1024")
+    return None
+
+
 def identification_report(theta: float, m_min: int, N: int = 32, hbar: float = 1.0,
                           label=None) -> list:
     """Records of the full-diagram commutativity under the k = theta + m_min
@@ -140,11 +152,9 @@ def identification_report(theta: float, m_min: int, N: int = 32, hbar: float = 1
     if N < 4:
         raise ValueError(f"weight-basis cutoff N must be >= 4, got {N}")
     ps = ProjectedSpace(ThetaSpace(theta, range(m_min - 4, m_min + N + 5), hbar), m_min)
-    top = ps.parent.window[-1]
-    # from 2**52 on the float spacing is >= 1, and float() overflows far above
-    if top >= 2 ** 52 or math.ulp(float(top)) > theta / 1024:
-        raise ValueError(f"floats near the top compared mode m_min + N + 4 cannot resolve "
-                         f"theta = {theta}: their spacing there exceeds theta / 1024")
+    problem = theta_resolution_problem(theta, ps.parent.window[-1])
+    if problem:
+        raise ValueError(problem)
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
                                             phase_convention="creation_plus"))
     return judge([

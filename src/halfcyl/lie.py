@@ -100,8 +100,8 @@ class ClosureResult:
 def _sort_key(elem: WittElement):
     """Total order on exact values: the support, then each coefficient's
     canonical integer triple."""
-    return (elem.support,
-            tuple((c._x, c._y, c._d) for _, c in sorted(elem.coeffs.items())))
+    items = sorted(elem.coeffs.items())
+    return (tuple(j for j, _ in items), tuple((c._x, c._y, c._d) for _, c in items))
 
 
 def _top_mode(modes) -> int:
@@ -134,24 +134,35 @@ class _ExactSpan:
         """True if the span is a coordinate span holding every mode j + k
         (j != k) that [a, b] can reach, so that [a, b] lies in it."""
         modes = self.modes
-        return len(self.rows) == len(modes) and all(
-            j + k in modes for j in a.coeffs for k in b.coeffs if j != k)
+        if len(self.rows) != len(modes):
+            return False
+        for j in a.coeffs:
+            for k in b.coeffs:
+                if j != k and j + k not in modes:
+                    return False
+        return True
 
     def insert(self, elem):
         """Reduce elem; if a remainder is left, add it as a row and return True.
         In a coordinate span the remainder is elem without the span's modes,
         so its pivot lies outside every row's.  Otherwise a step
         r <- a r - c row (a the row's pivot entry, c r's) is a nonzero
-        multiple of the rational one, so zero tests and top modes agree."""
+        multiple of the rational one, so zero tests and top modes agree.
+        When the coefficients share one denominator their numerators are
+        the row as they stand."""
         coeffs = elem.coeffs
         coordinate = len(self.rows) == len(self.modes)
         if coordinate:
             coeffs = {j: q for j, q in coeffs.items() if j not in self.modes}
         if not coeffs:
             return False
-        den = lcm(*(q._d for q in coeffs.values()))
-        r = _primitive({j: (q._x * (den // q._d), q._y * (den // q._d))
-                        for j, q in coeffs.items()})
+        dens = {q._d for q in coeffs.values()}
+        if len(dens) == 1:
+            r = {j: (q._x, q._y) for j, q in coeffs.items()}
+        else:
+            den = lcm(*dens)
+            r = {j: (q._x * (den // q._d), q._y * (den // q._d)) for j, q in coeffs.items()}
+        r = _primitive(r)
         if not coordinate:
             for pivot, row in self.rows:
                 if pivot not in r:
@@ -195,7 +206,7 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
                   key=_sort_key)
     if not gens:
         raise ValueError("generators must contain a nonzero element")
-    top = max(max(abs(j) for j in g.support) for g in gens)
+    top = max(abs(j) for g in gens for j in g.coeffs)
     if mode_bound < top:
         raise ValueError(f"mode_bound {mode_bound} below generator mode {top}")
     if dim_bound < len(gens):
@@ -208,15 +219,16 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
             basis.append(g)
 
     witness = None
+    # pairs in the order they arise; the loop reads the pairs that it
+    # appends itself, as a list iterator does
     frontier = list(itertools.combinations(range(len(basis)), 2))
-    while frontier:
-        i, j = frontier.pop(0)
+    for i, j in frontier:
         if span.holds_bracket(basis[i], basis[j]):
             continue
         c = witt_bracket(basis[i], basis[j])
         if c.is_zero:
             continue
-        if max(abs(m) for m in c.support) > mode_bound:
+        if max(abs(m) for m in c.coeffs) > mode_bound:
             return ClosureResult(False, None, witness if witness is not None
                                  else _top_mode(c.coeffs))
         if span.insert(c):

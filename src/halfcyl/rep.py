@@ -400,7 +400,9 @@ def exp_generator(direction: str, t: float, config: RepConfig) -> np.ndarray:
     exp(t T2) = cos(tJ) + i sin(tJ) and
     exp(t T1) = D (cos(tJ) - i sin(tJ)) D*, D = diag(i^n), unitary up to
     rounding; cos(tJ) and sin(tJ) are separate real products, so they stay
-    exactly even and odd in t.  The parameter is capped at |t| <= 2 to keep
+    exactly even and odd in t.  exp(t T1) is real (T1 is real and
+    antisymmetric) and is returned as a real array: D's phases are signs
+    on the real blocks.  The parameter is capped at |t| <= 2 to keep
     truncation leakage confined to the top rows.  The rotation direction is
     diagonal: exp(t T0) is ``rotation_rep(-t / 2, config)``.
     """
@@ -420,14 +422,24 @@ def exp_generator(direction: str, t: float, config: RepConfig) -> np.ndarray:
     ue, vo = u[:(cols + 1) // 2], v[:cols // 2]  # rows of the even, odd columns
     tau = t if direction == "T2" else -t  # exp(t T1) = D exp(-i t J) D*
     c, sn = np.cos(tau * s), np.sin(tau * s)
-    mat = np.zeros((rows, cols), complex)  # cos(tau J) + i sin(tau J)
-    mat.real[0::2, 0::2] = (u * np.append(c, np.ones(u.shape[0] - s.size))) @ ue.T
-    mat.real[1::2, 1::2] = (v * c) @ vo.T
-    mat.imag[0::2, 1::2] = (u[:, :s.size] * sn) @ vo.T
-    mat.imag[1::2, 0::2] = (v * sn) @ ue[:, :s.size].T
+    if direction == "T2":  # cos(tau J) + i sin(tau J)
+        mat = np.zeros((rows, cols), complex)
+        re, im = mat.real, mat.imag
+    else:  # D (cos(tau J) + i sin(tau J)) D*, real: see below
+        re = im = mat = np.empty((rows, cols))
+    re[0::2, 0::2] = (u * np.append(c, np.ones(u.shape[0] - s.size))) @ ue.T
+    re[1::2, 1::2] = (v * c) @ vo.T
+    im[0::2, 1::2] = (u[:, :s.size] * sn) @ vo.T
+    im[1::2, 0::2] = (v * sn) @ ue[:, :s.size].T
     if direction == "T1":
-        d = np.array([1, 1j, -1, -1j])[np.arange(rows) % 4]  # i^n, exact
-        mat = d[:, None] * mat * d[:cols].conj()
+        # entry (r, c) times i^(r - c), with the i of the sin blocks: the
+        # sign s_r s_c, s_n = (-1)^(n // 2), and once more -1 on the sin
+        # block of odd rows, so each entry is a cos or sin entry up to sign
+        np.negative(mat[1::2, 0::2], out=mat[1::2, 0::2])
+        sign = 1.0 - 2.0 * (np.arange(rows) // 2 % 2)
+        mat *= sign[:, None]
+        mat *= sign[:cols]
+        mat += 0.0  # a sign-flipped exact zero reads +0, as the phases give it
     mat.setflags(write=False)
     return mat
 

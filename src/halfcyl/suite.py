@@ -26,7 +26,8 @@ import numpy as np
 from . import classical as cl
 from . import lie
 from .equivalence import (conjugate_realizations, identification_report,
-                          phase_operator, sincos_operators, tplus_from_phase)
+                          phase_operator, sincos_operators, theta_resolution_problem,
+                          tplus_from_phase)
 from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
 from .report import CheckReport, ConfigError, _finite, judge, worst_of
 from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_cutoff,
@@ -91,6 +92,11 @@ class SuiteConfig:
             if self.N < (cutoff := boost_cutoff(t, k)):
                 raise ConfigError(f"N = {self.N} certifies no boost column at k = {k:g} "
                                   f"(t = {t:g}); the smallest N that does is {cutoff:.6g}")
+        # the theta cells' identifications, refused before any cell runs
+        top = self.N + max(THETA_M_MINS[self.profile]) + 4
+        for theta in theta_values:
+            if problem := theta_resolution_problem(theta, top):
+                raise ConfigError(problem)
 
     @property
     def active_k_values(self):

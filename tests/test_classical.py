@@ -209,7 +209,11 @@ def test_symplectic_random():
 def test_symplectic_closed_form_matches_full_matrix_residual():
     # the audit returns |det J - 1|; rebuild J with both difference
     # columns and take || J^T Omega J - Omega || in full
-    from halfcyl.classical import _mobius_step
+    from halfcyl.classical import _mobius_u
+
+    def step(g, phi):  # (phi' - phi, p'/p), both from the Moebius factor u
+        u = _mobius_u(g, phi)
+        return (2 * g.omega - 2 * cmath.phase(u)) / g.l, abs(u) ** 2 / (1 - abs(g.gamma) ** 2)
 
     rng = np.random.default_rng(7)
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -220,12 +224,58 @@ def test_symplectic_closed_form_matches_full_matrix_residual():
                             rng.uniform(0, l * math.pi), l)
         x = PhasePoint(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(-2, 2)))
         h = 10 ** rng.uniform(-7, -1)
-        (dp, mp), (dm, mm) = _mobius_step(g, x.phi + h), _mobius_step(g, x.phi - h)
-        step = (x.phi + h) - (x.phi - h)
-        jac = np.array([[1.0 + (dp - dm) / step, 0.0],
-                        [x.p * (mp - mm) / step, _mobius_step(g, x.phi)[1]]])
+        (dp, mp), (dm, mm) = step(g, x.phi + h), step(g, x.phi - h)
+        step_width = (x.phi + h) - (x.phi - h)
+        jac = np.array([[1.0 + (dp - dm) / step_width, 0.0],
+                        [x.p * (mp - mm) / step_width, step(g, x.phi)[1]]])
         full = np.abs(jac.T @ omega @ jac - omega).max()
         assert abs(check_symplectic(g, x, h) - full) < 1e-13
+
+
+def _closed_form_action(g, x):
+    """(phi', p') of the lifted action, written out from the closed-form map:
+    u = 1 + conj(gamma) e^{il phi}, phi' = phi + (2 omega - 2 arg u) / l,
+    p' = p |u|^2 / (1 - |gamma|^2)."""
+    u = 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * x.phi)
+    phi = x.phi + (2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l
+    return phi % (2 * math.pi), x.p * ((u.real * u.real + u.imag * u.imag)
+                                       / (1.0 - abs(g.gamma) ** 2))
+
+
+def _closed_form_audit(g, x, h=None):
+    """|det J - 1| with the displacements at phi +- h and the momentum
+    factor at phi, each from the closed-form map, and the default step
+    (eps l)^(1/3) / l min(1, |u|) when h is None."""
+    def u_at(phi):
+        return 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * phi)
+
+    def displacement(phi):
+        u = u_at(phi)
+        return (2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l
+
+    u = u_at(x.phi)
+    if h is None:
+        h = (2.0 ** -53 * g.l) ** (1 / 3) / g.l * min(1.0, abs(u))
+    d_disp = (displacement(x.phi + h) - displacement(x.phi - h)) / ((x.phi + h) - (x.phi - h))
+    factor = (u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)
+    return abs((1.0 + d_disp) * factor - 1.0)
+
+
+def test_action_and_audit_equal_the_closed_form_bit_for_bit():
+    # the same operations in the same order as the closed-form map, so
+    # every output is the same float, not merely close to it
+    rng = np.random.default_rng(2029)
+    for _ in range(2000):
+        l = int(rng.integers(1, 4))
+        g = CoveringElement(0.95 * math.sqrt(rng.uniform())
+                            * cmath.exp(2j * math.pi * rng.uniform()),
+                            rng.uniform(0, l * math.pi), l)
+        x = PhasePoint(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(-2, 2)))
+        y = act_lifted(g, x)
+        assert (y.phi, y.p) == _closed_form_action(g, x)
+        h = float(rng.uniform(1e-3, 1e-2))
+        assert check_symplectic(g, x, h) == _closed_form_audit(g, x, h)
+        assert check_symplectic(g, x) == _closed_form_audit(g, x)
 
 
 def test_symplectic_rejects_bad_step():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -212,6 +213,28 @@ def test_rational_recombinations_close_exactly(gens):
     res = witt_closure(gens)
     assert res.closed and res.dimension == len(gens)
     assert all(map(_all_exact, res.basis))
+
+
+def test_closed_recombination_returns_its_sorted_generators():
+    # an independent set spanning a closed algebra is its own basis: the
+    # generators in the order of lie._sort_key, whatever the order given
+    rng = random.Random(29)
+    for case in range(50):
+        l = rng.randint(1, 8)
+        modes = (-l, 0, l) if case % 2 else (0, rng.choice((-l, l)))
+        while True:
+            if case % 4 < 2:
+                rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in modes]
+                        for _ in modes]
+            else:
+                rows = [[rng.gauss(0.0, 1.0) for _ in modes] for _ in modes]
+            if _det([[Fraction(c) for c in row] for row in rows]):
+                break
+        gens = [WittElement(dict(zip(modes, row))) for row in rows]
+        rng.shuffle(gens)
+        res = witt_closure(gens)
+        assert res.closed and res.dimension == len(modes)
+        assert res.basis == tuple(sorted(gens, key=lie._sort_key))
 
 
 def test_closure_exact_recombination_regression():

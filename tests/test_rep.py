@@ -538,6 +538,24 @@ def test_boost_exponential_matches_dense_eigh_reference(direction, k, N):
         assert np.abs(u - _eigh_reference(direction, t, cfg)).max() < tol
 
 
+# whole exponentials at N = 16 and 64, probe blocks at N = 256; k = 0.05
+# has entries that underflow to exact zeros, whose sign is compared too
+@pytest.mark.parametrize("N", [16, 64, 256])
+@pytest.mark.parametrize("k", [0.05, 0.5, 3.0])
+def test_real_t1_boost_equals_the_phase_formula_bit_for_bit(k, N):
+    # exp(t T1) = D exp(-i t J) D*, D = diag(i^n), and exp(-i t J) is the T2
+    # exponential at -t: the phases applied as complex products give a zero
+    # imaginary part and the very floats of the real array
+    cfg = RepConfig(k=k, N=N)
+    for t in (0.1, 0.7, -0.3, 1e-4, -2e-4):
+        u = exp_generator("T1", t, cfg)
+        m = exp_generator("T2", -t, cfg)
+        d = np.array([1, 1j, -1, -1j])[np.arange(m.shape[0]) % 4]
+        want = d[:, None] * m * d[:m.shape[1]].conj()
+        assert u.dtype == np.float64 and not want.imag.any()
+        assert u.tobytes() == want.real.copy().tobytes()
+
+
 # whole exponentials of odd and even L, and a probe block
 @pytest.mark.parametrize("N", [40, 41, 1024])
 def test_boost_parity_blocks_vanish_exactly(N):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import halfcyl
 from halfcyl import classical, suite
 from halfcyl.cli import emit_spectrum, main, parse_generators, parse_witt_expression
-from halfcyl.equivalence import sincos_operators
+from halfcyl.equivalence import identification_report, sincos_operators
 from halfcyl.lie import L, WittElement
 from halfcyl.projection import halfline_demo
 from halfcyl.report import CheckRecord, CheckReport, judge
@@ -625,18 +625,46 @@ def test_cli_orbit_rejects_covering_index_before_the_audit_step():
     assert "above 1000000" in proc.stderr
 
 
-# Arrays of 10**17 entries (about an exbibyte) exceed any 64-bit address
-# space, so the allocation fails at once and nothing is ever touched.  equiv
-# takes no cutoff that large (floats there cannot resolve theta); its 10**12
-# entries (8 TB) exceed any host's memory, which the kernel's default
-# overcommit heuristic refuses at once as well.
+# spectrum's level list of 10**17 entries (about an exbibyte) exceeds any
+# 64-bit address space, so the allocation fails at once and nothing is ever
+# touched.  equiv and verify take no cutoff that large (floats there cannot
+# resolve theta); their 10**12 entries (8 TB) exceed any host's memory,
+# which the kernel's default overcommit heuristic refuses at once as well.
 @pytest.mark.parametrize("args,config", [
     (("equiv", "--theta", "0.5", "--n", str(10 ** 12)), None),
-    (("verify",), json.dumps({"N": 10 ** 17, "M": 10 ** 17}))])
+    (("verify",), json.dumps({"N": 10 ** 12, "M": 10 ** 12})),
+    (("spectrum", "--k", "1", "--n", str(10 ** 17)), None)])
 def test_cli_unallocatable_size_is_a_usage_error(args, config, tmp_path):
     proc = _run_cli(*args, config=config, tmp_path=tmp_path)
     _assert_usage_error(proc)
     assert proc.stderr.startswith("error: out of memory: ")
+
+
+def test_verify_refuses_an_unresolvable_theta_before_any_cell(monkeypatch, tmp_path,
+                                                             capsys):
+    # SuiteConfig applies identification_report's rule at N + 4 (the physical
+    # profile's m_min is 0): the same one line and exit 2, and no cell runs
+    def no_cell(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(suite, "_lie_cell", no_cell)
+    with pytest.raises(ValueError) as exc:
+        identification_report(1e-12, 0, 64)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"theta_values": [1e-12]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc.value}\n"
+
+
+def test_suite_config_applies_the_theta_rule_at_the_largest_m_min():
+    # floats in [2**42, 2**43) are 2**-10 = 1/1024 apart, which resolves
+    # theta = 1 at the physical top mode N + 4 = 2**43 - 1; the full
+    # profile's m_min = 3 moves the top to 2**43 + 2, where they are 2**-9 apart
+    n = 2 ** 43 - 5
+    SuiteConfig(k_values=(0.5,), theta_values=(1.0,), N=n)
+    with pytest.raises(ConfigError, match="cannot resolve theta = 1.0"):
+        SuiteConfig(k_values=(0.5,), theta_values=(1.0,), N=n, profile="full")
 
 
 # at such a k the boost reach is far beyond N = 64 (or overflows to inf), so
