@@ -126,12 +126,13 @@ def conjugate_realizations(config: RepConfig, label=None) -> list:
     return judge(rows, label)
 
 
-def theta_resolution_problem(theta: float, top: int) -> str | None:
-    """Why floats near the mode ``top`` cannot resolve theta, or None.
+def theta_resolution_problem(theta: float, m_min: int, N: int) -> str | None:
+    """Why floats near the top compared mode m_min + N + 4 of the
+    identification cannot resolve theta, or None.
 
-    The identification compares spectra at modes up to m_min + N + 4; from
-    2**52 on the float spacing is >= 1, and float() overflows far above.
+    From 2**52 on the float spacing is >= 1, and float() overflows far above.
     """
+    top = m_min + N + 4
     if top >= 2 ** 52 or math.ulp(float(top)) > theta / 1024:
         return (f"floats near the top compared mode m_min + N + 4 cannot resolve "
                 f"theta = {theta}: their spacing there exceeds theta / 1024")
@@ -152,7 +153,7 @@ def identification_report(theta: float, m_min: int, N: int = 32, hbar: float = 1
     if N < 4:
         raise ValueError(f"weight-basis cutoff N must be >= 4, got {N}")
     ps = ProjectedSpace(ThetaSpace(theta, range(m_min - 4, m_min + N + 5), hbar), m_min)
-    problem = theta_resolution_problem(theta, ps.parent.window[-1])
+    problem = theta_resolution_problem(theta, m_min, N)
     if problem:
         raise ValueError(problem)
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,

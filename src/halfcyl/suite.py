@@ -92,10 +92,11 @@ class SuiteConfig:
             if self.N < (cutoff := boost_cutoff(t, k)):
                 raise ConfigError(f"N = {self.N} certifies no boost column at k = {k:g} "
                                   f"(t = {t:g}); the smallest N that does is {cutoff:.6g}")
-        # the theta cells' identifications, refused before any cell runs
-        top = self.N + max(THETA_M_MINS[self.profile]) + 4
+        # the theta cells' identifications, refused before any cell runs; the
+        # largest m_min has the coarsest floats
+        m_min = max(THETA_M_MINS[self.profile])
         for theta in theta_values:
-            if problem := theta_resolution_problem(theta, top):
+            if problem := theta_resolution_problem(theta, m_min, self.N):
                 raise ConfigError(problem)
 
     @property
