@@ -18,7 +18,7 @@ from halfcyl.report import CheckReport
 def main():
     box = HALFLINE_BOX
     grids = [HALFLINE_POINTS * 2 ** i for i in range(5)]
-    residuals = [halfline_commutator_residual(n, box) for n in grids]
+    residuals = [halfline_commutator_residual(n, hbar=1.0) for n in grids]
     print(f"periodic log grid, box width {box}")
     print(f"{'n':>6} {'residual':>12} {'order':>7}")
     for i, (n, r) in enumerate(zip(grids, residuals)):

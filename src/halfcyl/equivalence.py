@@ -19,7 +19,7 @@ import numpy as np
 from .projection import ProjectedSpace, ThetaSpace
 from .report import judge, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
-                  gram_weights, interior_residual, sin_cos, tol)
+                  commutator, gram_weights, interior_residual, sin_cos, tol)
 
 __all__ = [
     "identification_report", "phase_operator", "tplus_from_phase", "sincos_operators",
@@ -81,11 +81,11 @@ def sincos_operators(gs: GeneratorSet, label=None) -> list:
         ("sincos_square_anomaly", "s^2 + c^2 = 1 - P_0/2", 1e-10,
          lambda: interior_residual(s @ s + c @ c - (eye - 0.5 * p0))),
         ("sincos_commutator_anomaly", "[s, c] = (i/2) P_0", 1e-10,
-         lambda: interior_residual(s @ c - c @ s - 0.5j * p0)),
+         lambda: interior_residual(commutator(s, c) - 0.5j * p0)),
         ("rotation_flow_sin", "[H, s] = -i c", 1e-10,
-         lambda: interior_residual((gs.H @ s - s @ gs.H) + 1j * c)),
+         lambda: interior_residual(commutator(gs.H, s) + 1j * c)),
         ("rotation_flow_cos", "[H, c] = i s", 1e-10,
-         lambda: interior_residual((gs.H @ c - c @ gs.H) - 1j * s)),
+         lambda: interior_residual(commutator(gs.H, c) - 1j * s)),
     ], label)
 
 
@@ -153,11 +153,9 @@ def identification_report(theta: float, m_min: int, N: int = 32, hbar: float = 1
     if N < 4:
         raise ValueError(f"weight-basis cutoff N must be >= 4, got {N}")
     ps = ProjectedSpace(ThetaSpace(theta, range(m_min - 4, m_min + N + 5), hbar), m_min)
-    problem = theta_resolution_problem(theta, m_min, N)
-    if problem:
+    if problem := theta_resolution_problem(theta, m_min, N):
         raise ValueError(problem)
-    gs = build_generators("fock", RepConfig(k=ps.k, N=N, hbar=hbar,
-                                            phase_convention="creation_plus"))
+    gs = build_generators("fock", RepConfig(k=ps.k, N=N, phase_convention="creation_plus"))
     return judge([
         ("spectra_match", "projected p = hbar H entrywise", 1e-12,
          lambda: (ps.momentum().block(0, N + 1) - (hbar * gs.H)).max_abs()),

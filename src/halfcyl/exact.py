@@ -23,9 +23,9 @@ class QC:
     """Complex number (x + iy)/d with exact rational real and imaginary parts.
 
     The value is stored as three ``int``s in canonical form: d > 0 and
-    gcd(x, y, d) = 1, so equal values have equal triples.  ``+ - * /``
-    work on the integers and reduce once with a gcd, which is skipped
-    when d = 1 (Gaussian integers take none).  ``re`` and ``im`` are
+    gcd(x, y, d) = 1, so equal values have equal triples.  ``+ * /`` work
+    on the integers (``a - b`` is ``a + -b``) and reduce once with a gcd,
+    skipped when d = 1 (Gaussian integers take none).  ``re`` and ``im`` are
     read-only: an ``int`` when the part is integral, else a ``Fraction``.
 
     The constructor takes ints, ``Fraction``s and anything ``Fraction``
@@ -74,14 +74,7 @@ class QC:
         return _qc(-self._x, -self._y, self._d)
 
     def __sub__(self, other):
-        if type(other) is not QC:
-            other = _lift(other)
-            if other is NotImplemented:
-                return other
-        d, e = self._d, other._d
-        if d == e:
-            return _qc(self._x - other._x, self._y - other._y, d)
-        return _qc(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -268,10 +261,7 @@ class ModeSeries:
         return self._new(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out[j] - c if j in out else -c
-        return self._new(out)
+        return self + -other
 
     def __neg__(self):
         return self._new({j: -c for j, c in self.coeffs.items()})

@@ -269,9 +269,6 @@ class So12Element:
     def __add__(self, other):
         return So12Element(self.t0 + other.t0, self.t1 + other.t1, self.t2 + other.t2)
 
-    def __sub__(self, other):
-        return So12Element(self.t0 - other.t0, self.t1 - other.t1, self.t2 - other.t2)
-
     def __rmul__(self, s):
         return So12Element(s * self.t0, s * self.t1, s * self.t2)
 

@@ -157,8 +157,8 @@ def isometry_report(ps: ProjectedSpace, label=None) -> list:
 HALFLINE_POINTS, HALFLINE_BOX = 64, 4.0  # the demo's grid in x = ln q
 
 
-def _log_grid_operators(n_points: int, box_width: float, hbar: float):
-    """Grid in x = ln q (measure dq/q = counting), q = e^x positive.
+def _log_grid_operators(n_points: int, hbar: float):
+    """Grid in x = ln q of width HALFLINE_BOX (measure dq/q = counting), q = e^x > 0.
 
     The dilation by one grid step is the exact cyclic shift: the subdiagonal
     and the corner band n - 1 that closes the period, reach 0 (a periodic
@@ -167,8 +167,8 @@ def _log_grid_operators(n_points: int, box_width: float, hbar: float):
     including the wrap, which contaminates exactly the two seam rows of the
     commutator with q; the residual drops them.
     """
-    h = box_width / n_points
-    x = -0.5 * box_width + h * np.arange(n_points)
+    h = HALFLINE_BOX / n_points
+    x = -0.5 * HALFLINE_BOX + h * np.arange(n_points)
     q = TruncatedOperator.diag(np.exp(x))
     dil = TruncatedOperator({-1: np.ones(n_points - 1, complex),  # psi(x) -> psi(x - h)
                              n_points - 1: np.ones(1, complex)}, n_points, 0)
@@ -177,11 +177,10 @@ def _log_grid_operators(n_points: int, box_width: float, hbar: float):
     return x, q, dil, qp, mom
 
 
-def halfline_commutator_residual(n_points: int, box_width: float,
-                                 hbar: float = 1.0) -> float:
+def halfline_commutator_residual(n_points: int, *, hbar: float) -> float:
     """Interior residual of [q, qp] - i hbar q on a smooth test function."""
-    x, q, _, qp, _ = _log_grid_operators(n_points, box_width, hbar)
-    psi = np.exp(np.cos(2 * np.pi * x / box_width))[:, None]
+    x, q, _, qp, _ = _log_grid_operators(n_points, hbar)
+    psi = np.exp(np.cos(2 * np.pi * x / HALFLINE_BOX))[:, None]
     resid = commutator(q, qp).dot(psi) - 1j * hbar * q.dot(psi)
     inner = slice(1, n_points - 1)  # drop the two seam rows
     return float(np.abs(resid[inner]).max() / np.abs(psi).max())
@@ -197,11 +196,10 @@ def halfline_demo(hbar: float = 1.0, label=None) -> list:
     second order.  The plain momentum -i hbar d/dq is not hermitean on the
     half-line; its defect is carried in the note of ``scaling_hermitean``.
     """
-    _, q, dil, qp, mom = _log_grid_operators(HALFLINE_POINTS, HALFLINE_BOX, hbar)
+    _, q, dil, qp, mom = _log_grid_operators(HALFLINE_POINTS, hbar)
     q_min = q.bands[0].real.min()
     # r1, r2 and the defect fill notes, so they are computed before the rows run
-    r1 = halfline_commutator_residual(HALFLINE_POINTS, HALFLINE_BOX, hbar)
-    r2 = halfline_commutator_residual(2 * HALFLINE_POINTS, HALFLINE_BOX, hbar)
+    r1, r2 = (halfline_commutator_residual(n * HALFLINE_POINTS, hbar=hbar) for n in (1, 2))
     order = math.log2(r1 / r2)
     defect = (mom - mom.adjoint()).max_abs()
     return judge([

@@ -46,11 +46,10 @@ def tol(N: int) -> float:
 
 @dataclass(frozen=True)
 class RepConfig:
-    """Weight k > 0, cutoff N (basis 0..N), hbar, and the ladder sign gauge."""
+    """Weight k > 0, cutoff N (basis 0..N) and the ladder sign gauge."""
 
     k: float
     N: int
-    hbar: float = 1.0
     phase_convention: str = "creation_plus"
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class RepConfig:
             raise ValueError(f"k must be positive (unitarity), got {self.k}")
         if self.N < 4:
             raise ValueError(f"N must be at least 4, got {self.N}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.phase_convention not in PHASE_CONVENTIONS:
             raise ValueError(f"unknown phase convention {self.phase_convention!r}")
 
@@ -229,8 +226,9 @@ def _ladder_bands(realization: str, config: RepConfig):
     h = k + np.arange(N + 1, dtype=float)
     lo = np.arange(N, dtype=float)  # source index of the raising shift
 
-    if realization == "fock":
-        # abstract ladder: sqrt(q + lambda(lambda +- 1)) at lambda = k + n
+    if realization in ("fock", "hardy"):
+        # abstract ladder sqrt(q + lambda(lambda +- 1)) at lambda = k + n, and the Hardy
+        # root form: the shift times the root of (2k - i d/dphi)(1 - i d/dphi)
         up = dn = np.sqrt((2 * k + lo) * (lo + 1))
     elif realization == "disc":
         # differential action -2k zbar - zbar^2 d/dzbar on the normalized
@@ -242,10 +240,6 @@ def _ladder_bands(realization: str, config: RepConfig):
         # exp(i phi)(-2k + i d/dphi) on the unnormalized Fourier basis
         up = 2 * k + lo
         dn = lo + 1
-    elif realization == "hardy":
-        # shift composed with the entrywise root of the positive diagonal
-        # (2k - i d/dphi)(1 - i d/dphi) on the orthonormal Fourier basis
-        up = dn = np.sqrt((2 * k + lo) * (1 + lo))
     else:
         raise ValueError(f"unknown realization {realization!r}")
     if config.phase_convention == "disc_minus":
@@ -278,9 +272,11 @@ def casimir(gs: GeneratorSet) -> TruncatedOperator:
     return gs.T0 @ gs.T0 - gs.T1 @ gs.T1 - gs.T2 @ gs.T2
 
 
-def spectrum_p(config: RepConfig) -> np.ndarray:
+def spectrum_p(config: RepConfig, hbar: float) -> np.ndarray:
     """Momentum spectrum hbar (k + n), n = 0..N: positive, spacing hbar."""
-    return config.hbar * (config.k + np.arange(config.N + 1))
+    if not hbar > 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    return hbar * (config.k + np.arange(config.N + 1))
 
 
 def rotation_rep(omega: float, config: RepConfig) -> TruncatedOperator:

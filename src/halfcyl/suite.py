@@ -43,6 +43,7 @@ PROFILES = ("physical", "full")
 # m_min values of the identification check in each profile's theta cell
 THETA_M_MINS = {"physical": (0,), "full": (0, 1, 3)}
 BOOST_TIMES = (0.1, 0.7)  # t of the rep cell's boosts exp(t T1), exp(t T2)
+CELL_LABEL = "{}={:g}"  # label of the grid cell at k or theta = value, as "k=0.5"
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,12 @@ class SuiteConfig:
         theta_values = tuple(_finite("theta", t) for t in self.theta_values)
         if not (theta_values and all(0 < t <= 1 for t in theta_values)):
             raise ConfigError(f"theta_values must be nonempty in (0, 1], got {theta_values}")
+        for name, values in (("k", k_values), ("theta", theta_values)):
+            labels = [CELL_LABEL.format(name, v) for v in values]
+            for i, lab in enumerate(labels):
+                if lab in labels[:i]:  # the cells' records would share names too
+                    raise ConfigError(f"{name} values {values[labels.index(lab)]!r} and "
+                                      f"{values[i]!r} share the cell label {lab}")
         if not (isinstance(self.N, int) and self.N >= 4):
             raise ConfigError(f"N must be an integer >= 4, got {self.N!r}")
         if not (isinstance(self.M, int) and self.M >= 8):
@@ -168,9 +175,8 @@ def _lie_cell(rng) -> list:
             yield _max_coefficient(lie.witt_bracket(lie.L(j), lie.L(k)) - (k - j) * lie.L(j + k))
 
     def killing():
-        basis = (lie.So12Element(1, 0, 0), lie.So12Element(0, 1, 0), lie.So12Element(0, 0, 1))
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
+        for i, a in enumerate(lie._SO12_BASIS):
+            for j, b in enumerate(lie._SO12_BASIS):
                 yield abs(complex(lie.killing_form(a, b) - ((-2, 2, 2)[i] if i == j else 0)))
 
     def homomorphism():
@@ -269,23 +275,18 @@ def _classical_cell(rng) -> list:
         def normal():
             return rng.gauss(0.0, 1.0)
 
+        # (model, a draw of a group element, a draw of a point)
+        models = (("affine_halfline", lambda: (normal(), math.exp(normal())),
+                   lambda: (math.exp(normal()), normal())),
+                  ("plane_punctured",
+                   lambda: (normal() + 1j * normal(), cmath.exp(normal() + 1j * normal())),
+                   lambda: (normal() + 1j * normal() + 2.0, normal() + 1j * normal())))
         for _ in range(25):
-            g1 = (normal(), math.exp(normal()))
-            g2 = (normal(), math.exp(normal()))
-            x = (math.exp(normal()), normal())
-            lhs = cl.act_auxiliary("affine_halfline", g1,
-                                   cl.act_auxiliary("affine_halfline", g2, x))
-            rhs = cl.act_auxiliary("affine_halfline",
-                                   cl.compose_auxiliary("affine_halfline", g1, g2), x)
-            yield from (abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
-            c1 = (normal() + 1j * normal(), cmath.exp(normal() + 1j * normal()))
-            c2 = (normal() + 1j * normal(), cmath.exp(normal() + 1j * normal()))
-            z = (normal() + 1j * normal() + 2.0, normal() + 1j * normal())
-            lhs = cl.act_auxiliary("plane_punctured", c1,
-                                   cl.act_auxiliary("plane_punctured", c2, z))
-            rhs = cl.act_auxiliary("plane_punctured",
-                                   cl.compose_auxiliary("plane_punctured", c1, c2), z)
-            yield from (abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
+            for model, element, point in models:
+                g1, g2, x = element(), element(), point()
+                lhs = cl.act_auxiliary(model, g1, cl.act_auxiliary(model, g2, x))
+                rhs = cl.act_auxiliary(model, cl.compose_auxiliary(model, g1, g2), x)
+                yield from (abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
 
     def affine_gap():
         got, want = cl.poisson_bracket_poly({(1, 0): 1}, {(1, 1): 1}), {(1, 0): 1}
@@ -338,7 +339,7 @@ def _classical_cell(rng) -> list:
 
 def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     N = cfg.N
-    rc = RepConfig(k=k, N=N, hbar=cfg.hbar)
+    rc = RepConfig(k=k, N=N)
     gs = build_generators("fock", rc)
     eye = TruncatedOperator.diag(np.ones(N + 1))
     cas = casimir(gs)
@@ -354,7 +355,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     u = phase_operator(gs)
 
     def spectrum_gap():
-        spec = spectrum_p(rc)
+        spec = spectrum_p(rc, cfg.hbar)
         gap = np.abs(spec - cfg.hbar * gs.H.bands[0].real).max()
         return gap if spec.min() > 0 else math.inf
 
@@ -379,11 +380,10 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         return 0.0 if (ordered and w[0] == 1.0) else 1.0
 
     def ladder_from_phase():
-        gm = build_generators("fock", RepConfig(k=k, N=N, hbar=cfg.hbar,
-                                                phase_convention="disc_minus"))
+        gm = build_generators("fock", RepConfig(k=k, N=N, phase_convention="disc_minus"))
         return interior_residual(tplus_from_phase(gm, u) - gm.Tplus)
 
-    lab = f"k={k:g}"
+    lab = CELL_LABEL.format("k", k)
     return judge([
         ("ladder_algebra", "[H,T+]=T+, [H,T-]=-T-, [T+,T-]=-2H", 1e-7,
          lambda: (interior_residual(commutator(gs.H, gs.Tplus) - gs.Tplus),
@@ -427,12 +427,12 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
 
 
 def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
-    lab = f"theta={theta:g}"
+    lab = CELL_LABEL.format("theta", theta)
     space = ThetaSpace(theta, range(-cfg.M, cfg.M + 1), cfg.hbar)
     u, p = space.shift(), space.momentum()
     out = judge([
         ("cylinder_commutator", "[U, p] = -hbar U", 1e-12,
-         lambda: interior_residual((u @ p - p @ u) + cfg.hbar * u, trim_bottom=1)),
+         lambda: interior_residual(commutator(u, p) + cfg.hbar * u, trim_bottom=1)),
     ], lab) + isometry_report(ProjectedSpace(space, 0), lab)
     for m_min in THETA_M_MINS[cfg.profile]:
         out += identification_report(theta, m_min, cfg.N, cfg.hbar, f"{lab},m_min={m_min}")

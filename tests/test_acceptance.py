@@ -40,7 +40,7 @@ def fock(k, convention="creation_plus"):
 
 
 def test_criterion_01_spectra_exact():
-    spec = spectrum_p(RepConfig(k=1.0, N=N, hbar=1.0))
+    spec = spectrum_p(RepConfig(k=1.0, N=N), 1.0)
     want = np.arange(1, N + 2, dtype=float)
     ps = ProjectedSpace(ThetaSpace(1.0, range(-N, N + 1), hbar=1.0), 0)
     proj = np.diag(ps.momentum().matrix).real
@@ -229,9 +229,9 @@ def test_criterion_12_halfline_demo():
     recs = {r.name: r for r in halfline_demo()}
     positive = recs["position_positive"].residual == 0.0
     unitary = recs["dilation_unitary"].residual == 0.0
-    r64 = halfline_commutator_residual(64, 4.0)
-    r128 = halfline_commutator_residual(128, 4.0)
-    r256 = halfline_commutator_residual(256, 4.0)
+    r64 = halfline_commutator_residual(64, hbar=1.0)
+    r128 = halfline_commutator_residual(128, hbar=1.0)
+    r256 = halfline_commutator_residual(256, hbar=1.0)
     o1, o2 = math.log2(r64 / r128), math.log2(r128 / r256)
     orders_ok = abs(o1 - 2.0) < 0.2 and abs(o2 - 2.0) < 0.2
     ok = positive and unitary and orders_ok

@@ -11,6 +11,7 @@ from halfcyl.projection import ProjectedSpace, ThetaSpace
 from halfcyl.report import CheckReport
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators, gram_weights,
                          interior_residual, sin_cos)
+from halfcyl.suite import SuiteConfig, run_suite
 
 
 def fock(k, N=32, convention="creation_plus"):
@@ -189,14 +190,12 @@ def test_tplus_reconstruction_vanishes_at_ground():
 
 
 @pytest.mark.parametrize("hbar", [1e-170, 1e-300])
-def test_tplus_reconstruction_at_small_hbar(hbar):
-    # the identity does not depend on hbar, but (p + (k-1) hbar)(p - k hbar)
-    # scales as hbar^2 and underflows if it is formed from p
-    for k in (0.25, 0.5, 1.0):
-        gs = build_generators("fock", RepConfig(k=k, N=64, hbar=hbar,
-                                                phase_convention="disc_minus"))
-        rec = tplus_from_phase(gs, phase_operator(fock(k, N=64)))
-        assert interior_residual(rec - gs.Tplus) < 1e-8
+def test_full_suite_passes_at_small_hbar(hbar):
+    # no identity depends on hbar, but (p + (k-1) hbar)(p - k hbar) scales as
+    # hbar^2 and underflows if it is formed from p, and the spectrum, the
+    # cylinder commutator and the identification all scale with hbar
+    rep = run_suite(SuiteConfig(hbar=hbar, profile="full"))
+    assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ program unseen."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,9 +38,9 @@ def _reversed_boost(direction):
     return fault
 
 
-def _shifted_spectrum(config):
+def _shifted_spectrum(config, hbar):
     """spectrum_p one level up: hbar (k + 1 + n), still positive with spacing hbar."""
-    return config.hbar * (config.k + 1 + np.arange(config.N + 1))
+    return hbar * (config.k + 1 + np.arange(config.N + 1))
 
 
 def _scaled_entry(op, offset, index, factor):
@@ -56,11 +57,11 @@ def _perturbed_normalization(config):
     return c
 
 
-def _forward_log_grid(n_points, box_width, hbar):
+def _forward_log_grid(n_points, hbar):
     """_log_grid_operators with the forward difference (-i hbar / h)(dil* - 1)
     for the scaling generator."""
-    x, q, dil, _, _ = _log_grid_operators(n_points, box_width, hbar)
-    h, eye = box_width / n_points, TruncatedOperator.diag(np.ones(n_points))
+    x, q, dil, _, _ = _log_grid_operators(n_points, hbar)
+    h, eye = projection.HALFLINE_BOX / n_points, TruncatedOperator.diag(np.ones(n_points))
     qp = (-1j * hbar / h) * (dil.adjoint() - eye)
     return x, q, dil, qp, TruncatedOperator.diag(np.exp(-x)) @ qp
 
@@ -226,6 +227,9 @@ def test_fault_fails_its_records(monkeypatch, config, target, fault, must_fail):
     for base in must_fail:
         records = [r for r in checks if r.name.split("[")[0] == base]
         assert records and not any(r.passed for r in records)
+        # a residual that raised reads NaN (judge's mark): the record must
+        # fail through the fault, not through a call the fault broke
+        assert not any(math.isnan(r.residual) for r in records)
 
 
 def test_momentum_map_sign_fault_reports_the_coefficient_gap(monkeypatch):

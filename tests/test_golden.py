@@ -12,6 +12,8 @@ import pathlib
 
 import pytest
 
+from halfcyl.suite import PROFILES, SuiteConfig, run_suite
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden_corpus",
                                                ROOT / "scripts" / "golden_corpus.py")
@@ -56,3 +58,12 @@ def test_entry_matches_corpus(name):
     want = (golden_corpus.CORPUS_DIR / f"{name}.json").read_text()
     assert text == want, "\n".join(_differences(want, text))
     assert code == EXITS[name]
+
+
+@pytest.mark.parametrize("size", list(golden_corpus._SIZES))
+@pytest.mark.parametrize("profile", PROFILES)
+def test_run_suite_names_every_record_once(profile, size):
+    # the corpus and its comparison key records by name
+    names = [r.name for r in run_suite(SuiteConfig(profile=profile,
+                                                   **golden_corpus._SIZES[size])).checks]
+    assert len(set(names)) == len(names)

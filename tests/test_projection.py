@@ -201,19 +201,26 @@ def test_halfline_scaling_generator_hermitean():
 
 
 def test_halfline_commutator_second_order():
-    r64 = halfline_commutator_residual(64, 4.0)
-    r128 = halfline_commutator_residual(128, 4.0)
-    r256 = halfline_commutator_residual(256, 4.0)
+    r64 = halfline_commutator_residual(64, hbar=1.0)
+    r128 = halfline_commutator_residual(128, hbar=1.0)
+    r256 = halfline_commutator_residual(256, hbar=1.0)
     assert abs(math.log2(r64 / r128) - 2.0) < 0.2
     assert abs(math.log2(r128 / r256) - 2.0) < 0.2
 
 
+def test_halfline_residual_takes_hbar_by_keyword():
+    # the grid width is HALFLINE_BOX, so a call that still passes one raises
+    # instead of running at hbar = 4
+    with pytest.raises(TypeError):
+        halfline_commutator_residual(64, 4.0)
+
+
 def test_halfline_residual_runs_on_bands():
     # the log grid is banded: a dense 1024 x 1024 grid held about 88 MB
-    halfline_commutator_residual(64, 4.0)
+    halfline_commutator_residual(64, hbar=1.0)
     tracemalloc.start()
     try:
-        halfline_commutator_residual(1024, 4.0)
+        halfline_commutator_residual(1024, hbar=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,11 +234,11 @@ def test_halfline_symptoms_live_in_notes():
     recs = {r.name: r for r in rep.checks}
     assert set(recs) == {"position_positive", "dilation_unitary",
                          "scaling_hermitean", "commutator_order"}
-    mom = _log_grid_operators(64, 4.0, 1.0)[4]
+    mom = _log_grid_operators(64, 1.0)[4]
     defect = (mom - mom.adjoint()).max_abs()
     assert defect > 1.0  # the symptom is large, and that is fine
     assert recs["scaling_hermitean"].note == (
         f"plain momentum -i hbar d/dq: |p* - p| = {defect:.3e} (boundary symptom)")
-    r1 = halfline_commutator_residual(64, 4.0)
+    r1 = halfline_commutator_residual(64, hbar=1.0)
     assert recs["commutator_order"].note.startswith(f"residuals {r1:.3e} -> ")
     assert rep.verdict

@@ -3,6 +3,7 @@ name of the package's lazy export map, so that deleting a function cannot
 leave a dangling export behind."""
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -45,3 +46,10 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         halfcyl.no_such_name  # noqa: B018
     assert not hasattr(halfcyl, "no_such_name")
+
+
+def test_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -40,6 +40,12 @@ def test_config_rejects_unknown_convention():
         RepConfig(k=1.0, N=8, phase_convention="random_signs")
 
 
+def test_config_takes_no_hbar():
+    # hbar enters only the momentum spectrum, which takes it as an argument
+    with pytest.raises(TypeError):
+        RepConfig(k=1.0, N=8, hbar=2.0)
+
+
 def test_unknown_realization_rejected():
     with pytest.raises(ValueError):
         build_generators("bargmann", RepConfig(k=1.0, N=8))
@@ -205,11 +211,11 @@ def test_casimir_realization_independent():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_integer_weight():
-    assert spectrum_p(RepConfig(k=1, N=5)).tolist() == [1, 2, 3, 4, 5, 6]
+    assert spectrum_p(RepConfig(k=1, N=5), 1.0).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_spectrum_fractional_weight():
-    s = spectrum_p(RepConfig(k=0.25, N=5))
+    s = spectrum_p(RepConfig(k=0.25, N=5), 1.0)
     assert s[0] == 0.25
     assert np.allclose(np.diff(s), 1.0)
 
@@ -217,9 +223,15 @@ def test_spectrum_fractional_weight():
 @given(st.floats(min_value=1e-3, max_value=50.0),
        st.floats(min_value=1e-3, max_value=10.0))
 def test_spectrum_positive_and_equispaced(k, hbar):
-    s = spectrum_p(RepConfig(k=k, N=16, hbar=hbar))
+    s = spectrum_p(RepConfig(k=k, N=16), hbar)
     assert s.min() > 0
     assert np.abs(np.diff(s) - hbar).max() < 1e-12 * max(1.0, hbar)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan")])
+def test_spectrum_rejects_hbar_that_is_not_positive(hbar):
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        spectrum_p(RepConfig(k=1.0, N=8), hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,24 @@ def test_config_rejects_bad_values():
         SuiteConfig.from_dict([1, 2])
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"k_values": [0.5, 0.5]}, "k values 0.5 and 0.5 share the cell label k=0.5"),
+    ({"k_values": [0.1234567, 0.12345678]},
+     "k values 0.1234567 and 0.12345678 share the cell label k=0.123457"),
+    ({"theta_values": [0.25, 0.2500001]},
+     "theta values 0.25 and 0.2500001 share the cell label theta=0.25")])
+def test_config_rejects_values_that_share_a_cell_label(raw, message, tmp_path, capsys):
+    # the label names the cell's records, so two such cells would write
+    # records of the same name
+    with pytest.raises(ConfigError) as exc:
+        SuiteConfig.from_dict(raw)
+    assert str(exc.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_physical_profile_filters_k():
     cfg = SuiteConfig(k_values=(0.25, 1.0, 2.5), profile="physical")
     assert cfg.active_k_values == (0.25, 1.0)
