@@ -13,7 +13,9 @@ there, and in the diff of the corpus once it is regenerated:
 
     PYTHONPATH=src python scripts/golden_corpus.py [NAME ...]
 
-With names, only those entries are rewritten.
+With names, only those entries are rewritten.  For each entry whose text
+changes, the script prints the records it added, removed or moved (grouped
+by the fields that moved), so a change can name them from this output.
 """
 
 from __future__ import annotations
@@ -75,14 +77,71 @@ def render(name: str):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     text = out.getvalue()
-    try:
-        doc = json.loads(text)
-    except ValueError:  # nothing printed, or a table
-        doc = None
-    if not (isinstance(doc, dict) and "header" in doc):
+    doc = _body(text)
+    if doc is None or "header" not in doc:
         return code, text
     del doc["header"]
     return code, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _body(text: str):
+    """The parsed report body of an entry's text, or None for other stdout."""
+    try:
+        doc = json.loads(text)
+    except ValueError:  # nothing printed, or a table
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def _changed_records(want: dict, got: dict):
+    """(name, old record, new record, differing fields) for each record that
+    differs between two bodies, in the old order and then the new; an added
+    record has no old one, a removed record no new one."""
+    old = {r["name"]: r for r in want.get("checks", [])}
+    new = {r["name"]: r for r in got.get("checks", [])}
+    for name in [*old, *(n for n in new if n not in old)]:
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None:
+            yield name, a, b, []
+        elif fields := [f for f in sorted(set(a) | set(b)) if a.get(f) != b.get(f)]:
+            yield name, a, b, fields
+
+
+def _top_level(want: dict, got: dict) -> list:
+    return [f"{key}: {want.get(key)!r} != {got.get(key)!r}"
+            for key in sorted((set(want) | set(got)) - {"checks"})
+            if want.get(key) != got.get(key)]
+
+
+def differences(want_text: str, got_text: str) -> list:
+    """Lines naming each top-level field and each record field that differs."""
+    want, got = _body(want_text), _body(got_text)
+    if want is None or got is None:
+        return [f"stdout: {want_text[:60]!r} != {got_text[:60]!r}"]
+    out = _top_level(want, got)
+    for name, a, b, fields in _changed_records(want, got):
+        if a is None or b is None:
+            out.append(f"{name}: {'added' if a is None else 'removed'}")
+        else:
+            out += [f"{name}.{f}: {a.get(f)!r} != {b.get(f)!r}" for f in fields]
+    if not out and want.get("checks") != got.get("checks"):
+        out.append("checks: same records in another order")
+    return out or ["same fields, different serialization"]
+
+
+def record_changes(want_text: str, got_text: str) -> list:
+    """Lines naming the records added, removed or moved between two texts of
+    an entry, one line per kind of change ("removed: a[k=1] b[k=1]",
+    "moved anchor: c[k=1]"), after the top-level fields that differ."""
+    want, got = _body(want_text), _body(got_text)
+    if want is None or got is None:
+        return [] if want_text == got_text else ["stdout changed"]
+    groups = {}
+    for name, a, b, fields in _changed_records(want, got):
+        kind = "added" if a is None else "removed" if b is None else "moved " + ", ".join(fields)
+        groups.setdefault(kind, []).append(name)
+    return _top_level(want, got) + [f"{kind}: {' '.join(names)}"
+                                    for kind, names in groups.items()]
 
 
 def main(names) -> int:
@@ -95,9 +154,15 @@ def main(names) -> int:
     exits = json.loads(exits_path.read_text()) if exits_path.exists() else {}
     exits = {name: code for name, code in exits.items() if name in ENTRIES}
     for name in names or ENTRIES:
+        path = CORPUS_DIR / f"{name}.json"
+        before = path.read_text() if path.exists() else None
         exits[name], text = render(name)
-        (CORPUS_DIR / f"{name}.json").write_text(text)
+        path.write_text(text)
         print(f"{name}: exit {exits[name]}, {len(text)} bytes")
+        if before is None:
+            print("  new entry")
+        elif before != text:
+            print("\n".join(f"  {line}" for line in record_changes(before, text)))
     exits_path.write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n")
     return 0
 

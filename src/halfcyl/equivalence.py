@@ -7,6 +7,8 @@ operator U = T+ (T- T+)^{-1/2}, and T+ is recovered from (p, U) as
 -(1/hbar) sqrt((p + (k-1) hbar)(p - k hbar)) U.  The identification is
 asserted in the creation_plus gauge, where U is the plain nonnegative
 shift; the (-1)^n similarity carries everything to the disc_minus gauge.
+The diagonal normalization similarity carries the boundary realization to
+fock, its matrices on the orthonormal Hardy basis.
 """
 
 from __future__ import annotations
@@ -95,31 +97,26 @@ def normalization_diagonal(config: RepConfig) -> np.ndarray:
 
 
 def conjugate_realizations(config: RepConfig, label=None) -> list:
-    """Records of the diagonal similarity between the boundary and Hardy
-    realizations.
+    """Records of the similarity D^{-1} (boundary) D = fock, D = diag(c_n).
 
-    With D = diag(c_n) the orthonormal-basis (Hardy) matrices are
-    D^{-1} (boundary) D: passing from the unnormalized Fourier basis to the
-    normalized one rescales column n by c_n and row m by 1/c_m.  T0 is
-    diagonal and hence identical in both realizations; at k = 1/2 all the
-    weights are 1 and the realizations coincide outright.
+    Passing from the unnormalized Fourier basis to the orthonormal (Hardy)
+    one rescales column n by c_n and row m by 1/c_m.  H and T0 are the same
+    diagonal in both and commute with D, so only T+ and T- are compared; at
+    k = 1/2 all the weights are 1 and the realizations coincide outright.
     """
     boundary = build_generators("boundary", config)
-    hardy = build_generators("hardy", config)
+    fock = build_generators("fock", config)
 
-    def conjugation(b_op, h_op):
+    def conjugation(b_op, f_op):
         c = normalization_diagonal(config)
         d, d_inv = TruncatedOperator.diag(c), TruncatedOperator.diag(1.0 / c)
-        return interior_residual(d_inv @ b_op @ d - h_op)
+        return interior_residual(d_inv @ b_op @ d - f_op)
 
     budget = min(tol(config.N), 1e-7)
-    rows = [(f"conjugation_{name}", f"D^-1 {name}_boundary D = {name}_hardy", budget,
-             partial(conjugation, b_op, h_op))
-            for name, b_op, h_op in (("H", boundary.H, hardy.H),
-                                     ("T+", boundary.Tplus, hardy.Tplus),
-                                     ("T-", boundary.Tminus, hardy.Tminus))]
-    rows.append(("T0_invariant", "T0 identical in both realizations", 0.0,
-                 lambda: (boundary.T0 - hardy.T0).max_abs()))
+    rows = [(f"conjugation_{name}", f"D^-1 {name}_boundary D = {name}_fock", budget,
+             partial(conjugation, b_op, f_op))
+            for name, b_op, f_op in (("T+", boundary.Tplus, fock.Tplus),
+                                     ("T-", boundary.Tminus, fock.Tminus))]
     if config.k == 0.5:
         rows.append(("identity_similarity_at_half", "D = 1 at k = 1/2", 0.0,
                      lambda: np.abs(normalization_diagonal(config) - 1.0).max()))

@@ -10,6 +10,10 @@ with s = +1 (creation_plus) or s = -1 (disc_minus); the two gauges are
 exchanged by the diagonal (-1)^n similarity.  T0 = iH, T1 = (T+ - T-)/2,
 T2 = i(T+ + T-)/2, and the Casimir T0^2 - T1^2 - T2^2 is the scalar k(1-k).
 
+Three ``REALIZATIONS`` compute the ladder: fock, the abstract ladder on the
+orthonormal (Hardy) basis, which is also the Hardy root form; disc, the
+differential action on the disc; boundary, on the unnormalized Fourier basis.
+
 Operators are stored as their diagonals (the generators are diagonal or
 tridiagonal).  Truncation contract: every operator carries a reach (its band
 displacement); identities are asserted only on the interior columns
@@ -35,7 +39,7 @@ __all__ = [
     "REALIZATIONS", "PHASE_CONVENTIONS",
 ]
 
-REALIZATIONS = ("fock", "disc", "boundary", "hardy")
+REALIZATIONS = ("fock", "disc", "boundary")
 PHASE_CONVENTIONS = ("creation_plus", "disc_minus")
 
 
@@ -226,9 +230,8 @@ def _ladder_bands(realization: str, config: RepConfig):
     h = k + np.arange(N + 1, dtype=float)
     lo = np.arange(N, dtype=float)  # source index of the raising shift
 
-    if realization in ("fock", "hardy"):
-        # abstract ladder sqrt(q + lambda(lambda +- 1)) at lambda = k + n, and the Hardy
-        # root form: the shift times the root of (2k - i d/dphi)(1 - i d/dphi)
+    if realization == "fock":
+        # abstract ladder sqrt(q + lambda(lambda +- 1)) at lambda = k + n
         up = dn = np.sqrt((2 * k + lo) * (lo + 1))
     elif realization == "disc":
         # differential action -2k zbar - zbar^2 d/dzbar on the normalized
@@ -250,11 +253,11 @@ def _ladder_bands(realization: str, config: RepConfig):
 def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     """Truncated generators of one realization, stored as their bands.
 
-    fock, disc and hardy live on orthonormal bases and come out
-    entry-identical; boundary uses the unnormalized Fourier basis and is
-    related to hardy by the diagonal normalization similarity (see the
-    equivalence module).  Every realization is built with positive ladder
-    bands; the disc_minus convention negates both, the (-1)^n gauge.
+    fock and disc live on orthonormal bases and agree entrywise up to
+    rounding; boundary uses the unnormalized Fourier basis and is related
+    to fock by the diagonal normalization similarity (see the equivalence
+    module).  Every realization is built with positive ladder bands; the
+    disc_minus convention negates both, the (-1)^n gauge.
     """
     h, up, dn = _ladder_bands(realization, config)
     dim = config.N + 1

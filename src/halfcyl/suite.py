@@ -395,10 +395,9 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
                   interior_residual(commutator(gs.T1, gs.T2) + gs.T0))),
         ("adjointness", "T- = T+ adjoint (orthonormal basis)", 0.0,
          lambda: (gs.Tminus - gs.Tplus.adjoint()).max_abs()),
-        ("realization_coherence", "fock = disc = hardy entrywise", 1e-12,
+        ("realization_coherence", "fock = disc entrywise", 1e-12,
          lambda: ((getattr(g, band) - getattr(gs, band)).max_abs()
-                  for g in (build_generators(r, rc) for r in ("disc", "hardy"))
-                  for band in ("H", "Tplus", "Tminus"))),
+                  for g in [build_generators("disc", rc)] for band in ("H", "Tplus", "Tminus"))),
         ("casimir_value", "C = k(1-k) on the interior", 1e-9,
          lambda: np.abs(cas_diag - k * (1 - k)).max()),
         ("casimir_flat", "interior Casimir diagonal is constant", 1e-10,

@@ -18,7 +18,7 @@ from halfcyl.classical import (
 from halfcyl.equivalence import (phase_operator, tplus_from_phase,
                                  normalization_diagonal)
 from halfcyl.lie import L, witt_closure
-from halfcyl.projection import (ProjectedSpace, ThetaSpace,
+from halfcyl.projection import (ProjectedSpace, ThetaSpace, _log_grid_operators,
                                 halfline_commutator_residual, halfline_demo)
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators,
                          casimir, commutator, interior_residual, sin_cos,
@@ -137,17 +137,17 @@ def test_criterion_07_realization_conjugation():
     for k in (0.3, 0.5, 1.0, 2.0):
         cfg = RepConfig(k=k, N=N)
         b = build_generators("boundary", cfg)
-        h = build_generators("hardy", cfg)
+        f = build_generators("fock", cfg)
         c = normalization_diagonal(cfg)
         for name in ("H", "Tplus", "Tminus"):
             bm = getattr(b, name)
             m = (bm.matrix.T / c).T * c
             conj = TruncatedOperator({d: m.diagonal(d) for d in bm.bands}, N + 1, bm.reach)
-            worst = max(worst, interior_residual(conj - getattr(h, name)))
+            worst = max(worst, interior_residual(conj - getattr(f, name)))
     c_half = normalization_diagonal(RepConfig(k=0.5, N=N))
     exact_half = float(np.abs(c_half - 1.0).max())
     ok = worst < 1e-7 and exact_half == 0.0
-    _criterion(7, "boundary -> Hardy by the normalization diagonal", ok,
+    _criterion(7, "boundary -> orthonormal Hardy basis by the normalization diagonal", ok,
                f"worst residual {worst:.2e} < 1e-7, identity at k=1/2")
 
 
@@ -227,7 +227,8 @@ def test_criterion_11_witt_closure():
 
 def test_criterion_12_halfline_demo():
     recs = {r.name: r for r in halfline_demo()}
-    positive = recs["position_positive"].residual == 0.0
+    q = _log_grid_operators(64, 1.0)[1].bands[0]
+    positive = bool((q.real > 0).all() and (q.imag == 0).all())
     unitary = recs["dilation_unitary"].residual == 0.0
     r64 = halfline_commutator_residual(64, hbar=1.0)
     r128 = halfline_commutator_residual(128, hbar=1.0)

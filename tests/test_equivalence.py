@@ -262,24 +262,24 @@ def test_conjugate_realizations(k):
 @pytest.mark.parametrize("N,budget", [(64, 6.4e-8), (256, 1e-7)])
 def test_conjugation_budget_is_capped_at_1e_minus_7(N, budget):
     recs = conjugate_realizations(RepConfig(k=0.5, N=N))
-    assert [r.tol for r in recs if r.name.startswith("conjugation")] == [budget] * 3
+    assert [r.tol for r in recs if r.name.startswith("conjugation")] == [budget] * 2
 
 
 def test_identity_similarity_at_half():
     cfg = RepConfig(k=0.5, N=32)
     assert np.abs(normalization_diagonal(cfg) - 1.0).max() == 0.0
     b = build_generators("boundary", cfg)
-    h = build_generators("hardy", cfg)
+    f = build_generators("fock", cfg)
     for name in ("H", "Tplus", "Tminus"):
-        assert np.abs(getattr(b, name).matrix - getattr(h, name).matrix).max() == 0.0
+        assert np.abs(getattr(b, name).matrix - getattr(f, name).matrix).max() == 0.0
 
 
 def test_t0_realization_invariant():
     for k in (0.3, 1.0, 2.5):
         cfg = RepConfig(k=k, N=24)
         b = build_generators("boundary", cfg)
-        h = build_generators("hardy", cfg)
-        assert np.abs(b.T0.matrix - h.T0.matrix).max() == 0.0
+        f = build_generators("fock", cfg)
+        assert np.abs(b.T0.matrix - f.T0.matrix).max() == 0.0
 
 
 def test_normalization_is_inverse_root_of_weights():

@@ -66,12 +66,12 @@ def _forward_log_grid(n_points, hbar):
     return x, q, dil, qp, TruncatedOperator.diag(np.exp(-x)) @ qp
 
 
-def _disc_entry_off(band, offset):
-    """build_generators with entry 5 of the disc realization's ``band``
+def _entry_off(target, band, offset):
+    """build_generators with entry 5 of the ``target`` realization's ``band``
     (its diagonal ``offset``) off by a relative 1e-6."""
     def fault(realization, config):
         gs = _build_generators(realization, config)
-        if realization != "disc":
+        if realization != target:
             return gs
         op = _scaled_entry(getattr(gs, band), offset, 5, 1 + 1e-6)
         return dataclasses.replace(gs, **{band: op})
@@ -209,11 +209,14 @@ FAULTS = [
      lambda ps, op: op.block(0, ps.dim), {"spectra_match"}),
     ("forward-difference scaling generator", "halfcyl.projection._log_grid_operators",
      _forward_log_grid, {"scaling_hermitean", "commutator_order"}),
-    # realization_coherence compares every band of disc and hardy with fock
+    # realization_coherence compares every band of disc with fock
     ("disc H entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
-     _disc_entry_off("H", 0), {"realization_coherence"}),
+     _entry_off("disc", "H", 0), {"realization_coherence"}),
     ("disc T- entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
-     _disc_entry_off("Tminus", 1), {"realization_coherence"}),
+     _entry_off("disc", "Tminus", 1), {"realization_coherence"}),
+    # the conjugation compares boundary, carried to the orthonormal basis, with fock
+    ("boundary T+ entry 5 x (1 + 1e-6)", "halfcyl.equivalence.build_generators",
+     _entry_off("boundary", "Tplus", -1), {"conjugation_T+"}),
 ]
 
 
@@ -284,7 +287,7 @@ def test_raising_module_residuals_fail_only_their_records(monkeypatch, tmp_path,
     assert {c["name"] for c in failed} == {
         *(f"{name}[k=0.5]" for name in (
             "sincos_square_anomaly", "sincos_commutator_anomaly", "rotation_flow_sin",
-            "rotation_flow_cos", "conjugation_H", "conjugation_T+", "conjugation_T-",
+            "rotation_flow_cos", "conjugation_T+", "conjugation_T-",
             "identity_similarity_at_half")),
         *(f"{name}[theta=1]" for name in (
             "projected_shift_isometry", "defect_rank_one", "parent_shift_unitary"))}

@@ -23,31 +23,6 @@ _spec.loader.exec_module(golden_corpus)
 EXITS = json.loads((golden_corpus.CORPUS_DIR / "exits.json").read_text())
 
 
-def _differences(want_text: str, got_text: str) -> list:
-    """Lines naming each top-level field and each record field that differs."""
-    try:
-        want, got = json.loads(want_text), json.loads(got_text)
-    except ValueError:  # an empty stdout, or text kept verbatim
-        want = got = None
-    if not (isinstance(want, dict) and isinstance(got, dict)):
-        return [f"stdout: {want_text[:60]!r} != {got_text[:60]!r}"]
-    out = [f"{key}: {want.get(key)!r} != {got.get(key)!r}"
-           for key in sorted((set(want) | set(got)) - {"checks"})
-           if want.get(key) != got.get(key)]
-    old = {r["name"]: r for r in want.get("checks", [])}
-    new = {r["name"]: r for r in got.get("checks", [])}
-    for name in [*old, *(n for n in new if n not in old)]:
-        a, b = old.get(name), new.get(name)
-        if a is None or b is None:
-            out.append(f"{name}: {'added' if a is None else 'removed'}")
-            continue
-        out += [f"{name}.{field}: {a.get(field)!r} != {b.get(field)!r}"
-                for field in sorted(set(a) | set(b)) if a.get(field) != b.get(field)]
-    if not out and list(old) != list(new):
-        out.append("checks: same records in another order")
-    return out or ["same fields, different serialization"]
-
-
 def test_corpus_lists_every_entry():
     assert sorted(EXITS) == sorted(golden_corpus.ENTRIES)
 
@@ -56,7 +31,7 @@ def test_corpus_lists_every_entry():
 def test_entry_matches_corpus(name):
     code, text = golden_corpus.render(name)
     want = (golden_corpus.CORPUS_DIR / f"{name}.json").read_text()
-    assert text == want, "\n".join(_differences(want, text))
+    assert text == want, "\n".join(golden_corpus.differences(want, text))
     assert code == EXITS[name]
 
 
@@ -67,3 +42,18 @@ def test_run_suite_names_every_record_once(profile, size):
     names = [r.name for r in run_suite(SuiteConfig(profile=profile,
                                                    **golden_corpus._SIZES[size])).checks]
     assert len(set(names)) == len(names)
+
+
+def test_record_changes_names_each_record_that_moved():
+    def body(verdict, *records):
+        return json.dumps({"verdict": verdict, "checks": [
+            {"name": name, "anchor": anchor, "residual": residual}
+            for name, anchor, residual in records]})
+
+    want = body("pass", ("a[k=1]", "x", 0.0), ("b[k=1]", "y", 0.0), ("c", "z", 1e-3))
+    got = body("fail", ("a[k=1]", "x2", 0.0), ("c", "z", 2e-3), ("d", "w", 0.0))
+    assert golden_corpus.record_changes(want, got) == [
+        "verdict: 'pass' != 'fail'", "moved anchor: a[k=1]", "removed: b[k=1]",
+        "moved residual: c", "added: d"]
+    assert golden_corpus.record_changes(want, want) == []
+    assert golden_corpus.record_changes("", "table\n") == ["stdout changed"]
