@@ -42,7 +42,7 @@ _AUXILIARY_STEP = 1e-5  # central-difference step of auxiliary_symplectic_residu
 MOMENTUM_MAP_SIGN = -1
 
 _MINUS_I = QC(0, -1)
-_set = object.__setattr__  # writes a frozen dataclass field, once validated
+_new, _set = object.__new__, object.__setattr__  # build a frozen value, once validated
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,8 @@ class CoveringElement:
         g = complex(gamma)
         if not abs(g) < 1:
             raise ValueError(f"|gamma| must be < 1, got {abs(g)}")
+        if not math.isfinite(omega):
+            raise ValueError(f"omega must be finite, got {omega}")
         _set(self, "gamma", g)
         _set(self, "omega", float(omega) % (l * math.pi))
         _set(self, "l", l)
@@ -92,6 +94,33 @@ class CoveringElement:
         aa = cmath.exp(1j * self.omega) / math.sqrt(1.0 - abs(self.gamma) ** 2)
         bb = aa * self.gamma
         return ((aa, bb), (bb.conjugate(), aa.conjugate()))
+
+
+_PHI, _P = PhasePoint.phi.__set__, PhasePoint.p.__set__  # slot setters, cheaper than _set
+_GAMMA, _OMEGA, _L = (getattr(CoveringElement, f).__set__ for f in ("gamma", "omega", "l"))
+
+
+def _point(phi: float, p: float) -> PhasePoint:
+    """PhasePoint of floats computed from valid values: phi is finite by
+    construction, but the product p can round to 0 or overflow."""
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+    x = _new(PhasePoint)
+    _PHI(x, phi % TWO_PI)
+    _P(x, p)
+    return x
+
+
+def _element(gamma: complex, omega: float, l: int) -> CoveringElement:
+    """CoveringElement of a complex and a finite float computed from valid
+    values and a checked l: |gamma| < 1 holds exactly, but can round away."""
+    if not abs(gamma) < 1:
+        raise ValueError(f"|gamma| must be < 1, got {abs(gamma)}")
+    g = _new(CoveringElement)
+    _GAMMA(g, gamma)
+    _OMEGA(g, omega % (l * math.pi))
+    _L(g, l)
+    return g
 
 
 def rotation_element(l: int, dphi: float) -> CoveringElement:
@@ -112,29 +141,21 @@ def compose(g1: CoveringElement, g2: CoveringElement) -> CoveringElement:
     z = 1.0 + g1.gamma * g2.gamma.conjugate() * w2
     gamma3 = (g2.gamma + g1.gamma * w2) / z
     omega3 = g1.omega + g2.omega + cmath.phase(z)
-    return CoveringElement(gamma3, omega3, g1.l)
+    return _element(gamma3, omega3, g1.l)
 
 
 def inverse(g: CoveringElement) -> CoveringElement:
     return CoveringElement(-g.gamma * cmath.exp(2j * g.omega), -g.omega, g.l)
 
 
-def _mobius_u(g: CoveringElement, phi: float) -> complex:
-    """The Moebius factor u = 1 + conj(gamma) e^{il phi} of g at phi.
-
-    The lifted action reads both of its parts from u: the displacement
-    phi' - phi = (2 omega - 2 arg u) / l, continuous in phi (the Moebius
-    part stays below pi/l), and the momentum factor p'/p = |u|^2 /
-    (1 - |gamma|^2) = |alpha e^{il phi} + beta|^2, always positive.
-    """
-    return 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * phi)
-
-
 def act_lifted(g: CoveringElement, x: PhasePoint) -> PhasePoint:
-    """Lifted covering-group action on the half-cylinder."""
-    u = _mobius_u(g, x.phi)
-    return PhasePoint(x.phi + (2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l,
-                      x.p * ((u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)))
+    """Lifted covering-group action, read from the Moebius factor u = 1 +
+    conj(gamma) e^{il phi}: the displacement phi' - phi = (2 omega - 2 arg u)
+    / l, continuous in phi (the Moebius part stays below pi/l), and p'/p =
+    |u|^2 / (1 - |gamma|^2) = |alpha e^{il phi} + beta|^2, always positive."""
+    u = 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * x.phi)
+    return _point(x.phi + (2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l,
+                  x.p * ((u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)))
 
 
 def angle_gap(a: float, b: float) -> float:
@@ -154,7 +175,7 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     e^{il phi}, so the difference has truncation error ~ (l h)^2 and
     rounding error ~ eps / h (eps the unit roundoff); the default step
     h = (eps l)^{1/3} / l balances the two, times min(1, |u|), u the
-    Moebius factor at phi (``_mobius_u``), the scale (times l) on which the
+    Moebius factor at phi (see ``act_lifted``), the scale (times l) on which the
     displacement varies near the Moebius pole.  The rounding part grows as
     (eps l)^{2/3} (1 + |gamma|) / (1 - |gamma|), so a correct map audits
     below 1e-6 up to l = 10^6 only near gamma = 0.  An explicit h is used
@@ -163,18 +184,18 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     phi +- h, the momentum factor from u at phi, as ``act_lifted`` reads
     them.
     """
-    phi = x.phi
-    u = _mobius_u(g, phi)
+    phi, l, c, w = x.phi, g.l, g.gamma.conjugate(), 2.0 * g.omega
+    u = 1.0 + c * cmath.exp(1j * l * phi)
     if h is None:
-        h = (_UNIT_ROUNDOFF * g.l) ** (1 / 3) / g.l * min(1.0, abs(u))
+        h = (_UNIT_ROUNDOFF * l) ** (1 / 3) / l * min(1.0, abs(u))
     if not h > 0:
         raise ValueError("step h must be positive")
     dphi = (phi + h) - (phi - h)
     if not dphi:
         raise ValueError(f"step h = {h:.3g} is below the float spacing at phi = {phi:.17g}")
-    up, down = _mobius_u(g, phi + h), _mobius_u(g, phi - h)
-    d_disp = ((2.0 * g.omega - 2.0 * math.atan2(up.imag, up.real)) / g.l
-              - (2.0 * g.omega - 2.0 * math.atan2(down.imag, down.real)) / g.l) / dphi
+    up, down = 1.0 + c * cmath.exp(1j * l * (phi + h)), 1.0 + c * cmath.exp(1j * l * (phi - h))
+    d_disp = ((w - 2.0 * math.atan2(up.imag, up.real)) / l
+              - (w - 2.0 * math.atan2(down.imag, down.real)) / l) / dphi
     m = (u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)
     return abs((1.0 + d_disp) * m - 1.0)
 
@@ -194,7 +215,9 @@ def transport(a: PhasePoint, b: PhasePoint, l: int = 1) -> CoveringElement:
     if not abs(t) < 1.0:
         raise ValueError(f"momentum ratio {b.p:.3g}/{a.p:.3g} is beyond the range of a "
                          f"representable boost (tanh of {s:.3g} rounds to +-1)")
-    return CoveringElement(t * cmath.exp(1j * l * a.phi), 0.5 * l * (b.phi - a.phi), l)
+    if l < 1:  # the one input that no valid point has checked
+        raise ValueError("covering index l must be a positive integer")
+    return _element(t * cmath.exp(1j * l * a.phi), 0.5 * l * (b.phi - a.phi), l)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +302,7 @@ def poisson_bracket(F: MomentumFunction, G: MomentumFunction) -> MomentumFunctio
 
 def hamiltonian_vector_field(F: MomentumFunction, x: PhasePoint):
     """(dphi/dt, dp/dt) = (f(phi), -p f'(phi)) of the flow generated by F."""
-    return (F.base(x.phi), -x.p * F.base.derivative()(x.phi))
+    return (F.base(x.phi), -x.p * F.base._slope(x.phi).real)
 
 
 # ---------------------------------------------------------------------------

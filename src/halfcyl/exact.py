@@ -185,7 +185,9 @@ def _lift(x):
     if type(x) is QC:
         return x
     if type(x) is int:
-        return _qc(x, 0, 1)
+        q = _new(QC)
+        q._x, q._y, q._d = x, 0, 1
+        return q
     if isinstance(x, Rational):  # Fraction, bool, other exact rationals
         return QC(x)
     if not isinstance(x, Complex):
@@ -198,25 +200,6 @@ def _lift(x):
     return _qc(a * e, c * b, b * e)
 
 
-def _exact_bracket(a: dict, b: dict) -> dict:
-    """Unreduced (x, y, d) of each mode of the Witt bracket of two exact
-    coefficient dictionaries: (k - j) a_j b_k summed in mode j + k."""
-    out = {}
-    for j, p in a.items():
-        x, y, d = p._x, p._y, p._d
-        for k, q in b.items():
-            if j != k:
-                f, e = k - j, d * q._d
-                u, v = f * (x * q._x - y * q._y), f * (x * q._y + y * q._x)
-                m = j + k
-                if m in out:
-                    s, t, c = out[m]
-                    out[m] = (s + u, t + v, e) if c == e else (s * e + u * c, t * e + v * c, c * e)
-                else:
-                    out[m] = (u, v, e)
-    return out
-
-
 class ModeSeries:
     """Finite complex combination sum_j c_j e_j of integer modes.
 
@@ -224,21 +207,30 @@ class ModeSeries:
     one is lifted to the exact value it stores, and a NaN or infinity
     raises ``ValueError``.  Zero coefficients are dropped.  Every operation
     returns the class of its left operand.
+
+    ``+`` and ``bracket`` write canonical ``QC``s in place; evaluation caches
+    complex floats with the ``coeffs`` items they were read from.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs=None):
-        lifted = {int(j): _lift(c) for j, c in (coeffs or {}).items()}
-        if any(c is NotImplemented for c in lifted.values()):
-            raise TypeError(f"mode coefficients must be numbers: {coeffs!r}")
-        self.coeffs = {j: c for j, c in lifted.items() if c}
+        out, clean = {}, True
+        for j, c in (coeffs or {}).items():
+            j = int(j)  # every key and value is read, zero or not, in this order
+            out[j] = c = c if type(c) is QC else _lift(c)
+            clean = clean and c is not NotImplemented and (c._x or c._y)
+        if not clean:
+            if any(c is NotImplemented for c in out.values()):
+                raise TypeError(f"mode coefficients must be numbers: {coeffs!r}")
+            out = {j: c for j, c in out.items() if c}
+        self.coeffs = out
 
     @classmethod
-    def _new(cls, coeffs):
-        """Series from canonical scalars, without a subclass's input checks."""
-        out = object.__new__(cls)
-        out.coeffs = {j: c for j, c in coeffs.items() if c}
+    def _of(cls, coeffs):
+        """Series from nonzero canonical scalars, without a subclass's checks."""
+        out = _new(cls)
+        out.coeffs = coeffs
         return out
 
     # -- queries --------------------------------------------------------
@@ -257,20 +249,32 @@ class ModeSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
-            out[j] = out[j] + c if j in out else c
-        return self._new(out)
+            if (a := out.get(j)) is None:
+                out[j] = c
+                continue
+            d, e = a._d, c._d
+            x, y, d = ((a._x + c._x, a._y + c._y, d) if d == e
+                       else (a._x * e + c._x * d, a._y * e + c._y * d, d * e))
+            if not (x or y):
+                del out[j]
+                continue
+            if d != 1 and (g := gcd(x, y, d)) != 1:
+                x, y, d = x // g, y // g, d // g
+            q = out[j] = _new(QC)
+            q._x, q._y, q._d = x, y, d
+        return self._of(out)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return self._new({j: -c for j, c in self.coeffs.items()})
+        return self._of({j: -c for j, c in self.coeffs.items()})
 
     def __rmul__(self, scalar):
         s = _lift(scalar)
         if s is NotImplemented:
             return NotImplemented
-        return self._new({j: s * c for j, c in self.coeffs.items()})
+        return self._of({j: s * c for j, c in self.coeffs.items()} if s else {})
 
     __mul__ = __rmul__
 
@@ -284,7 +288,7 @@ class ModeSeries:
 
     # -- calculus in phi, for modes e_j = e^{ij phi} ------------------------
     def derivative(self):
-        return self._new({j: (QC_I * j) * c for j, c in self.coeffs.items()})
+        return self._of({j: (QC_I * j) * c for j, c in self.coeffs.items() if j})
 
     def product(self, other):
         out = {}
@@ -292,7 +296,7 @@ class ModeSeries:
             for k, b in other.coeffs.items():
                 m = j + k
                 out[m] = out[m] + a * b if m in out else a * b
-        return self._new(out)
+        return self._of({m: c for m, c in out.items() if c})
 
     def bracket(self, other):
         """The Witt bracket: (k - j) a_j b_k lands in mode j + k.
@@ -302,14 +306,44 @@ class ModeSeries:
         integer triples (x, y, d), one term at a time, and becomes a ``QC``
         once, at the end.
         """
-        out = object.__new__(type(self))  # all QC, none zero: canonical
-        out.coeffs = {m: _qc(x, y, d) for m, (x, y, d) in _exact_bracket(
-            self.coeffs, other.coeffs).items() if x or y}
-        return out
+        sums = {}
+        for j, p in self.coeffs.items():
+            x, y, d = p._x, p._y, p._d
+            for k, q in other.coeffs.items():
+                if j != k:
+                    f, e = k - j, d * q._d
+                    u, v = f * (x * q._x - y * q._y), f * (x * q._y + y * q._x)
+                    m = j + k
+                    if m in sums:
+                        s, t, c = sums[m]
+                        sums[m] = ((s + u, t + v, e) if c == e
+                                   else (s * e + u * c, t * e + v * c, c * e))
+                    else:
+                        sums[m] = (u, v, e)
+        coeffs = {}
+        for m, (x, y, d) in sums.items():
+            if x or y:
+                if d != 1 and (g := gcd(x, y, d)) != 1:
+                    x, y, d = x // g, y // g, d // g
+                q = coeffs[m] = _new(QC)
+                q._x, q._y, q._d = x, y, d
+        return self._of(coeffs)
+
+    def _terms(self):
+        """(items, floats of c_j, floats of ``derivative``'s i j c_j, j != 0)."""
+        items = tuple(self.coeffs.items())
+        if (cached := getattr(self, "_floats", None)) is None or cached[0] != items:
+            cached = self._floats = (items, [(j, complex(c)) for j, c in items],
+                                     [(j, complex((-j * c._y) / c._d, (j * c._x) / c._d))
+                                      for j, c in items if j])
+        return cached
 
     def __call__(self, phi: float) -> complex:
-        return sum((complex(c) * cmath.exp(1j * j * phi)
-                    for j, c in self.coeffs.items()), 0j)
+        return sum((c * cmath.exp(1j * j * phi) for j, c in self._terms()[1]), 0j)
+
+    def _slope(self, phi: float) -> complex:
+        """``self.derivative()(phi)``, without building the derivative."""
+        return sum((c * cmath.exp(1j * j * phi) for j, c in self._terms()[2]), 0j)
 
     def __repr__(self):
         return f"{type(self).__name__}({ {j: repr(c) for j, c in sorted(self.coeffs.items())} })"

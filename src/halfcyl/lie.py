@@ -11,10 +11,9 @@ and for every l the span of T/l, S_l/l, C_l/l is an so(1,2) copy.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exact import QC, QC_I, ModeSeries, _lift
 
@@ -109,12 +108,6 @@ def _top_mode(modes) -> int:
     return max(modes, key=lambda j: (abs(j), j))
 
 
-def _primitive(r):
-    """Row ``{mode: (x, y)}`` divided by the gcd of its integers."""
-    g = gcd(*itertools.chain.from_iterable(r.values()))
-    return {j: (x // g, y // g) for j, (x, y) in r.items()} if g > 1 else r
-
-
 class _ExactSpan:
     """Row-echelon span by fraction-free elimination (Bareiss 1968).
 
@@ -148,35 +141,45 @@ class _ExactSpan:
         so its pivot lies outside every row's.  Otherwise a step
         r <- a r - c row (a the row's pivot entry, c r's) is a nonzero
         multiple of the rational one, so zero tests and top modes agree.
-        When the coefficients share one denominator their numerators are
-        the row as they stand."""
-        coeffs = elem.coeffs
-        coordinate = len(self.rows) == len(self.modes)
-        if coordinate:
-            coeffs = {j: q for j, q in coeffs.items() if j not in self.modes}
-        if not coeffs:
-            return False
-        dens = {q._d for q in coeffs.values()}
-        if len(dens) == 1:
-            r = {j: (q._x, q._y) for j, q in coeffs.items()}
-        else:
-            den = lcm(*dens)
-            r = {j: (q._x * (den // q._d), q._y * (den // q._d)) for j, q in coeffs.items()}
-        r = _primitive(r)
+        One pass lifts elem to a primitive Gaussian-integer row (running
+        common denominator and gcd); a reduced row holds no row's pivot."""
+        modes, rows = self.modes, self.rows
+        coordinate = len(rows) == len(modes)
+        r, den, g = {}, 1, 0
+        for j, q in elem.coeffs.items():
+            if coordinate and j in modes:
+                continue
+            x, y, d = q._x, q._y, q._d
+            if d != den:
+                f = d // gcd(den, d)
+                if f != 1:  # the common denominator grows by f
+                    den, g = den * f, g * f
+                    r = {k: (a * f, b * f) for k, (a, b) in r.items()}
+                x, y = x * (den // d), y * (den // d)
+            r[j] = (x, y)
+            g = gcd(g, x, y)
+        r = {j: (x // g, y // g) for j, (x, y) in r.items()} if g > 1 else r
         if not coordinate:
-            for pivot, row in self.rows:
+            for pivot, row in rows:
                 if pivot not in r:
                     continue
                 (a, b), (u, v) = row[pivot], r[pivot]
-                out = {j: (a * x - b * y, a * y + b * x) for j, (x, y) in r.items()}
-                for j, (x, y) in row.items():
-                    s, t = out.get(j, (0, 0))
-                    out[j] = (s - u * x + v * y, t - u * y - v * x)
-                r = _primitive({j: xy for j, xy in out.items() if xy != (0, 0)})
-            if not r:
-                return False
-        self.modes.update(r)
-        insort(self.rows, (_top_mode(r), r), key=lambda e: (-abs(e[0]), -e[0]))
+                out, g = {}, 0
+                for j in r.keys() | row.keys():
+                    (x, y), (c, e) = r.get(j, (0, 0)), row.get(j, (0, 0))
+                    s, t = a * x - b * y - u * c + v * e, a * y + b * x - u * e - v * c
+                    if s or t:
+                        out[j] = (s, t)
+                        g = gcd(g, s, t)
+                r = {j: (x // g, y // g) for j, (x, y) in out.items()} if g > 1 else out
+        if not r:
+            return False
+        modes.update(r)
+        top = _top_mode(r)
+        key, i = (abs(top), top), 0
+        while i < len(rows) and (abs(rows[i][0]), rows[i][0]) > key:
+            i += 1
+        rows.insert(i, (top, r))
         return True
 
 
@@ -202,8 +205,7 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
     ClosureResult
         Closed basis if the span stabilized, else a witness mode.
     """
-    gens = sorted((g for g in generators if not g.is_zero),
-                  key=_sort_key)
+    gens = sorted((g for g in generators if not g.is_zero), key=_sort_key)
     if not gens:
         raise ValueError("generators must contain a nonzero element")
     top = max(abs(j) for g in gens for j in g.coeffs)

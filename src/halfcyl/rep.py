@@ -147,10 +147,11 @@ class TruncatedOperator:
         O(dim * bands * m)."""
         if x.ndim != 2 or x.shape[0] != self.dim:
             raise ValueError(f"dot expects columns of shape ({self.dim}, m), got {x.shape}")
-        out = np.zeros(x.shape, complex)
+        out, prod = np.zeros(x.shape, complex), np.empty(x.shape, complex)
         for d, b in self.bands.items():
             lo = max(0, -d)  # first row of diagonal d; row i reads x[i + d]
-            out[lo:lo + b.size] += b[:, None] * x[lo + d:lo + d + b.size]
+            out[lo:lo + b.size] += np.multiply(b[:, None], x[lo + d:lo + d + b.size],
+                                               out=prod[:b.size])
         return out
 
     def _merge(self, other, op):

@@ -89,3 +89,27 @@ def test_traced_verify_sees_every_layer_through_deferred_imports(tmp_path, capsy
             for attr, value in vars(mod).items()
             if getattr(value, "__module__", None) == spans.__name__]
     assert not left, left
+
+
+def test_traced_algebra_round_sees_every_library_call(tmp_path, monkeypatch):
+    """A fast path inside the package must still go through the names that
+    bench/spans.py traces: one tiny ``algebra-batch`` round makes exactly
+    these calls (the counts of the workload's tiny makeup at seed 0)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    added = [name for name in ("workloads", "oracles", "spans") if name not in sys.modules]
+    tracer = _load_spans().Tracer()
+    try:
+        workload = importlib.import_module("workloads").AlgebraBatch(0, "tiny", str(tmp_path))
+        tracer.install()
+        outputs = workload.op(traced=True)
+    finally:
+        tracer.uninstall()
+        for name in added:  # the bench's top-level modules leave with the test
+            sys.modules.pop(name, None)
+    calls = {name: tracer.stats[name]["calls"] for name in (
+        "lie.witt_closure", "lie.witt_bracket", "classical.transport",
+        "classical.act_lifted", "classical.check_symplectic", "classical.poisson_bracket")}
+    assert calls == {"lie.witt_closure": 14, "lie.witt_bracket": 22, "classical.transport": 2,
+                     "classical.act_lifted": 8, "classical.check_symplectic": 2,
+                     "classical.poisson_bracket": 2}
+    assert workload.check(outputs)[1] == 0

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ def test_values_take_keywords_and_default_l():
     (lambda: CoveringElement(0.0, 0.0, 0), "covering index l must be a positive integer"),
     (lambda: CoveringElement(1.0, 0.0), "|gamma| must be < 1, got 1.0"),
     (lambda: CoveringElement(0.6 + 0.8j, 0.0, 2), "|gamma| must be < 1, got 1.0"),
+    pytest.param(lambda: CoveringElement(0.5, math.inf), "omega must be finite, got inf",
+                 id="omega-inf"),
+    pytest.param(lambda: CoveringElement(0.5, math.nan, 2), "omega must be finite, got nan",
+                 id="omega-nan"),
+    # the checks that values computed from valid ones keep: l is the caller's,
+    # and a momentum factor above 1 overflows a momentum near the largest float
+    pytest.param(lambda: transport(PhasePoint(0.3, 1.0), PhasePoint(1.0, 2.0), 0),
+                 "covering index l must be a positive integer", id="transport-l-0"),
+    pytest.param(lambda: act_lifted(CoveringElement(0.5, 0.0),
+                                    PhasePoint(0.0, sys.float_info.max / 1.5)),
+                 "p must be positive and finite, got inf", id="act_lifted-overflow"),
 ])
 def test_value_errors_keep_their_messages(make, message):
     with pytest.raises(ValueError) as err:
@@ -209,10 +221,8 @@ def test_symplectic_random():
 def test_symplectic_closed_form_matches_full_matrix_residual():
     # the audit returns |det J - 1|; rebuild J with both difference
     # columns and take || J^T Omega J - Omega || in full
-    from halfcyl.classical import _mobius_u
-
     def step(g, phi):  # (phi' - phi, p'/p), both from the Moebius factor u
-        u = _mobius_u(g, phi)
+        u = 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * phi)
         return (2 * g.omega - 2 * cmath.phase(u)) / g.l, abs(u) ** 2 / (1 - abs(g.gamma) ** 2)
 
     rng = np.random.default_rng(7)
@@ -371,6 +381,27 @@ def test_trigpoly_reality_check_is_exact():
         TrigPoly({1: 0.5 + 1e-13j, -1: 0.5})
     ok = TrigPoly({0: 0.25, 1: 0.5 + 1e-13j, -1: 0.5 - 1e-13j})
     assert ok.modes[-1] == ok.modes[1].conjugate() == QC(0.5, -1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trig, st.floats(0, 2 * math.pi), st.floats(0.01, 100))
+def test_vector_field_matches_the_built_derivative_bit_for_bit(f, phi, p):
+    x = PhasePoint(phi, p)
+    got = hamiltonian_vector_field(lift_hamiltonian(f), x)
+    assert got == (f(x.phi), -x.p * f.derivative()(x.phi))
+
+
+def test_evaluation_rereads_changed_coefficients():
+    f = TrigPoly.cos(1)
+    before = (f(0.3), hamiltonian_vector_field(lift_hamiltonian(f), PhasePoint(0.3, 2.0)))
+    f.coeffs[1] = f.coeffs[-1] = QC(2)  # in place: 4 cos
+    g = TrigPoly({1: 2, -1: 2})
+    assert f(0.3) == g(0.3) == 4 * math.cos(0.3) != before[0]
+    lifted = PhasePoint(0.3, 2.0)
+    assert (hamiltonian_vector_field(lift_hamiltonian(f), lifted)
+            == hamiltonian_vector_field(lift_hamiltonian(g), lifted) != before[1])
+    f.coeffs = {0: QC(1)}  # replaced: the constant 1
+    assert f(0.3) == 1.0 and hamiltonian_vector_field(lift_hamiltonian(f), lifted) == (1.0, -0.0)
 
 
 def test_stabilizer_vanishes_on_fiber():

@@ -1,6 +1,7 @@
 """The exact scalar QC against a reference pair of Fractions, and a guard
 that the exact bracket paths create no Fraction."""
 
+import math
 import operator
 from fractions import Fraction
 from numbers import Rational
@@ -228,3 +229,51 @@ def test_exact_bracket_paths_create_no_fraction(monkeypatch):
     # f = cos, g = 1/2 + 3/2 sin: f' g - f g' = -1/2 sin - 3/2
     expected = TrigPoly.const(Fraction(-3, 2)) + Fraction(-1, 2) * TrigPoly.sin(1)
     assert bracket == MomentumFunction(expected)
+
+
+# ---------------------------------------------------------------------------
+# series operations build canonical scalars in place
+# ---------------------------------------------------------------------------
+
+series_coeffs = st.dictionaries(st.integers(-6, 6), st.one_of(exact_coeffs, small_floats),
+                                max_size=6)
+
+
+def _assert_canonical(series):
+    for c in series.coeffs.values():
+        assert type(c) is QC and c
+        ref = QC(c.re, c.im)
+        assert (c._x, c._y, c._d) == (ref._x, ref._y, ref._d) and c._d > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_coeffs, series_coeffs, st.one_of(exact_coeffs, small_floats, st.just(0)))
+def test_series_operations_hold_nonzero_canonical_scalars(a, b, s):
+    x, y = WittElement(a), WittElement(b)
+    for result in (x.bracket(y), x + y, x - y, y + x, x - x, s * x, x * s, x.product(y),
+                   x.derivative(), -x, WittElement(a | b)):
+        _assert_canonical(result)
+    assert (x - x).is_zero and (0 * x).is_zero
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    ({"a": 1}, ValueError), ({"a": 0}, ValueError),
+    ({None: 1}, TypeError), ({None: 0}, TypeError),
+    ({math.inf: 0}, OverflowError), ({math.nan: 0}, ValueError),
+    ({0: math.nan}, ValueError), ({0: complex(0, math.inf)}, ValueError),
+    ({0: "x"}, TypeError), ({0: None}, TypeError), ({0: [1]}, TypeError),
+    ({0: "x", 1: math.nan}, ValueError),  # the NaN raises as it is read
+    ({0: 1, "b": "x"}, ValueError),  # a key is read before its coefficient
+])
+def test_series_constructor_raises_as_before(coeffs, error):
+    with pytest.raises(error):
+        WittElement(coeffs)
+
+
+def test_series_constructor_truncates_keys_and_keeps_the_last_value():
+    # int() of the key, as always: 1.5 is mode 1, and a later value of a
+    # key replaces an earlier one, also a zero or a non-number
+    assert WittElement({1.5: 2}).coeffs == {1: QC(2)}
+    assert WittElement({1: 2, 1.5: 0}).is_zero
+    assert WittElement({1: "x", 1.5: 3}).coeffs == {1: QC(3)}
+    assert list(WittElement({1: 0, 2: 5, 1.5: 7}).coeffs) == [1, 2]

@@ -9,9 +9,9 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _run_script(name):
+def _run_script(name, *args):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
@@ -29,3 +29,15 @@ def test_orbit_demo_runs():
     proc = _run_script("orbit_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 1 + 3 * 6  # header, 3 l x 6 pairs
+
+
+def test_percall_prints_every_row():
+    proc = _run_script("percall.py", "--repeats", "1", "--size", "tiny")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [r[0] for r in rows[:5]] == ["act_lifted", "compose", "transport",
+                                        "check_symplectic", "poisson_bracket"]
+    assert {r[0] for r in rows[5:]} == {f"witt_closure[{fam}]" for fam in (
+        "exact_tower", "exact_pair", "exact_divergent", "panel_tower", "panel_pair",
+        "float_tower", "float_pair", "float_divergent")}
+    assert all(int(r[1]) > 0 and float(r[2]) > 0 for r in rows)
