@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from numbers import Integral
 
 from .exact import QC, ModeSeries
 
@@ -41,13 +42,18 @@ _AUXILIARY_STEP = 1e-5  # central-difference step of auxiliary_symplectic_residu
 # once from {p, p sin phi} = -p cos phi and asserted stable by the suite.
 MOMENTUM_MAP_SIGN = -1
 
-_MINUS_I = QC(0, -1)
 _new, _set = object.__new__, object.__setattr__  # build a frozen value, once validated
 
 
 # ---------------------------------------------------------------------------
 # points and group elements
 # ---------------------------------------------------------------------------
+
+def _check_index(l):
+    """Refuse a covering index that is not an integer >= 1 (Python or numpy)."""
+    if type(l) is not int and (type(l) is bool or not isinstance(l, Integral)) or l < 1:
+        raise ValueError("covering index l must be a positive integer")
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class PhasePoint:
@@ -78,8 +84,7 @@ class CoveringElement:
     l: int = 1
 
     def __init__(self, gamma, omega, l=1):
-        if l < 1:
-            raise ValueError("covering index l must be a positive integer")
+        _check_index(l)
         g = complex(gamma)
         if not abs(g) < 1:
             raise ValueError(f"|gamma| must be < 1, got {abs(g)}")
@@ -98,17 +103,6 @@ class CoveringElement:
 
 _PHI, _P = PhasePoint.phi.__set__, PhasePoint.p.__set__  # slot setters, cheaper than _set
 _GAMMA, _OMEGA, _L = (getattr(CoveringElement, f).__set__ for f in ("gamma", "omega", "l"))
-
-
-def _point(phi: float, p: float) -> PhasePoint:
-    """PhasePoint of floats computed from valid values: phi is finite by
-    construction, but the product p can round to 0 or overflow."""
-    if not 0 < p < math.inf:
-        raise ValueError(f"p must be positive and finite, got {p}")
-    x = _new(PhasePoint)
-    _PHI(x, phi % TWO_PI)
-    _P(x, p)
-    return x
 
 
 def _element(gamma: complex, omega: float, l: int) -> CoveringElement:
@@ -153,9 +147,17 @@ def act_lifted(g: CoveringElement, x: PhasePoint) -> PhasePoint:
     conj(gamma) e^{il phi}: the displacement phi' - phi = (2 omega - 2 arg u)
     / l, continuous in phi (the Moebius part stays below pi/l), and p'/p =
     |u|^2 / (1 - |gamma|^2) = |alpha e^{il phi} + beta|^2, always positive."""
-    u = 1.0 + g.gamma.conjugate() * cmath.exp(1j * g.l * x.phi)
-    return _point(x.phi + (2.0 * g.omega - 2.0 * math.atan2(u.imag, u.real)) / g.l,
-                  x.p * ((u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)))
+    gamma, l, phi = g.gamma, g.l, x.phi
+    u = 1.0 + gamma.conjugate() * cmath.exp(1j * l * phi)
+    re, im = u.real, u.imag
+    # phi' is finite because omega is; the product p' can round to 0 or overflow
+    p = x.p * ((re * re + im * im) / (1.0 - abs(gamma) ** 2))
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+    y = _new(PhasePoint)
+    _PHI(y, (phi + (2.0 * g.omega - 2.0 * math.atan2(im, re)) / l) % TWO_PI)
+    _P(y, p)
+    return y
 
 
 def angle_gap(a: float, b: float) -> float:
@@ -184,8 +186,8 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     phi +- h, the momentum factor from u at phi, as ``act_lifted`` reads
     them.
     """
-    phi, l, c, w = x.phi, g.l, g.gamma.conjugate(), 2.0 * g.omega
-    u = 1.0 + c * cmath.exp(1j * l * phi)
+    phi, l, il, c, w = x.phi, g.l, 1j * g.l, g.gamma.conjugate(), 2.0 * g.omega
+    u = 1.0 + c * cmath.exp(il * phi)
     if h is None:
         h = (_UNIT_ROUNDOFF * l) ** (1 / 3) / l * min(1.0, abs(u))
     if not h > 0:
@@ -193,7 +195,7 @@ def check_symplectic(g: CoveringElement, x: PhasePoint, h: float | None = None) 
     dphi = (phi + h) - (phi - h)
     if not dphi:
         raise ValueError(f"step h = {h:.3g} is below the float spacing at phi = {phi:.17g}")
-    up, down = 1.0 + c * cmath.exp(1j * l * (phi + h)), 1.0 + c * cmath.exp(1j * l * (phi - h))
+    up, down = 1.0 + c * cmath.exp(il * (phi + h)), 1.0 + c * cmath.exp(il * (phi - h))
     d_disp = ((w - 2.0 * math.atan2(up.imag, up.real)) / l
               - (w - 2.0 * math.atan2(down.imag, down.real)) / l) / dphi
     m = (u.real * u.real + u.imag * u.imag) / (1.0 - abs(g.gamma) ** 2)
@@ -215,8 +217,8 @@ def transport(a: PhasePoint, b: PhasePoint, l: int = 1) -> CoveringElement:
     if not abs(t) < 1.0:
         raise ValueError(f"momentum ratio {b.p:.3g}/{a.p:.3g} is beyond the range of a "
                          f"representable boost (tanh of {s:.3g} rounds to +-1)")
-    if l < 1:  # the one input that no valid point has checked
-        raise ValueError("covering index l must be a positive integer")
+    if type(l) is not int or l < 1:  # the one input that no valid point has checked
+        _check_index(l)
     return _element(t * cmath.exp(1j * l * a.phi), 0.5 * l * (b.phi - a.phi), l)
 
 
@@ -264,7 +266,7 @@ class TrigPoly(ModeSeries):
         return super().__call__(phi).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentumFunction:
     """Phase-space function p * f(phi) with f a real trig polynomial."""
 
@@ -296,8 +298,13 @@ def lift_hamiltonian(v: TrigPoly) -> MomentumFunction:
 
 def poisson_bracket(F: MomentumFunction, G: MomentumFunction) -> MomentumFunction:
     """{p f, p g} = p (f' g - f g') = -i p sum_{j,k} (k - j) f_j g_k e^{i(j+k) phi}:
-    -i times the Witt bracket of the mode coefficients, exact."""
-    return MomentumFunction(_MINUS_I * F.base.bracket(G.base))
+    -i times the Witt bracket of the mode coefficients, exact.  -i maps the
+    canonical (x + iy)/d to (y - ix)/d, canonical again (-i is a unit)."""
+    out = {}
+    for j, c in F.base.bracket(G.base).coeffs.items():
+        q = out[j] = _new(QC)
+        q._x, q._y, q._d = c._y, -c._x, c._d
+    return MomentumFunction(F.base._of(out))
 
 
 def hamiltonian_vector_field(F: MomentumFunction, x: PhasePoint):

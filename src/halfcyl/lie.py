@@ -76,7 +76,7 @@ def witt_bracket(a: WittElement, b: WittElement) -> WittElement:
 # closure search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosureResult:
     """Outcome of the bounded bracket-closure search.
 
@@ -99,13 +99,17 @@ class ClosureResult:
 def _sort_key(elem: WittElement):
     """Total order on exact values: the support, then each coefficient's
     canonical integer triple."""
-    items = sorted(elem.coeffs.items())
-    return (tuple(j for j, _ in items), tuple((c._x, c._y, c._d) for _, c in items))
+    modes, triples = [], []
+    for j, c in sorted(elem.coeffs.items()):
+        modes.append(j)
+        triples.append((c._x, c._y, c._d))
+    return (tuple(modes), tuple(triples))
 
 
 def _top_mode(modes) -> int:
     """Mode of largest |index| (ties resolved positive)."""
-    return max(modes, key=lambda j: (abs(j), j))
+    hi, lo = max(modes), min(modes)
+    return hi if hi >= -lo else lo
 
 
 class _ExactSpan:
@@ -141,21 +145,23 @@ class _ExactSpan:
         so its pivot lies outside every row's.  Otherwise a step
         r <- a r - c row (a the row's pivot entry, c r's) is a nonzero
         multiple of the rational one, so zero tests and top modes agree.
-        One pass lifts elem to a primitive Gaussian-integer row (running
-        common denominator and gcd); a reduced row holds no row's pivot."""
+        Two passes lift elem to a primitive Gaussian-integer row: the
+        common denominator, then the numerators and their gcd.  A reduced
+        row holds no row's pivot; the cross terms of a step are added only
+        when a pivot entry is not real."""
         modes, rows = self.modes, self.rows
         coordinate = len(rows) == len(modes)
-        r, den, g = {}, 1, 0
-        for j, q in elem.coeffs.items():
+        items = elem.coeffs.items()
+        den = 1
+        for j, q in items:
+            if den % q._d and not (coordinate and j in modes):
+                den *= q._d // gcd(den, q._d)
+        r, g = {}, 0
+        for j, q in items:
             if coordinate and j in modes:
                 continue
-            x, y, d = q._x, q._y, q._d
-            if d != den:
-                f = d // gcd(den, d)
-                if f != 1:  # the common denominator grows by f
-                    den, g = den * f, g * f
-                    r = {k: (a * f, b * f) for k, (a, b) in r.items()}
-                x, y = x * (den // d), y * (den // d)
+            f = den // q._d
+            x, y = q._x * f, q._y * f
             r[j] = (x, y)
             g = gcd(g, x, y)
         r = {j: (x // g, y // g) for j, (x, y) in r.items()} if g > 1 else r
@@ -164,10 +170,13 @@ class _ExactSpan:
                 if pivot not in r:
                     continue
                 (a, b), (u, v) = row[pivot], r[pivot]
+                real = not (b or v)
                 out, g = {}, 0
                 for j in r.keys() | row.keys():
                     (x, y), (c, e) = r.get(j, (0, 0)), row.get(j, (0, 0))
-                    s, t = a * x - b * y - u * c + v * e, a * y + b * x - u * e - v * c
+                    s, t = a * x - u * c, a * y - u * e
+                    if not real:
+                        s, t = s - b * y + v * e, t + b * x - v * c
                     if s or t:
                         out[j] = (s, t)
                         g = gcd(g, s, t)
@@ -230,7 +239,7 @@ def witt_closure(generators, mode_bound=DEFAULT_MODE_BOUND,
         c = witt_bracket(basis[i], basis[j])
         if c.is_zero:
             continue
-        if max(abs(m) for m in c.coeffs) > mode_bound:
+        if max(max(c.coeffs), -min(c.coeffs)) > mode_bound:
             return ClosureResult(False, None, witness if witness is not None
                                  else _top_mode(c.coeffs))
         if span.insert(c):

@@ -80,7 +80,8 @@ class TruncatedOperator:
     __slots__ = ("bands", "dim", "reach")
 
     def __init__(self, bands: dict, dim: int, reach: int):
-        """Operator with the given diagonals; the arrays are frozen, not copied."""
+        """Operator with a copy of the given diagonals; the arrays are frozen, not copied."""
+        bands = dict(bands)
         for d, b in bands.items():
             if b.shape != (dim - abs(d),):
                 raise ValueError(f"band {d} of a dim-{dim} operator has shape "
@@ -357,17 +358,19 @@ def _boost_svd(config: RepConfig):
     block.  One SVD per config therefore serves every boost exponential, in
     either direction, at any t; B is about L/2 on a side, whatever N.
     A non-finite J (a weight k near the float range) gives NaN factors,
-    which fail the boost records, where the SVD itself would raise.
+    which fail the boost records, where the SVD itself would raise.  The
+    cached factors are read-only, so no caller can change a later boost.
     """
     rows = _boost_rows(config)
     off = 0.5 * _ladder_bands("fock", config)[1][:rows - 1]  # J[n, n+1] = J[n+1, n]
     b = np.zeros(((rows + 1) // 2, rows // 2))
     np.fill_diagonal(b, off[0::2])      # B[r, r] = J[2r, 2r+1]
     np.fill_diagonal(b[1:], off[1::2])  # B[r, r-1] = J[2r, 2r-1]
-    if not np.isfinite(b).all():
-        m, n = b.shape
-        return np.full((m, m), np.nan), np.full(n, np.nan), np.full((n, n), np.nan)
-    u, s, vt = np.linalg.svd(b)
+    m, n = b.shape
+    u, s, vt = (np.linalg.svd(b) if np.isfinite(b).all() else
+                (np.full((m, m), np.nan), np.full(n, np.nan), np.full((n, n), np.nan)))
+    for a in (u, s, vt):
+        a.setflags(write=False)
     return u, s, vt.T
 
 

@@ -66,7 +66,9 @@ def test_covering_element_validation():
 
 def test_values_are_frozen_and_slotted():
     x, g = PhasePoint(0.5, 2.0), CoveringElement(0.25j, 1.0, 2)
-    for value, name in ((x, "phi"), (x, "p"), (g, "gamma"), (g, "omega"), (g, "l")):
+    F = lift_hamiltonian(TrigPoly.sin(1))
+    for value, name in ((x, "phi"), (x, "p"), (g, "gamma"), (g, "omega"), (g, "l"),
+                        (F, "base")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, 1.0)
         assert not hasattr(value, "__dict__")
@@ -117,6 +119,34 @@ def test_value_errors_keep_their_messages(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda l: CoveringElement(0.1, 0.0, l),
+    lambda l: rotation_element(l, 0.3),
+    lambda l: transport(PhasePoint(0.3, 1.0), PhasePoint(1.0, 2.0), l),
+], ids=["element", "rotation", "transport"])
+@pytest.mark.parametrize("l", [1.5, 2.5, 2.0, pytest.param(np.float64(2.0), id="float64"),
+                               True, 0, -1])
+def test_covering_index_must_be_an_integer(make, l):
+    with pytest.raises(ValueError, match="^covering index l must be a positive integer$"):
+        make(l)
+
+
+@pytest.mark.parametrize("l", ["2", None])
+def test_covering_index_that_is_no_number_is_refused(l):
+    with pytest.raises(ValueError, match="^covering index l must be a positive integer$"):
+        CoveringElement(0.1, 0.0, l)
+    with pytest.raises(ValueError, match="^covering index l must be a positive integer$"):
+        transport(PhasePoint(0.3, 1.0), PhasePoint(1.0, 2.0), l)
+
+
+@pytest.mark.parametrize("l", [2, np.int64(2), np.int32(2), np.uint8(2)],
+                         ids=["int", "int64", "int32", "uint8"])
+def test_covering_index_takes_python_and_numpy_integers(l):
+    g = transport(PhasePoint(0.3, 1.0), PhasePoint(1.0, 2.0), l)
+    assert g.l == 2 and CoveringElement(0.1, 0.0, l).l == 2
+    assert rotation_element(l, 0.3) == rotation_element(2, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +359,11 @@ small_trig = st.lists(
     (a * TrigPoly.cos(l) + b * TrigPoly.sin(l) for l, a, b in terms),
     TrigPoly.const(1)))
 
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+rational_trig = st.builds(lambda a0, terms: sum(
+    (a * TrigPoly.cos(l) + b * TrigPoly.sin(l) for l, a, b in terms), TrigPoly.const(a0)),
+    rational, st.lists(st.tuples(st.integers(1, 3), rational, rational), max_size=3))
+
 
 @settings(max_examples=40)
 @given(small_trig, small_trig, small_trig)
@@ -348,6 +383,17 @@ def test_poisson_antisymmetric_and_real(f, g):
     br = poisson_bracket(F, G).base
     for j, c in br.modes.items():
         assert complex(br.modes[-j]).conjugate() == complex(c)
+
+
+@settings(max_examples=60)
+@given(rational_trig, rational_trig)
+def test_poisson_bracket_is_minus_i_times_the_witt_bracket(f, g):
+    # -i is folded into the canonical triples: (x, y, d) -> (y, -x, d)
+    got = poisson_bracket(lift_hamiltonian(f), lift_hamiltonian(g)).base
+    want = QC(0, -1) * f.bracket(g)
+    assert type(got) is type(want) is TrigPoly
+    assert ([(j, c._x, c._y, c._d) for j, c in got.coeffs.items()]
+            == [(j, c._x, c._y, c._d) for j, c in want.coeffs.items()])
 
 
 @settings(max_examples=60)
@@ -467,12 +513,6 @@ def test_audit_nearby_distinct_zeros_fix_no_fiber():
     g = math.cos(1e-11) * TrigPoly.sin(1) - math.sin(1e-11) * TrigPoly.cos(1)
     rep = admissibility_audit([lift_hamiltonian(TrigPoly.sin(1)), lift_hamiltonian(g)])
     assert rep.fixed_fiber is None
-
-
-rational = st.fractions(min_value=-3, max_value=3, max_denominator=7)
-rational_trig = st.builds(lambda a0, terms: sum(
-    (a * TrigPoly.cos(l) + b * TrigPoly.sin(l) for l, a, b in terms), TrigPoly.const(a0)),
-    rational, st.lists(st.tuples(st.integers(1, 3), rational, rational), max_size=3))
 
 
 @settings(max_examples=60, deadline=None)

@@ -494,6 +494,36 @@ def test_closure_bound_exceeded_is_verdict_not_exception():
     assert not res.closed and res.witness_mode == 12
 
 
+def test_closure_dim_bound_admits_a_span_of_exactly_that_dimension():
+    res = witt_closure([L(1), L(-1)], dim_bound=3)
+    assert res.closed and res.dimension == 3
+    res = witt_closure([L(1), L(-1)], dim_bound=2)
+    assert not res.closed and res.witness_mode == 0
+
+
+@pytest.mark.parametrize("modes, top", [({-3, 3}, 3), ({-4, 3}, -4), ({-2}, -2),
+                                        ({2, 5}, 5), ({-5, -1}, -5), ({0}, 0)])
+def test_top_mode_is_the_largest_index_ties_positive(modes, top):
+    assert lie._top_mode(modes) == top
+    assert lie._top_mode(dict.fromkeys(modes)) == top
+
+
+@pytest.mark.parametrize("gens", [
+    # a complex pair inside the so(1,2) tower: its first reduction step
+    # meets a pivot entry with a nonzero imaginary part
+    [WittElement({-1: QC(0, 2), 0: QC(0, -1), 1: QC(-1, -1)}),
+     WittElement({-1: QC(-1, 1), 0: QC(0, -1), 1: QC(0, -1)})],
+    # complex recombinations of the tower and one complex combination of them
+    [L(1) + QC(1, 2) * L(0), QC(1, 2) * L(1) + L(-1), L(0) + QC(1, 2) * L(-1),
+     QC(1, 2) * L(1) + QC(-3, 7) * L(0) + QC(-6, 3) * L(-1)],
+], ids=["pair", "recombined-tower"])
+def test_closure_with_non_real_pivot_entries_has_the_exact_rank(gens):
+    res = witt_closure(gens)
+    assert res.closed and res.dimension == 3 == _rank(list(res.basis))
+    for a, b in itertools.combinations(res.basis, 2):
+        assert _rank(list(res.basis) + [witt_bracket(a, b)]) == 3
+
+
 # ---------------------------------------------------------------------------
 # so(1,2)
 # ---------------------------------------------------------------------------

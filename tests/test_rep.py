@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halfcyl.rep import (
-    REALIZATIONS, RepConfig, TruncatedOperator, boost_columns, boost_cutoff, boost_norm,
-    build_generators, casimir, commutator, exp_generator, gram_weights, interior_residual,
-    rotation_rep, spectrum_p, toeplitz_measure_test, tol,
+    REALIZATIONS, RepConfig, TruncatedOperator, _boost_svd, boost_columns, boost_cutoff,
+    boost_norm, build_generators, casimir, commutator, exp_generator, gram_weights,
+    interior_residual, rotation_rep, spectrum_p, toeplitz_measure_test, tol,
 )
 
 K_GRID = (0.25, 0.5, 1.0, 1.5, 3.0)
@@ -403,6 +403,24 @@ def test_reach_arithmetic():
 def test_constructor_rejects_wrong_band_length(bands):
     with pytest.raises(ValueError, match="shape"):
         TruncatedOperator(bands, 5, 0)
+
+
+def test_constructor_keeps_its_own_band_dict():
+    # a band added to the caller's dict later was never shape-checked
+    bands = {0: np.ones(5)}
+    op = TruncatedOperator(bands, 5, 0)
+    bands[1] = np.ones(7)
+    assert list(op.bands) == [0] and op.bands[0] is bands[0]  # the arrays are not copied
+
+
+@pytest.mark.parametrize("k", [1.5, 1.7e308], ids=["finite", "nan-factors"])
+def test_cached_boost_factors_are_read_only(k):
+    cfg = RepConfig(k=k, N=8)
+    factors = _boost_svd(cfg)
+    for a in factors:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert all(a is b for a, b in zip(factors, _boost_svd(cfg)))
 
 
 def test_interior_residual_ignores_truncation_edge():

@@ -41,3 +41,11 @@ def test_percall_prints_every_row():
         "exact_tower", "exact_pair", "exact_divergent", "panel_tower", "panel_pair",
         "float_tower", "float_pair", "float_divergent")}
     assert all(int(r[1]) > 0 and float(r[2]) > 0 for r in rows)
+    # a round acts three times per group law and once per transport
+    assert int(rows[0][1]) == 3 * int(rows[1][1]) + int(rows[2][1])
+    # ms per round is calls x ns per call, and the shares add up to the
+    # whole, to the rounding of the printed columns
+    assert proc.stdout.splitlines()[0].split()[3:] == ["ms/round", "share"]
+    assert all(abs(float(r[3]) - int(r[1]) * float(r[2]) / 1e6) <= int(r[1]) * 5e-7 + 5e-4
+               for r in rows)
+    assert abs(sum(float(r[4].rstrip("%")) for r in rows) - 100) <= 0.05 * len(rows)
