@@ -47,6 +47,9 @@ ENTRIES = {
        for profile in ("physical", "full")
        for size, config in _SIZES.items()
        for seed in (0, 3)},
+    # large N: eight casimir_value / casimir_flat records fail on rounding
+    "verify-full-NM4096-seed0": (["verify", "--profile", "full", "--seed", "0"],
+                                 {"N": 4096, "M": 4096}),
     "equiv-theta0.5": (["equiv", "--theta", "0.5"], None),
     "equiv-theta0.5-mmin3": (["equiv", "--theta", "0.5", "--mmin", "3"], None),
     "equiv-theta0.25-mmin2-n16": (["equiv", "--theta", "0.25", "--mmin", "2", "--n", "16"], None),

@@ -39,7 +39,7 @@ def phase_operator(gs: GeneratorSet) -> TruncatedOperator:
     gauge U*U = 1 and UU* = 1 - P_0 hold on the interior.
     """
     prod = gs.Tminus @ gs.Tplus
-    d = prod.bands[0].real
+    d = prod.bands[0]
     off = worst_of(np.abs(b).max() for k, b in prod.bands.items() if k != 0)
     if off > tol(gs.config.N):
         raise ValueError(f"T- T+ is not diagonal (off-diagonal {off:.2e})")
@@ -59,8 +59,8 @@ def tplus_from_phase(gs: GeneratorSet, uhat: TruncatedOperator) -> TruncatedOper
     """
     cfg = gs.config
     # the product under the root scales as hbar^2 and underflows for small
-    # hbar, so form (1/hbar) sqrt(...) from p/hbar = k + n instead
-    q = cfg.k + np.arange(cfg.N + 1, dtype=float)
+    # hbar, so form (1/hbar) sqrt(...) from p/hbar = k + n, the diagonal of H
+    q = gs.H.bands[0]
     root = np.sqrt(np.maximum((q + (cfg.k - 1.0)) * (q - cfg.k), 0.0))
     sign = -1.0 if cfg.phase_convention == "disc_minus" else 1.0
     return sign * (TruncatedOperator.diag(root) @ uhat)

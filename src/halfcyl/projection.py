@@ -57,7 +57,7 @@ class ThetaSpace:
 
     def shift(self) -> TruncatedOperator:
         """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
-        return TruncatedOperator({-1: np.ones(self.dim - 1, complex)}, self.dim, 1)
+        return TruncatedOperator({-1: np.ones(self.dim - 1)}, self.dim, 1)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def _log_grid_operators(n_points: int, hbar: float):
     h = HALFLINE_BOX / n_points
     x = -0.5 * HALFLINE_BOX + h * np.arange(n_points)
     q = TruncatedOperator.diag(np.exp(x))
-    dil = TruncatedOperator({-1: np.ones(n_points - 1, complex),  # psi(x) -> psi(x - h)
-                             n_points - 1: np.ones(1, complex)}, n_points, 0)
+    dil = TruncatedOperator({-1: np.ones(n_points - 1),  # psi(x) -> psi(x - h)
+                             n_points - 1: np.ones(1)}, n_points, 0)
     qp = (-hbar / h) * sin_cos(dil)[0]             # -i hbar d/dx, central
     mom = TruncatedOperator.diag(np.exp(-x)) @ qp  # -i hbar d/dq, the symptom
     return x, q, dil, qp, mom

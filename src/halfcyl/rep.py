@@ -14,11 +14,11 @@ Three ``REALIZATIONS`` compute the ladder: fock, the abstract ladder on the
 orthonormal (Hardy) basis, which is also the Hardy root form; disc, the
 differential action on the disc; boundary, on the unnormalized Fourier basis.
 
-Operators are stored as their diagonals (the generators are diagonal or
-tridiagonal).  Truncation contract: every operator carries a reach (its band
-displacement); identities are asserted only on the interior columns
-n <= N - total reach, where the finite shadow agrees with the infinite
-operator exactly.
+Operators are stored as their diagonals: float64 for the real H, T+, T-
+and T1, complex for T0, T2 and the rotation.  Truncation contract: every
+operator carries a reach (its band displacement); identities are asserted
+only on the interior columns n <= N - total reach, where the finite shadow
+agrees with the infinite operator exactly.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class TruncatedOperator:
     product of banded operators costs O(dim * bands * bands).  Composites
     add reaches, sums take the max; the interior span where identities are
     exact consists of the columns 0..dim-1-reach.  Bands are the only
-    storage, each of shape (dim - |d|,); ``matrix`` is a read-only dense
-    view built from them on every read, for tests and benchmarks.
+    storage, each of shape (dim - |d|,); ``matrix`` is a read-only complex
+    dense view built from them on every read, for tests and benchmarks.
+    Only this class picks band dtypes: real stays real, complex complex.
     """
 
     __slots__ = ("bands", "dim", "reach")
@@ -91,8 +92,8 @@ class TruncatedOperator:
 
     @classmethod
     def diag(cls, values) -> "TruncatedOperator":
-        """Diagonal operator diag(values)."""
-        values = np.asarray(values, dtype=complex)
+        """Diagonal operator diag(values), float64 unless the values are complex."""
+        values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
         return cls({0: values}, values.size, 0)
 
     @property
@@ -128,8 +129,10 @@ class TruncatedOperator:
 
     def __matmul__(self, other):
         # (A @ B)[i, i + p + q] += A[i, i + p] * B[i + p, i + p + q] over the
-        # rows i where all three indices lie in 0..n-1
+        # rows i where all three indices lie in 0..n-1, in one dtype: a band
+        # that a real pair allocated could not take a later complex term
         n = self._check_dim(other)
+        dtype = np.result_type(float, *self.bands.values(), *other.bands.values())
         out = {}
         for p, a in self.bands.items():
             for q, b in other.bands.items():
@@ -138,7 +141,7 @@ class TruncatedOperator:
                 if lo >= hi:
                     continue
                 if r not in out:
-                    out[r] = np.zeros(n - abs(r), complex)
+                    out[r] = np.zeros(n - abs(r), dtype)
                 ra, rb, rr = max(0, -p), max(0, -q) - p, max(0, -r)
                 out[r][lo - rr:hi - rr] += a[lo - ra:hi - ra] * b[lo - rb:hi - rb]
         return TruncatedOperator(out, n, self.reach + other.reach)
@@ -148,25 +151,23 @@ class TruncatedOperator:
         O(dim * bands * m)."""
         if x.ndim != 2 or x.shape[0] != self.dim:
             raise ValueError(f"dot expects columns of shape ({self.dim}, m), got {x.shape}")
-        out, prod = np.zeros(x.shape, complex), np.empty(x.shape, complex)
+        dtype = np.result_type(x, *self.bands.values())
+        out, prod = np.zeros(x.shape, dtype), np.empty(x.shape, dtype)
         for d, b in self.bands.items():
             lo = max(0, -d)  # first row of diagonal d; row i reads x[i + d]
             out[lo:lo + b.size] += np.multiply(b[:, None], x[lo + d:lo + d + b.size],
                                                out=prod[:b.size])
         return out
 
-    def _merge(self, other, op):
+    def __add__(self, other):
         self._check_dim(other)
         out = dict(self.bands)
         for d, b in other.bands.items():
-            out[d] = op(out[d], b) if d in out else op(0, b)
+            out[d] = out[d] + b if d in out else b
         return TruncatedOperator(out, self.dim, max(self.reach, other.reach))
 
-    def __add__(self, other):
-        return self._merge(other, np.add)
-
     def __sub__(self, other):
-        return self._merge(other, np.subtract)
+        return self + -1 * other
 
     def __rmul__(self, scalar):
         return TruncatedOperator(
@@ -264,8 +265,7 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     h, up, dn = _ladder_bands(realization, config)
     dim = config.N + 1
     H = TruncatedOperator.diag(h)
-    Tp = TruncatedOperator({-1: up.astype(complex)}, dim, 1)
-    Tm = TruncatedOperator({1: dn.astype(complex)}, dim, 1)
+    Tp, Tm = TruncatedOperator({-1: up}, dim, 1), TruncatedOperator({1: dn}, dim, 1)
     T0 = 1j * H
     T1 = 0.5 * (Tp - Tm)
     T2 = 0.5j * (Tp + Tm)

@@ -356,7 +356,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
 
     def spectrum_gap():
         spec = spectrum_p(rc, cfg.hbar)
-        gap = np.abs(spec - cfg.hbar * gs.H.bands[0].real).max()
+        gap = np.abs(spec - cfg.hbar * gs.H.bands[0]).max()
         return gap if spec.min() > 0 else math.inf
 
     def boost_derivative():
@@ -431,7 +431,7 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     u, p = space.shift(), space.momentum()
     out = judge([
         ("cylinder_commutator", "[U, p] = -hbar U", 1e-12,
-         lambda: interior_residual(commutator(u, p) + cfg.hbar * u, trim_bottom=1)),
+         lambda: interior_residual(commutator(u, p) + cfg.hbar * u, trim_bottom=1) / cfg.hbar),
     ], lab) + isometry_report(ProjectedSpace(space, 0), lab)
     for m_min in THETA_M_MINS[cfg.profile]:
         out += identification_report(theta, m_min, cfg.N, cfg.hbar, f"{lab},m_min={m_min}")

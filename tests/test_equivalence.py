@@ -189,11 +189,13 @@ def test_tplus_reconstruction_vanishes_at_ground():
     assert np.abs(gs.Tminus.matrix[:, 0]).max() == 0.0
 
 
-@pytest.mark.parametrize("hbar", [1e-170, 1e-300])
+@pytest.mark.parametrize("hbar", [1e-170, 1e-300, 1e-3, 567.8, 3456.7, 12345.678])
 def test_full_suite_passes_at_small_hbar(hbar):
     # no identity depends on hbar, but (p + (k-1) hbar)(p - k hbar) scales as
     # hbar^2 and underflows if it is formed from p, and the spectrum, the
-    # cylinder commutator and the identification all scale with hbar
+    # cylinder commutator and the identification all scale with hbar; the
+    # rounding of [U, p] + hbar U is of size hbar M, so cylinder_commutator
+    # is judged relative to hbar (absolute, it read 2.96e-12 at 567.8)
     rep = run_suite(SuiteConfig(hbar=hbar, profile="full"))
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
 

@@ -25,6 +25,7 @@ _algebra_isomorphism = lie.algebra_isomorphism
 _normalization_diagonal = equivalence.normalization_diagonal
 _phase_operator = equivalence.phase_operator
 _theta_shift = projection.ThetaSpace.shift
+_theta_momentum = projection.ThetaSpace.momentum
 _transport = classical.transport
 _lightcone_map = classical.lightcone_map
 _hamiltonian_vector_field = classical.hamiltonian_vector_field
@@ -203,6 +204,11 @@ FAULTS = [
      lambda space: _scaled_entry(_theta_shift(space), -1, -space.window.start, 1.001),
      {"projected_shift_isometry", "projected_shift_defect", "defect_rank_one",
       "parent_shift_unitary", "diagram_commutes"}),
+    # mode 3 lies in every window of the suite and in the rows that each
+    # identification compares, at m_min = 0, 1 and 3
+    ("theta momentum entry m = 3 x (1 + 1e-9)", "halfcyl.projection.ThetaSpace.momentum",
+     lambda space: _scaled_entry(_theta_momentum(space), 0, 3 - space.window.start, 1 + 1e-9),
+     {"cylinder_commutator", "spectra_match"}),
     # the leading block is a shift too, so only the spectrum sees which block
     # the projection took
     ("project returns the leading block", "halfcyl.projection.ProjectedSpace.project",
@@ -233,6 +239,14 @@ def test_fault_fails_its_records(monkeypatch, config, target, fault, must_fail):
         # a residual that raised reads NaN (judge's mark): the record must
         # fail through the fault, not through a call the fault broke
         assert not any(math.isnan(r.residual) for r in records)
+
+
+@pytest.mark.parametrize("hbar", [567.8, 1e-3])
+def test_theta_momentum_fault_fails_at_any_hbar(monkeypatch, hbar):
+    # cylinder_commutator is judged relative to hbar, which must still see
+    # a relative 1e-9 in one momentum entry far from hbar = 1
+    row = next(row for row in FAULTS if row[0] == "theta momentum entry m = 3 x (1 + 1e-9)")
+    test_fault_fails_its_records(monkeypatch, SuiteConfig(hbar=hbar, profile="full"), *row[1:])
 
 
 def test_momentum_map_sign_fault_reports_the_coefficient_gap(monkeypatch):

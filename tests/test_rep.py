@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from halfcyl.equivalence import phase_operator
+from halfcyl.projection import ProjectedSpace, ThetaSpace
 from halfcyl.rep import (
-    REALIZATIONS, RepConfig, TruncatedOperator, _boost_svd, boost_columns, boost_cutoff,
-    boost_norm, build_generators, casimir, commutator, exp_generator, gram_weights,
-    interior_residual, rotation_rep, spectrum_p, toeplitz_measure_test, tol,
+    PHASE_CONVENTIONS, REALIZATIONS, RepConfig, TruncatedOperator, _boost_svd, boost_columns,
+    boost_cutoff, boost_norm, build_generators, casimir, commutator, exp_generator,
+    gram_weights, interior_residual, rotation_rep, sin_cos, spectrum_p,
+    toeplitz_measure_test, tol,
 )
 
 K_GRID = (0.25, 0.5, 1.0, 1.5, 3.0)
@@ -399,6 +402,24 @@ def test_reach_arithmetic():
     assert (a @ b).interior == 2
 
 
+@pytest.mark.parametrize("convention", PHASE_CONVENTIONS)
+@pytest.mark.parametrize("realization", REALIZATIONS)
+def test_real_operators_keep_real_bands(realization, convention):
+    gs = build_generators(realization, RepConfig(k=1.5, N=16, phase_convention=convention))
+    u = phase_operator(gs)
+    space = ThetaSpace(0.5, range(-8, 9))
+    ps = ProjectedSpace(space, 0)
+    real = [gs.H, gs.Tplus, gs.Tminus, gs.T1, gs.Tminus @ gs.Tplus, u,
+            space.momentum(), space.shift(), ps.momentum(), ps.shift(),
+            *map(TruncatedOperator.diag, ([True, False], np.arange(3), np.ones(3, np.float32)))]
+    cplx = [gs.T0, gs.T2, rotation_rep(0.3, gs.config), sin_cos(u)[0],
+            TruncatedOperator.diag([1j, 2])]
+    for ops, dtype in ((real, np.float64), (cplx, np.complex128)):
+        for op in ops:
+            assert {b.dtype for b in op.bands.values()} == {np.dtype(dtype)}
+            assert op.matrix.dtype == np.complex128
+
+
 @pytest.mark.parametrize("bands", [{0: np.ones(3)}, {1: np.ones(5)}, {-2: np.ones((3, 1))}])
 def test_constructor_rejects_wrong_band_length(bands):
     with pytest.raises(ValueError, match="shape"):
@@ -437,11 +458,16 @@ def test_interior_residual_ignores_truncation_edge():
 
 @st.composite
 def banded_operators(draw, dim):
-    """A TruncatedOperator with random diagonals and reach, plus its dense matrix."""
+    """A TruncatedOperator with random diagonals and reach, plus its dense
+    matrix; its bands are all complex, all real, or a real diagonal with
+    complex off-diagonals."""
     offsets = draw(st.sets(st.integers(-(dim - 1), dim - 1), max_size=5))
+    kind = draw(st.sampled_from(("complex", "real", "mixed")))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    bands = {d: rng.normal(size=dim - abs(d)) + 1j * rng.normal(size=dim - abs(d))
-             for d in offsets}
+    bands = {d: rng.normal(size=dim - abs(d)) for d in offsets}
+    for d in offsets:
+        if kind == "complex" or (kind == "mixed" and d != 0):
+            bands[d] = bands[d] + 1j * rng.normal(size=dim - abs(d))
     dense = np.zeros((dim, dim), complex)
     for d, b in bands.items():
         dense += np.diag(b, d)
@@ -462,6 +488,10 @@ def test_banded_arithmetic_matches_dense(pair, scalar, trim):
     assert np.array_equal(a.matrix, ma)
     assert not a.matrix.flags.writeable
     prod = a @ b
+    # one dtype per product: real only when every band of both operands is
+    real = not any(np.iscomplexobj(x) for x in (*a.bands.values(), *b.bands.values()))
+    assert {x.dtype for x in prod.bands.values()} <= {np.dtype(float if real else complex)}
+    assert prod.matrix.dtype == (a + b).matrix.dtype == np.complex128
     assert np.allclose(prod.matrix, ma @ mb, rtol=0, atol=1e-12 * (1 + np.abs(ma @ mb).max()))
     assert np.array_equal((a + b).matrix, ma + mb)
     assert np.array_equal((a - b).matrix, ma - mb)
