@@ -100,8 +100,8 @@ def conjugate_realizations(config: RepConfig, label=None) -> list:
     """Records of the similarity D^{-1} (boundary) D = fock, D = diag(c_n).
 
     Passing from the unnormalized Fourier basis to the orthonormal (Hardy)
-    one rescales column n by c_n and row m by 1/c_m.  H and T0 are the same
-    diagonal in both and commute with D, so only T+ and T- are compared; at
+    one rescales column n by c_n and row m by 1/c_m.  H is the same
+    diagonal in both and commutes with D, so only T+ and T- are compared; at
     k = 1/2 all the weights are 1 and the realizations coincide outright.
     """
     boundary = build_generators("boundary", config)

@@ -7,15 +7,17 @@ For weight k > 0 the ladder set on basis e_0..e_N is
     T- e_n = s * sqrt(n (2k + n - 1)) e_{n-1}
 
 with s = +1 (creation_plus) or s = -1 (disc_minus); the two gauges are
-exchanged by the diagonal (-1)^n similarity.  T0 = iH, T1 = (T+ - T-)/2,
-T2 = i(T+ + T-)/2, and the Casimir T0^2 - T1^2 - T2^2 is the scalar k(1-k).
+exchanged by the diagonal (-1)^n similarity.  T1 = (T+ - T-)/2 and
+J = (T+ + T-)/2; T0 = iH and T2 = iJ are not stored, as each so(1,2)
+identity is i times a real one: [H, T1] = J, [H, J] = T1, [T1, J] = -H,
+and the Casimir T0^2 - T1^2 - T2^2 = J^2 - (H^2 + T1^2) is k(1-k).
 
 Three ``REALIZATIONS`` compute the ladder: fock, the abstract ladder on the
 orthonormal (Hardy) basis, which is also the Hardy root form; disc, the
 differential action on the disc; boundary, on the unnormalized Fourier basis.
 
-Operators are stored as their diagonals: float64 for the real H, T+, T-
-and T1, complex for T0, T2 and the rotation.  Truncation contract: every
+Operators are stored as their diagonals: float64 for the real H, T+, T-,
+T1 and J, complex for the rotation.  Truncation contract: every
 operator carries a reach (its band displacement); identities are asserted
 only on the interior columns n <= N - total reach, where the finite shadow
 agrees with the infinite operator exactly.
@@ -212,14 +214,14 @@ def interior_residual(expr: TruncatedOperator, trim_bottom: int = 0) -> float:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The truncated generators of one realization at one config."""
+    """The truncated generators of one realization at one config, all real:
+    H, T+, T-, T1 = (T+ - T-)/2 and J = (T+ + T-)/2 (T0 = iH, T2 = iJ)."""
 
     H: TruncatedOperator
     Tplus: TruncatedOperator
     Tminus: TruncatedOperator
-    T0: TruncatedOperator
     T1: TruncatedOperator
-    T2: TruncatedOperator
+    J: TruncatedOperator
     config: RepConfig
 
 
@@ -266,15 +268,13 @@ def build_generators(realization: str, config: RepConfig) -> GeneratorSet:
     dim = config.N + 1
     H = TruncatedOperator.diag(h)
     Tp, Tm = TruncatedOperator({-1: up}, dim, 1), TruncatedOperator({1: dn}, dim, 1)
-    T0 = 1j * H
-    T1 = 0.5 * (Tp - Tm)
-    T2 = 0.5j * (Tp + Tm)
-    return GeneratorSet(H, Tp, Tm, T0, T1, T2, config)
+    return GeneratorSet(H, Tp, Tm, 0.5 * (Tp - Tm), 0.5 * (Tp + Tm), config)
 
 
 def casimir(gs: GeneratorSet) -> TruncatedOperator:
-    """T0^2 - T1^2 - T2^2; equals k(1-k) * identity on the interior."""
-    return gs.T0 @ gs.T0 - gs.T1 @ gs.T1 - gs.T2 @ gs.T2
+    """T0^2 - T1^2 - T2^2 = J^2 - (H^2 + T1^2), a real operator; equals
+    k(1-k) * identity on the interior."""
+    return gs.J @ gs.J - (gs.H @ gs.H + gs.T1 @ gs.T1)
 
 
 def spectrum_p(config: RepConfig, hbar: float) -> np.ndarray:

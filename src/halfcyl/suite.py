@@ -343,7 +343,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     gs = build_generators("fock", rc)
     eye = TruncatedOperator.diag(np.ones(N + 1))
     cas = casimir(gs)
-    cas_diag = cas.bands[0][:cas.interior].real
+    cas_diag = cas.bands[0][:cas.interior]
     u_rot = rotation_rep(0.777, rc)
     # each boost exponential below is a probe block, columns of the
     # exponential of a leading block of rows; all share one cached SVD of the
@@ -369,7 +369,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     # column n of exp(t T) is its eigenvector with eigenvalue k + n
     def adjoint_action():
         for t, n_cols in certified.items():
-            for direction, turn in (("T1", 1j * gs.T2), ("T2", -1j * gs.T1)):
+            for direction, turn in (("T1", -1 * gs.J), ("T2", -1j * gs.T1)):
                 v = boosts[direction, t][:, :n_cols]
                 a = (math.cosh(t) * gs.H + math.sinh(t) * turn).block(0, rows)
                 yield np.abs(a.dot(v) - v * gs.H.bands[0][:n_cols]).max()
@@ -390,9 +390,9 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
                   interior_residual(commutator(gs.H, gs.Tminus) + gs.Tminus),
                   interior_residual(commutator(gs.Tplus, gs.Tminus) + 2 * gs.H))),
         ("so12_relations", "[T0,T1]=T2, [T0,T2]=-T1, [T1,T2]=-T0", tol(N),
-         lambda: (interior_residual(commutator(gs.T0, gs.T1) - gs.T2),
-                  interior_residual(commutator(gs.T0, gs.T2) + gs.T1),
-                  interior_residual(commutator(gs.T1, gs.T2) + gs.T0))),
+         lambda: (interior_residual(commutator(gs.H, gs.T1) - gs.J),
+                  interior_residual(commutator(gs.H, gs.J) - gs.T1),
+                  interior_residual(commutator(gs.T1, gs.J) + gs.H))),
         ("adjointness", "T- = T+ adjoint (orthonormal basis)", 0.0,
          lambda: (gs.Tminus - gs.Tplus.adjoint()).max_abs()),
         ("realization_coherence", "fock = disc entrywise", 1e-12,
@@ -406,7 +406,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         ("rotation_unitary", "rotation representative unitary", 1e-12,
          lambda: (u_rot.adjoint() @ u_rot - eye).max_abs()),
         ("rotation_exponential", "exp(-2 omega T0) = rotation matrix", 1e-12,
-         lambda: np.abs(np.exp(-1.554 * gs.T0.bands[0]) - u_rot.bands[0]).max()),
+         lambda: np.abs(np.exp(-1.554j * gs.H.bands[0]) - u_rot.bands[0]).max()),
         ("boost_derivative", "d/dt exp(t T1) at 0 = T1", 1e-8, boost_derivative),
         ("boost_adjoint_action",
          "(cosh t H + sinh t [T, H]) exp(tT) e_n = (k + n) exp(tT) e_n", 1e-11,

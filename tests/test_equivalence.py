@@ -200,6 +200,22 @@ def test_full_suite_passes_at_small_hbar(hbar):
     assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
 
 
+@pytest.mark.parametrize("hbar", [2.0 ** -10, 2.0 ** 10])
+@pytest.mark.parametrize("grid", [{}, {"N": 256, "M": 256, "seed": 3}],
+                         ids=["default", "N=M=256-seed3"])
+def test_power_of_two_hbar_is_a_unit(hbar, grid):
+    # hbar = 2^j rescales every hbar-dimensioned value exactly and each
+    # record compares dimensionless ones, so the report at hbar = 1 comes
+    # back bit for bit; two notes print residuals in units of hbar
+    one, scaled = (run_suite(SuiteConfig(hbar=h, profile="full", **grid)) for h in (1.0, hbar))
+    assert scaled.verdict == one.verdict
+    for a, b in zip(one.checks, scaled.checks, strict=True):
+        assert (b.name, b.anchor, b.residual.hex(), b.tol.hex(), b.passed) == \
+            (a.name, a.anchor, a.residual.hex(), a.tol.hex(), a.passed)
+        if a.name not in ("scaling_hermitean", "commutator_order"):
+            assert b.note == a.note, a.name
+
+
 # ---------------------------------------------------------------------------
 # sin / cos operators
 # ---------------------------------------------------------------------------
@@ -281,7 +297,8 @@ def test_t0_realization_invariant():
         cfg = RepConfig(k=k, N=24)
         b = build_generators("boundary", cfg)
         f = build_generators("fock", cfg)
-        assert np.abs(b.T0.matrix - f.T0.matrix).max() == 0.0
+        # T0 = iH is not stored: its invariance is that of H
+        assert np.abs((1j * b.H).matrix - (1j * f.H).matrix).max() == 0.0
 
 
 def test_normalization_is_inverse_root_of_weights():

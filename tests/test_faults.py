@@ -220,6 +220,16 @@ FAULTS = [
      _entry_off("disc", "H", 0), {"realization_coherence"}),
     ("disc T- entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
      _entry_off("disc", "Tminus", 1), {"realization_coherence"}),
+    # fock is the rep cell's realization: every record that reads its H or J,
+    # the so(1,2) ones included, must see the fault
+    ("fock H entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
+     _entry_off("fock", "H", 0),
+     {"ladder_algebra", "so12_relations", "casimir_value", "casimir_flat",
+      "rotation_exponential", "rotation_flow_sin", "rotation_flow_cos", "ladder_from_phase",
+      "spectrum_positive", "boost_adjoint_action", "realization_coherence"}),
+    ("fock J entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
+     _entry_off("fock", "J", 1),
+     {"so12_relations", "casimir_value", "casimir_flat", "boost_adjoint_action"}),
     # the conjugation compares boundary, carried to the orthonormal basis, with fock
     ("boundary T+ entry 5 x (1 + 1e-6)", "halfcyl.equivalence.build_generators",
      _entry_off("boundary", "Tplus", -1), {"conjugation_T+"}),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -21,6 +22,11 @@ K_GRID = (0.25, 0.5, 1.0, 1.5, 3.0)
 
 def fock(k, N=64, convention="creation_plus"):
     return build_generators("fock", RepConfig(k=k, N=N, phase_convention=convention))
+
+
+def so12_basis(gs):
+    """The complex so(1,2) basis T0 = iH, T1, T2 = iJ, which is not stored."""
+    return {"T0": 1j * gs.H, "T1": gs.T1, "T2": 1j * gs.J}
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +108,15 @@ def test_ladder_relations(k, realization):
 @pytest.mark.parametrize("k", K_GRID)
 def test_so12_relations(k):
     gs = fock(k)
-    budget = tol(64)
-    assert interior_residual(commutator(gs.T0, gs.T1) - gs.T2) < budget
-    assert interior_residual(commutator(gs.T0, gs.T2) + gs.T1) < budget
-    assert interior_residual(commutator(gs.T1, gs.T2) + gs.T0) < budget
+    t0, t1, t2 = so12_basis(gs).values()
+    real = [interior_residual(commutator(gs.H, gs.T1) - gs.J),
+            interior_residual(commutator(gs.H, gs.J) - gs.T1),
+            interior_residual(commutator(gs.T1, gs.J) + gs.H)]
+    # each real identity is i^-1 times a complex one, to the last bit
+    assert real == [interior_residual(commutator(t0, t1) - t2),
+                    interior_residual(commutator(t0, t2) + t1),
+                    interior_residual(commutator(t1, t2) + t0)]
+    assert max(real) < tol(64)
 
 
 def test_interior_residual_rejects_empty_interior():
@@ -121,9 +132,11 @@ def test_interior_residual_rejects_empty_interior():
 
 def test_t012_built_from_ladder():
     gs = fock(0.6, N=16)
-    assert np.abs(gs.T0.matrix - 1j * gs.H.matrix).max() == 0.0
+    t0, _, t2 = so12_basis(gs).values()
+    assert np.abs(t0.matrix - 1j * gs.H.matrix).max() == 0.0
     assert np.abs(gs.T1.matrix - 0.5 * (gs.Tplus.matrix - gs.Tminus.matrix)).max() == 0.0
-    assert np.abs(gs.T2.matrix - 0.5j * (gs.Tplus.matrix + gs.Tminus.matrix)).max() == 0.0
+    assert np.abs(gs.J.matrix - 0.5 * (gs.Tplus.matrix + gs.Tminus.matrix)).max() == 0.0
+    assert np.abs(t2.matrix - 0.5j * (gs.Tplus.matrix + gs.Tminus.matrix)).max() == 0.0
 
 
 @pytest.mark.parametrize("convention", ["creation_plus", "disc_minus"])
@@ -177,7 +190,7 @@ def test_parity_similarity_swaps_conventions():
     for realization in REALIZATIONS:
         gp = build_generators(realization, cfg_p)
         gm = build_generators(realization, cfg_m)
-        for name in ("H", "Tplus", "Tminus", "T0", "T1", "T2"):
+        for name in ("H", "Tplus", "Tminus", "T1", "J"):
             bp, bm = getattr(gp, name).bands, getattr(gm, name).bands
             assert set(bp) == set(bm)
             for d, b in bp.items():
@@ -273,7 +286,7 @@ def test_rotation_needs_covering_for_quarter_weight():
 
 def test_rotation_unitary_and_exponential():
     cfg = RepConfig(k=0.7, N=24)
-    t0 = build_generators("fock", cfg).T0.bands[0]
+    t0 = so12_basis(build_generators("fock", cfg))["T0"].bands[0]
     for w in (0.1, 1.3, 2.9):
         u = rotation_rep(w, cfg)
         assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(25)).max() < 1e-12
@@ -306,7 +319,7 @@ def test_exp_boost_interior_unitarity_defect():
 def test_exp_derivative_matches_generator(direction):
     cfg = RepConfig(k=0.5, N=64)
     gs = build_generators("fock", cfg)
-    gen = {"T0": gs.T0, "T1": gs.T1, "T2": gs.T2}[direction].matrix
+    gen = so12_basis(gs)[direction].matrix
     h = 1e-3 / max(1.0, np.linalg.norm(gen, 2))
     if direction == "T0":
         def exp(t):
@@ -409,10 +422,12 @@ def test_real_operators_keep_real_bands(realization, convention):
     u = phase_operator(gs)
     space = ThetaSpace(0.5, range(-8, 9))
     ps = ProjectedSpace(space, 0)
-    real = [gs.H, gs.Tplus, gs.Tminus, gs.T1, gs.Tminus @ gs.Tplus, u,
+    fields = [getattr(gs, f.name) for f in dataclasses.fields(gs) if f.name != "config"]
+    assert len(fields) == 5
+    real = [*fields, casimir(gs), gs.Tminus @ gs.Tplus, u,
             space.momentum(), space.shift(), ps.momentum(), ps.shift(),
             *map(TruncatedOperator.diag, ([True, False], np.arange(3), np.ones(3, np.float32)))]
-    cplx = [gs.T0, gs.T2, rotation_rep(0.3, gs.config), sin_cos(u)[0],
+    cplx = [1j * gs.H, 1j * gs.J, rotation_rep(0.3, gs.config), sin_cos(u)[0],
             TruncatedOperator.diag([1j, 2])]
     for ops, dtype in ((real, np.float64), (cplx, np.complex128)):
         for op in ops:
@@ -552,7 +567,7 @@ def _expm_reference(a):
 @pytest.mark.parametrize("direction", ["T1", "T2"])
 def test_boost_exponential_matches_taylor_reference(direction, convention):
     cfg = RepConfig(k=0.7, N=32, phase_convention=convention)
-    gen = getattr(build_generators("fock", cfg), direction).matrix
+    gen = so12_basis(build_generators("fock", cfg))[direction].matrix
     for t in (-2.0, -0.3, 0.05, 1.1, 2.0):
         u = exp_generator(direction, t, cfg)
         assert np.abs(u - _expm_reference(t * gen)).max() < 1e-13
@@ -562,7 +577,7 @@ def test_boost_exponential_matches_taylor_reference(direction, convention):
 def test_boost_norm_is_spectral_norm():
     cfg = RepConfig(k=1.5, N=40)
     gs = build_generators("fock", cfg)
-    for gen in (gs.T1, gs.T2):
+    for gen in (gs.T1, so12_basis(gs)["T2"]):
         assert abs(boost_norm(cfg) - np.linalg.norm(gen.matrix, 2)) < 1e-12 * boost_norm(cfg)
 
 
@@ -592,7 +607,7 @@ def test_boost_cutoff_agrees_with_boost_columns():
 
 def _eigh_reference(direction, t, cfg):
     """exp(t T) = V exp(-i t w) V* from numpy's eigh of the Hermitian i T."""
-    w, v = np.linalg.eigh(1j * getattr(build_generators("fock", cfg), direction).matrix)
+    w, v = np.linalg.eigh(1j * so12_basis(build_generators("fock", cfg))[direction].matrix)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
