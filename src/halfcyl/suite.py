@@ -393,8 +393,6 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
          lambda: (interior_residual(commutator(gs.H, gs.T1) - gs.J),
                   interior_residual(commutator(gs.H, gs.J) - gs.T1),
                   interior_residual(commutator(gs.T1, gs.J) + gs.H))),
-        ("adjointness", "T- = T+ adjoint (orthonormal basis)", 0.0,
-         lambda: (gs.Tminus - gs.Tplus.adjoint()).max_abs()),
         ("realization_coherence", "fock = disc entrywise", 1e-12,
          lambda: ((getattr(g, band) - getattr(gs, band)).max_abs()
                   for g in [build_generators("disc", rc)] for band in ("H", "Tplus", "Tminus"))),

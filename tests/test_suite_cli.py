@@ -826,7 +826,7 @@ def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tm
 @pytest.mark.parametrize("profile", ["physical", "full"])
 def test_record_names_are_unique(profile):
     names = [r.name for r in run_suite(SuiteConfig(profile=profile)).checks]
-    assert len(names) == len(set(names)) == {"physical": 129, "full": 189}[profile]
+    assert len(names) == len(set(names)) == {"physical": 126, "full": 184}[profile]
 
 
 def test_suite_draws_pin_the_random_stream(monkeypatch):
