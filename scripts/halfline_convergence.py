@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Grid-refinement study of the half-line demo.
 
-Prints the interior residual of [q, qp] - i hbar q on the periodic log grid
-for a sequence of refinements, together with the measured convergence order,
-then the judged records of the demo.  The hermiticity defect of the plain
+Prints the interior residual of [q, qp] - i q on the periodic log grid, in
+units hbar = 1, for a sequence of refinements, together with the measured
+convergence order, then the judged records of the demo.  The hermiticity defect of the plain
 momentum operator, which the scaling generator qp replaces, is printed in
 the note of the ``scaling_hermitean`` line.
 """
@@ -18,7 +18,7 @@ from halfcyl.report import CheckReport
 def main():
     box = HALFLINE_BOX
     grids = [HALFLINE_POINTS * 2 ** i for i in range(5)]
-    residuals = [halfline_commutator_residual(n, hbar=1.0) for n in grids]
+    residuals = [halfline_commutator_residual(n) for n in grids]
     print(f"periodic log grid, box width {box}")
     print(f"{'n':>6} {'residual':>12} {'order':>7}")
     for i, (n, r) in enumerate(zip(grids, residuals)):

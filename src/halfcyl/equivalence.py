@@ -1,14 +1,14 @@
 """Bridge between the projected cylinder picture and the lowest-weight series.
 
 The identification is k = theta + m_min with basis map
-f_{theta, n + m_min} <-> e_n (``ProjectedSpace.k`` and ``.modes``): the
-projected momentum becomes hbar H, the projected shift becomes the phase
-operator U = T+ (T- T+)^{-1/2}, and T+ is recovered from (p, U) as
--(1/hbar) sqrt((p + (k-1) hbar)(p - k hbar)) U.  The identification is
-asserted in the creation_plus gauge, where U is the plain nonnegative
-shift; the (-1)^n similarity carries everything to the disc_minus gauge.
-The diagonal normalization similarity carries the boundary realization to
-fock, its matrices on the orthonormal Hardy basis.
+f_{theta, n + m_min} <-> e_n (``ProjectedSpace.k`` and ``.modes``): in
+units hbar = 1 the projected momentum becomes H, the projected shift
+becomes the phase operator U = T+ (T- T+)^{-1/2}, and T+ is recovered
+from (p, U) as -(1/hbar) sqrt((p + (k-1) hbar)(p - k hbar)) U.  The
+identification is asserted in the creation_plus gauge, where U is the
+plain nonnegative shift; the (-1)^n similarity carries everything to the
+disc_minus gauge.  The diagonal normalization similarity carries the
+boundary realization to fock, its matrices on the orthonormal Hardy basis.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ def tplus_from_phase(gs: GeneratorSet, uhat: TruncatedOperator) -> TruncatedOper
     absorbed into the gauge.
     """
     cfg = gs.config
-    # the product under the root scales as hbar^2 and underflows for small
-    # hbar, so form (1/hbar) sqrt(...) from p/hbar = k + n, the diagonal of H
+    # p = k + n in units hbar = 1, the diagonal of H
     q = gs.H.bands[0]
     root = np.sqrt(np.maximum((q + (cfg.k - 1.0)) * (q - cfg.k), 0.0))
     sign = -1.0 if cfg.phase_convention == "disc_minus" else 1.0
@@ -136,26 +135,25 @@ def theta_resolution_problem(theta: float, m_min: int, N: int) -> str | None:
     return None
 
 
-def identification_report(theta: float, m_min: int, N: int = 32, hbar: float = 1.0,
-                          label=None) -> list:
+def identification_report(theta: float, m_min: int, N: int = 32, label=None) -> list:
     """Records of the full-diagram commutativity under the k = theta + m_min
     identification, at the weight-basis cutoff N >= 4.
 
-    Checks that the projected momentum matches hbar H on rows 0..N and the
-    projected shift the phase operator on rows 0..N-1 (both in the
+    Checks that the projected momentum matches H (units hbar = 1) on rows
+    0..N and the projected shift the phase operator on rows 0..N-1 (both in the
     creation_plus gauge), projected from the modes m_min - 4 .. m_min + N + 4
     alone; the 4 below m_min set the leading block's spectrum apart.  A top
     mode at which floats cannot resolve theta raises ValueError.
     """
     if N < 4:
         raise ValueError(f"weight-basis cutoff N must be >= 4, got {N}")
-    ps = ProjectedSpace(ThetaSpace(theta, range(m_min - 4, m_min + N + 5), hbar), m_min)
+    ps = ProjectedSpace(ThetaSpace(theta, range(m_min - 4, m_min + N + 5)), m_min)
     if problem := theta_resolution_problem(theta, m_min, N):
         raise ValueError(problem)
     gs = build_generators("fock", RepConfig(k=ps.k, N=N, phase_convention="creation_plus"))
     return judge([
         ("spectra_match", "projected p = hbar H entrywise", 1e-12,
-         lambda: (ps.momentum().block(0, N + 1) - (hbar * gs.H)).max_abs()),
+         lambda: (ps.momentum().block(0, N + 1) - gs.H).max_abs()),
         ("diagram_commutes", "projected U = T+ (T- T+)^{-1/2}", 1e-12,
          lambda: (ps.shift().block(0, N) - phase_operator(gs).block(0, N)).max_abs()),
     ], label)

@@ -2,12 +2,13 @@
 
 The theta-family quantization of T*S^1 lives on the quasi-periodic modes
 f_{theta,m} = exp(i (m + theta) phi), m in Z, on which the momentum is
-diagonal with eigenvalues hbar (m + theta).  Restricting to the maximal
-subspace with positive momentum (m >= 0 for theta in (0,1]) transports an
-operator as pi o O o iota for the inclusion iota and its adjoint pi; on the
-stored diagonals that is index slicing of the trailing block, the one route
-into the subspace.  A projected unitary is only isometric: the shift
-acquires a rank-one defect on the lowest state.
+diagonal with eigenvalues m + theta (units hbar = 1, as throughout the
+module).  Restricting to the maximal subspace with positive momentum
+(m >= 0 for theta in (0,1]) transports an operator as pi o O o iota for
+the inclusion iota and its adjoint pi; on the stored diagonals that is
+index slicing of the trailing block, the one route into the subspace.  A
+projected unitary is only isometric: the shift acquires a rank-one defect
+on the lowest state.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ class ThetaSpace:
 
     theta: float
     window: range
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not (isinstance(self.window, range) and self.window and self.window.step == 1):
             raise ValueError(f"window must be a nonempty step-1 range, got {self.window!r}")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
 
     @property
     def dim(self):
@@ -52,8 +50,8 @@ class ThetaSpace:
 
     # -- operators on the window ---------------------------------------
     def momentum(self) -> TruncatedOperator:
-        """p f_{theta,m} = hbar (m + theta) f_{theta,m}."""
-        return TruncatedOperator.diag(self.hbar * (self.modes + self.theta))
+        """p f_{theta,m} = (m + theta) f_{theta,m}."""
+        return TruncatedOperator.diag(self.modes + self.theta)
 
     def shift(self) -> TruncatedOperator:
         """U f_{theta,m} = f_{theta,m+1} (multiplication by exp(i phi))."""
@@ -64,7 +62,7 @@ class ThetaSpace:
 class ProjectedSpace:
     """Positive-momentum subspace spanned by f_{theta,m}, m >= m_min.
 
-    For theta in (0, 1] the set {m : hbar (m + theta) > 0} is exactly
+    For theta in (0, 1] the set {m : m + theta > 0} is exactly
     {m >= 0}, so m_min = 0 is the maximal positive subspace, the range of
     the spectral projector of the positive-momentum inequality; m_min is
     any nonnegative mode of the window.  Basis vector e_j is the mode
@@ -157,13 +155,13 @@ def isometry_report(ps: ProjectedSpace, label=None) -> list:
 HALFLINE_POINTS, HALFLINE_BOX = 64, 4.0  # the demo's grid in x = ln q
 
 
-def _log_grid_operators(n_points: int, hbar: float):
+def _log_grid_operators(n_points: int):
     """Grid in x = ln q of width HALFLINE_BOX (measure dq/q = counting), q = e^x > 0.
 
     The dilation by one grid step is the exact cyclic shift: the subdiagonal
     and the corner band n - 1 that closes the period, reach 0 (a periodic
-    grid truncates nothing).  The scaling generator -i hbar d/dx is the
-    central difference, -hbar/h times the sine of the shift, hermitean
+    grid truncates nothing).  The scaling generator -i d/dx is the
+    central difference, -1/h times the sine of the shift, hermitean
     including the wrap, which contaminates exactly the two seam rows of the
     commutator with q; the residual drops them.
     """
@@ -172,34 +170,34 @@ def _log_grid_operators(n_points: int, hbar: float):
     q = TruncatedOperator.diag(np.exp(x))
     dil = TruncatedOperator({-1: np.ones(n_points - 1),  # psi(x) -> psi(x - h)
                              n_points - 1: np.ones(1)}, n_points, 0)
-    qp = (-hbar / h) * sin_cos(dil)[0]             # -i hbar d/dx, central
-    mom = TruncatedOperator.diag(np.exp(-x)) @ qp  # -i hbar d/dq, the symptom
+    qp = (-1 / h) * sin_cos(dil)[0]                # -i d/dx, central
+    mom = TruncatedOperator.diag(np.exp(-x)) @ qp  # -i d/dq, the symptom
     return x, q, dil, qp, mom
 
 
-def halfline_commutator_residual(n_points: int, *, hbar: float) -> float:
-    """Interior residual of [q, qp] - i hbar q on a smooth test function."""
-    x, q, _, qp, _ = _log_grid_operators(n_points, hbar)
+def halfline_commutator_residual(n_points: int) -> float:
+    """Interior residual of [q, qp] - i q on a smooth test function."""
+    x, q, _, qp, _ = _log_grid_operators(n_points)
     psi = np.exp(np.cos(2 * np.pi * x / HALFLINE_BOX))[:, None]
-    resid = commutator(q, qp).dot(psi) - 1j * hbar * q.dot(psi)
+    resid = commutator(q, qp).dot(psi) - 1j * q.dot(psi)
     inner = slice(1, n_points - 1)  # drop the two seam rows
     return float(np.abs(resid[inner]).max() / np.abs(psi).max())
 
 
-def halfline_demo(hbar: float = 1.0, label=None) -> list:
+def halfline_demo(label=None) -> list:
     """Records of the positive-operator restriction of the line, on the
     periodic log grid of ``HALFLINE_POINTS`` points and width ``HALFLINE_BOX``.
 
     The position operator q = e^x is positive by construction.  Exhibits:
     dilations as exact unitaries (their flow respects the half-line, unlike
     translations), a hermitean scaling generator and the canonical
-    commutator at measured second order.  The plain momentum -i hbar d/dq
+    commutator at measured second order.  The plain momentum -i d/dq
     is not hermitean on the half-line; its defect is carried in the note of
     ``scaling_hermitean``.
     """
-    _, _, dil, qp, mom = _log_grid_operators(HALFLINE_POINTS, hbar)
+    _, _, dil, qp, mom = _log_grid_operators(HALFLINE_POINTS)
     # r1, r2 and the defect fill notes, so they are computed before the rows run
-    r1, r2 = (halfline_commutator_residual(n * HALFLINE_POINTS, hbar=hbar) for n in (1, 2))
+    r1, r2 = (halfline_commutator_residual(n * HALFLINE_POINTS) for n in (1, 2))
     order = math.log2(r1 / r2)
     defect = (mom - mom.adjoint()).max_abs()
     return judge([

@@ -10,6 +10,11 @@ own rows under the cell's label, so ``sin_hermitean[k=0.5]`` is made like
 every other record, and a cell concatenates these record lists in order.
 Identical config and seed give a byte-identical JSON report up to the
 timestamp header.
+
+The checks work in units hbar = 1.  Every identity they check is
+homogeneous in hbar, so a unit could change only the rounding, and
+``SuiteConfig`` refuses an ``hbar`` key as unknown; anchors such as
+"[U, p] = -hbar U" still state the physics in units of hbar.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ class SuiteConfig:
     theta_values: tuple = (0.25, 0.5, 1.0)
     N: int = 64
     M: int = 48
-    hbar: float = 1.0
     seed: int = 0
     profile: str = "physical"
 
@@ -84,12 +88,8 @@ class SuiteConfig:
             raise ConfigError(f"N must be an integer >= 4, got {self.N!r}")
         if not (isinstance(self.M, int) and self.M >= 8):
             raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
-        hbar = _finite("hbar", self.hbar)
-        if not hbar > 0:
-            raise ConfigError("hbar must be positive")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "k_values", k_values)
         object.__setattr__(self, "theta_values", theta_values)
         if not self.active_k_values:
@@ -355,8 +355,8 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     u = phase_operator(gs)
 
     def spectrum_gap():
-        spec = spectrum_p(rc, cfg.hbar)
-        gap = np.abs(spec - cfg.hbar * gs.H.bands[0]).max()
+        spec = spectrum_p(rc, 1.0)
+        gap = np.abs(spec - gs.H.bands[0]).max()
         return gap if spec.min() > 0 else math.inf
 
     def boost_derivative():
@@ -425,14 +425,14 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
 
 def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     lab = CELL_LABEL.format("theta", theta)
-    space = ThetaSpace(theta, range(-cfg.M, cfg.M + 1), cfg.hbar)
+    space = ThetaSpace(theta, range(-cfg.M, cfg.M + 1))
     u, p = space.shift(), space.momentum()
     out = judge([
         ("cylinder_commutator", "[U, p] = -hbar U", 1e-12,
-         lambda: interior_residual(commutator(u, p) + cfg.hbar * u, trim_bottom=1) / cfg.hbar),
+         lambda: interior_residual(commutator(u, p) + u, trim_bottom=1)),
     ], lab) + isometry_report(ProjectedSpace(space, 0), lab)
     for m_min in THETA_M_MINS[cfg.profile]:
-        out += identification_report(theta, m_min, cfg.N, cfg.hbar, f"{lab},m_min={m_min}")
+        out += identification_report(theta, m_min, cfg.N, label=f"{lab},m_min={m_min}")
     return out
 
 
@@ -450,7 +450,7 @@ def run_suite(config: SuiteConfig) -> CheckReport:
         checks += _rep_cell(k, config)
     for theta in config.theta_values:
         checks += _theta_cell(theta, config)
-    checks += halfline_demo(config.hbar)
+    checks += halfline_demo()
     return CheckReport(checks, meta={
         "profile": config.profile,
         "seed": config.seed,

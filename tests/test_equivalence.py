@@ -11,7 +11,6 @@ from halfcyl.projection import ProjectedSpace, ThetaSpace
 from halfcyl.report import CheckReport
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators, gram_weights,
                          interior_residual, sin_cos)
-from halfcyl.suite import SuiteConfig, run_suite
 
 
 def fock(k, N=32, convention="creation_plus"):
@@ -187,33 +186,6 @@ def test_tplus_reconstruction_vanishes_at_ground():
     rec = tplus_from_phase(gs, phase_operator(fock(0.6, N=8)))
     assert rec.matrix[0, 0] == 0.0
     assert np.abs(gs.Tminus.matrix[:, 0]).max() == 0.0
-
-
-@pytest.mark.parametrize("hbar", [1e-170, 1e-300, 1e-3, 567.8, 3456.7, 12345.678])
-def test_full_suite_passes_at_small_hbar(hbar):
-    # no identity depends on hbar, but (p + (k-1) hbar)(p - k hbar) scales as
-    # hbar^2 and underflows if it is formed from p, and the spectrum, the
-    # cylinder commutator and the identification all scale with hbar; the
-    # rounding of [U, p] + hbar U is of size hbar M, so cylinder_commutator
-    # is judged relative to hbar (absolute, it read 2.96e-12 at 567.8)
-    rep = run_suite(SuiteConfig(hbar=hbar, profile="full"))
-    assert rep.verdict, [(r.name, r.residual) for r in rep.failures()]
-
-
-@pytest.mark.parametrize("hbar", [2.0 ** -10, 2.0 ** 10])
-@pytest.mark.parametrize("grid", [{}, {"N": 256, "M": 256, "seed": 3}],
-                         ids=["default", "N=M=256-seed3"])
-def test_power_of_two_hbar_is_a_unit(hbar, grid):
-    # hbar = 2^j rescales every hbar-dimensioned value exactly and each
-    # record compares dimensionless ones, so the report at hbar = 1 comes
-    # back bit for bit; two notes print residuals in units of hbar
-    one, scaled = (run_suite(SuiteConfig(hbar=h, profile="full", **grid)) for h in (1.0, hbar))
-    assert scaled.verdict == one.verdict
-    for a, b in zip(one.checks, scaled.checks, strict=True):
-        assert (b.name, b.anchor, b.residual.hex(), b.tol.hex(), b.passed) == \
-            (a.name, a.anchor, a.residual.hex(), a.tol.hex(), a.passed)
-        if a.name not in ("scaling_hermitean", "commutator_order"):
-            assert b.note == a.note, a.name
 
 
 # ---------------------------------------------------------------------------

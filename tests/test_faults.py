@@ -58,12 +58,12 @@ def _perturbed_normalization(config):
     return c
 
 
-def _forward_log_grid(n_points, hbar):
-    """_log_grid_operators with the forward difference (-i hbar / h)(dil* - 1)
+def _forward_log_grid(n_points):
+    """_log_grid_operators with the forward difference (-i / h)(dil* - 1)
     for the scaling generator."""
-    x, q, dil, _, _ = _log_grid_operators(n_points, hbar)
+    x, q, dil, _, _ = _log_grid_operators(n_points)
     h, eye = projection.HALFLINE_BOX / n_points, TruncatedOperator.diag(np.ones(n_points))
-    qp = (-1j * hbar / h) * (dil.adjoint() - eye)
+    qp = (-1j / h) * (dil.adjoint() - eye)
     return x, q, dil, qp, TruncatedOperator.diag(np.exp(-x)) @ qp
 
 
@@ -249,14 +249,6 @@ def test_fault_fails_its_records(monkeypatch, config, target, fault, must_fail):
         # a residual that raised reads NaN (judge's mark): the record must
         # fail through the fault, not through a call the fault broke
         assert not any(math.isnan(r.residual) for r in records)
-
-
-@pytest.mark.parametrize("hbar", [567.8, 1e-3])
-def test_theta_momentum_fault_fails_at_any_hbar(monkeypatch, hbar):
-    # cylinder_commutator is judged relative to hbar, which must still see
-    # a relative 1e-9 in one momentum entry far from hbar = 1
-    row = next(row for row in FAULTS if row[0] == "theta momentum entry m = 3 x (1 + 1e-9)")
-    test_fault_fails_its_records(monkeypatch, SuiteConfig(hbar=hbar, profile="full"), *row[1:])
 
 
 def test_momentum_map_sign_fault_reports_the_coefficient_gap(monkeypatch):

@@ -34,9 +34,11 @@ def test_theta_validation():
 
 
 def test_momentum_eigenvalues():
-    ts = ThetaSpace(0.25, range(-12, 13), hbar=2.0)
-    assert np.allclose(np.diag(ts.momentum().matrix).real,
-                       2.0 * (ts.modes + 0.25))
+    # in units hbar = 1, p f_{theta,m} = (m + theta) f_{theta,m}
+    ts = ThetaSpace(0.25, range(-12, 13))
+    assert np.array_equal(ts.momentum().bands[0], ts.modes + 0.25)
+    with pytest.raises(TypeError):
+        ThetaSpace(0.25, range(-12, 13), hbar=2.0)
 
 
 def test_shift_moves_modes_up():
@@ -49,13 +51,13 @@ def test_shift_moves_modes_up():
 
 
 def test_shift_momentum_commutator():
-    ts = ThetaSpace(0.7, range(-16, 17), hbar=1.5)
+    ts = ThetaSpace(0.7, range(-16, 17))
     u, p = ts.shift(), ts.momentum()
-    assert interior_residual((u @ p - p @ u) + 1.5 * u, trim_bottom=1) < 1e-12
+    assert interior_residual((u @ p - p @ u) + u, trim_bottom=1) < 1e-12
     # exact for dyadic parameters
     ts = ThetaSpace(0.25, range(-16, 17))
     u, p = ts.shift(), ts.momentum()
-    assert interior_residual((u @ p - p @ u) + 1.0 * u, trim_bottom=1) == 0.0
+    assert interior_residual((u @ p - p @ u) + u, trim_bottom=1) == 0.0
 
 
 def test_sincos_are_hermitean_tridiagonal():
@@ -187,7 +189,7 @@ def test_halfline_demo_verdict():
 
 def test_halfline_position_positive():
     # q = e^x is positive by construction, so the demo carries no record of it
-    q = _log_grid_operators(64, 1.0)[1]
+    q = _log_grid_operators(64)[1]
     assert set(q.bands) == {0}
     assert (q.bands[0].real > 0).all() and (q.bands[0].imag == 0).all()
 
@@ -203,26 +205,28 @@ def test_halfline_scaling_generator_hermitean():
 
 
 def test_halfline_commutator_second_order():
-    r64 = halfline_commutator_residual(64, hbar=1.0)
-    r128 = halfline_commutator_residual(128, hbar=1.0)
-    r256 = halfline_commutator_residual(256, hbar=1.0)
+    r64 = halfline_commutator_residual(64)
+    r128 = halfline_commutator_residual(128)
+    r256 = halfline_commutator_residual(256)
     assert abs(math.log2(r64 / r128) - 2.0) < 0.2
     assert abs(math.log2(r128 / r256) - 2.0) < 0.2
 
 
-def test_halfline_residual_takes_hbar_by_keyword():
-    # the grid width is HALFLINE_BOX, so a call that still passes one raises
-    # instead of running at hbar = 4
+def test_halfline_residual_takes_only_the_grid_size():
+    # the grid width is HALFLINE_BOX and the demo works in units hbar = 1, so
+    # a call that still passes a width or an hbar raises instead of running
     with pytest.raises(TypeError):
         halfline_commutator_residual(64, 4.0)
+    with pytest.raises(TypeError):
+        halfline_commutator_residual(64, hbar=1.0)
 
 
 def test_halfline_residual_runs_on_bands():
     # the log grid is banded: a dense 1024 x 1024 grid held about 88 MB
-    halfline_commutator_residual(64, hbar=1.0)
+    halfline_commutator_residual(64)
     tracemalloc.start()
     try:
-        halfline_commutator_residual(1024, hbar=1.0)
+        halfline_commutator_residual(1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,11 +239,11 @@ def test_halfline_symptoms_live_in_notes():
     rep = CheckReport(halfline_demo())
     recs = {r.name: r for r in rep.checks}
     assert set(recs) == {"dilation_unitary", "scaling_hermitean", "commutator_order"}
-    mom = _log_grid_operators(64, 1.0)[4]
+    mom = _log_grid_operators(64)[4]
     defect = (mom - mom.adjoint()).max_abs()
     assert defect > 1.0  # the symptom is large, and that is fine
     assert recs["scaling_hermitean"].note == (
         f"plain momentum -i hbar d/dq: |p* - p| = {defect:.3e} (boundary symptom)")
-    r1 = halfline_commutator_residual(64, hbar=1.0)
+    r1 = halfline_commutator_residual(64)
     assert recs["commutator_order"].note.startswith(f"residuals {r1:.3e} -> ")
     assert rep.verdict

@@ -21,6 +21,12 @@ def test_halfline_convergence_prints_a_passing_verdict():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "verdict: pass"
+    # the refinement table falls at second order, and its first residual is
+    # the demo's own (commutator_order's note), both in units hbar = 1
+    table = [line.split() for line in lines[2:7]]
+    assert [int(row[0]) for row in table] == [64, 128, 256, 512, 1024]
+    assert all(abs(float(row[2]) - 2.0) < 0.2 for row in table[1:])
+    assert any(f"residuals {float(table[0][1]):.3e} -> " in line for line in lines)
     # the plain-momentum defect rides on the scaling_hermitean line
     assert any("scaling_hermitean" in line and "|p* - p|" in line for line in lines)
 

@@ -61,9 +61,7 @@ def test_config_defaults_valid():
 
 @pytest.mark.parametrize("kwargs", [
     {"k_values": (math.inf,)}, {"k_values": (math.nan,)},
-    {"theta_values": (math.nan,)}, {"hbar": math.inf}, {"hbar": math.nan},
-    {"theta_values": (math.inf,)}, {"hbar": -math.inf},
-    {"hbar": 10 ** 400},
+    {"theta_values": (math.nan,)}, {"theta_values": (math.inf,)},
 ])
 def test_config_rejects_non_finite(kwargs):
     with pytest.raises(ConfigError, match="finite"):
@@ -72,7 +70,7 @@ def test_config_rejects_non_finite(kwargs):
 
 @pytest.mark.parametrize("raw", [{"N": 5.5}, {"M": "48"}, {"k_values": 3},
                                  {"theta_values": "1"}, {"N": True},
-                                 {"hbar": "1"}, {"k_values": ["0.5"]},
+                                 {"seed": 1.0}, {"k_values": ["0.5"]},
                                  {"theta_values": [True]}, {"seed": True},
                                  {"seed": -5}])
 def test_config_rejects_wrong_types(raw):
@@ -81,8 +79,17 @@ def test_config_rejects_wrong_types(raw):
 
 
 def test_config_stores_the_validated_numbers():
-    cfg = SuiteConfig.from_dict({"hbar": 2, "k_values": [1]})
-    assert type(cfg.hbar) is float and type(cfg.k_values[0]) is float
+    cfg = SuiteConfig.from_dict({"k_values": [1], "theta_values": [1]})
+    assert type(cfg.k_values[0]) is float and type(cfg.theta_values[0]) is float
+
+
+def test_config_fields_hold_no_hbar():
+    # the verifier works in units hbar = 1: every identity it checks is
+    # homogeneous in hbar, so a unit knob could change only the rounding
+    assert [f.name for f in fields(SuiteConfig)] == [
+        "k_values", "theta_values", "N", "M", "seed", "profile"]
+    with pytest.raises(ConfigError, match="unknown config keys: \\['hbar'\\]"):
+        SuiteConfig.from_dict({"hbar": 1.0})
 
 
 def test_config_rejects_tolerances_as_unknown_key():
@@ -430,7 +437,13 @@ def test_cli_verify_rejects_window_too_small_for_full(tmp_path):
 
 
 def test_cli_verify_rejects_string_number(tmp_path):
-    _assert_usage_error(_run_cli("verify", config='{"hbar": "1"}', tmp_path=tmp_path))
+    _assert_usage_error(_run_cli("verify", config='{"N": "64"}', tmp_path=tmp_path))
+
+
+def test_cli_verify_rejects_an_hbar_key(tmp_path):
+    proc = _run_cli("verify", config='{"hbar": 1.0}', tmp_path=tmp_path)
+    _assert_usage_error(proc)
+    assert "hbar" in proc.stderr
 
 
 # one input per subcommand that the library itself rejects with a ValueError
@@ -919,7 +932,6 @@ _config = st.fixed_dictionaries({}, optional={
         "k_values": st.lists(_unit, min_size=1, max_size=3),
         "theta_values": st.lists(_unit, min_size=1, max_size=3),
         "N": st.integers(4, 200), "M": st.integers(9, 200),
-        "hbar": st.floats(0.1, 10.0),
         "seed": st.integers(0, 200), "profile": st.sampled_from(("physical", "full")),
     }.items()})
 
@@ -931,7 +943,7 @@ def test_fuzzed_config_is_a_config_or_a_config_error(raw):
         cfg = SuiteConfig.from_dict(raw)
     except ConfigError:
         return
-    numbers = (cfg.hbar, *cfg.k_values, *cfg.theta_values)
+    numbers = (*cfg.k_values, *cfg.theta_values)
     assert all(type(x) is float for x in numbers)
     assert type(cfg.seed) is int and cfg.active_k_values and cfg.theta_values
 
