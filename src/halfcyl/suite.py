@@ -403,8 +403,6 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         ("spectrum_positive", "spec p = hbar(k + n), spacing hbar", 0.0, spectrum_gap),
         ("rotation_unitary", "rotation representative unitary", 1e-12,
          lambda: (u_rot.adjoint() @ u_rot - eye).max_abs()),
-        ("rotation_exponential", "exp(-2 omega T0) = rotation matrix", 1e-12,
-         lambda: np.abs(np.exp(-1.554j * gs.H.bands[0]) - u_rot.bands[0]).max()),
         ("boost_derivative", "d/dt exp(t T1) at 0 = T1", 1e-8, boost_derivative),
         ("boost_adjoint_action",
          "(cosh t H + sinh t [T, H]) exp(tT) e_n = (k + n) exp(tT) e_n", 1e-11,

@@ -225,7 +225,7 @@ FAULTS = [
     ("fock H entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
      _entry_off("fock", "H", 0),
      {"ladder_algebra", "so12_relations", "casimir_value", "casimir_flat",
-      "rotation_exponential", "rotation_flow_sin", "rotation_flow_cos", "ladder_from_phase",
+      "rotation_flow_sin", "rotation_flow_cos", "ladder_from_phase",
       "spectrum_positive", "boost_adjoint_action", "realization_coherence"}),
     ("fock J entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
      _entry_off("fock", "J", 1),
