@@ -3,9 +3,9 @@
 
 Prints the interior residual of [q, qp] - i q on the periodic log grid, in
 units hbar = 1, for a sequence of refinements, together with the measured
-convergence order, then the judged records of the demo.  The hermiticity defect of the plain
-momentum operator, which the scaling generator qp replaces, is printed in
-the note of the ``scaling_hermitean`` line.
+convergence order, then the judged records of the demo.  The hermiticity
+defect of the plain momentum operator, which the scaling generator qp
+replaces, is printed in the note of the ``scaling_hermitean`` line.
 """
 
 import math

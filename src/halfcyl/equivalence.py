@@ -140,10 +140,11 @@ def identification_report(theta: float, m_min: int, N: int = 32, label=None) -> 
     identification, at the weight-basis cutoff N >= 4.
 
     Checks that the projected momentum matches H (units hbar = 1) on rows
-    0..N and the projected shift the phase operator on rows 0..N-1 (both in the
-    creation_plus gauge), projected from the modes m_min - 4 .. m_min + N + 4
-    alone; the 4 below m_min set the leading block's spectrum apart.  A top
-    mode at which floats cannot resolve theta raises ValueError.
+    0..N and the projected shift the phase operator on rows 0..N-1 (both
+    in the creation_plus gauge), projected from the modes
+    m_min - 4 .. m_min + N + 4 alone; the 4 below m_min set the leading
+    block's spectrum apart.  A top mode at which floats cannot resolve
+    theta raises ValueError.
     """
     if N < 4:
         raise ValueError(f"weight-basis cutoff N must be >= 4, got {N}")
