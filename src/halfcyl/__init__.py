@@ -30,8 +30,7 @@ _EXPORTS = {
         ("ProjectedSpace", "ThetaSpace", "halfline_demo", "isometry_report"), "projection"),
     **dict.fromkeys(
         ("GeneratorSet", "RepConfig", "TruncatedOperator", "build_generators", "casimir",
-         "exp_generator", "gram_weights", "rotation_rep", "spectrum_p",
-         "toeplitz_measure_test"), "rep"),
+         "exp_generator", "gram_weights", "rotation_rep", "toeplitz_measure_test"), "rep"),
     **dict.fromkeys(("CheckRecord", "CheckReport", "ConfigError"), "report"),
     **dict.fromkeys(("SuiteConfig", "run_suite"), "suite"),
     "emit_spectrum": "cli",

@@ -34,7 +34,7 @@ from .report import worst_of
 
 __all__ = [
     "RepConfig", "TruncatedOperator", "GeneratorSet",
-    "build_generators", "casimir", "spectrum_p", "rotation_rep",
+    "build_generators", "casimir", "rotation_rep",
     "exp_generator", "boost_norm", "boost_columns", "boost_cutoff",
     "gram_weights", "toeplitz_measure_test",
     "interior_residual", "commutator", "sin_cos", "tol",
@@ -275,13 +275,6 @@ def casimir(gs: GeneratorSet) -> TruncatedOperator:
     """T0^2 - T1^2 - T2^2 = J^2 - (H^2 + T1^2), a real operator; equals
     k(1-k) * identity on the interior."""
     return gs.J @ gs.J - (gs.H @ gs.H + gs.T1 @ gs.T1)
-
-
-def spectrum_p(config: RepConfig, hbar: float) -> np.ndarray:
-    """Momentum spectrum hbar (k + n), n = 0..N: positive, spacing hbar."""
-    if not hbar > 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    return hbar * (config.k + np.arange(config.N + 1))
 
 
 def rotation_rep(omega: float, config: RepConfig) -> TruncatedOperator:

@@ -37,8 +37,7 @@ from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_repo
 from .report import CheckReport, ConfigError, _finite, judge, worst_of
 from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_cutoff,
                   boost_norm, build_generators, casimir, commutator, exp_generator,
-                  gram_weights, interior_residual, rotation_rep, spectrum_p,
-                  toeplitz_measure_test, tol)
+                  gram_weights, interior_residual, rotation_rep, toeplitz_measure_test, tol)
 
 __all__ = ["SuiteConfig", "ConfigError", "run_suite", "PROFILES"]
 
@@ -354,11 +353,6 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     seen = ", ".join(f"0..{n - 1} at t={t:g}" for t, n in certified.items())
     u = phase_operator(gs)
 
-    def spectrum_gap():
-        spec = spectrum_p(rc, 1.0)
-        gap = np.abs(spec - gs.H.bands[0]).max()
-        return gap if spec.min() > 0 else math.inf
-
     def boost_derivative():
         h = 1e-3 / max(1.0, boost_norm(rc))
         fd = (-exp_generator("T1", 2 * h, rc) + 8 * exp_generator("T1", h, rc)
@@ -400,7 +394,6 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
          lambda: np.abs(cas_diag - k * (1 - k)).max()),
         ("casimir_flat", "interior Casimir diagonal is constant", 1e-10,
          lambda: cas_diag.std()),
-        ("spectrum_positive", "spec p = hbar(k + n), spacing hbar", 0.0, spectrum_gap),
         ("rotation_unitary", "rotation representative unitary", 1e-12,
          lambda: (u_rot.adjoint() @ u_rot - eye).max_abs()),
         ("boost_derivative", "d/dt exp(t T1) at 0 = T1", 1e-8, boost_derivative),

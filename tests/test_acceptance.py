@@ -22,7 +22,7 @@ from halfcyl.projection import (ProjectedSpace, ThetaSpace, _log_grid_operators,
                                 halfline_commutator_residual, halfline_demo)
 from halfcyl.rep import (RepConfig, TruncatedOperator, build_generators,
                          casimir, commutator, interior_residual, sin_cos,
-                         spectrum_p, toeplitz_measure_test)
+                         toeplitz_measure_test)
 
 N = 64
 
@@ -40,7 +40,7 @@ def fock(k, convention="creation_plus"):
 
 
 def test_criterion_01_spectra_exact():
-    spec = spectrum_p(RepConfig(k=1.0, N=N), 1.0)
+    spec = fock(1.0).H.bands[0]
     want = np.arange(1, N + 2, dtype=float)
     ps = ProjectedSpace(ThetaSpace(1.0, range(-N, N + 1)), 0)
     proj = np.diag(ps.momentum().matrix).real

@@ -41,11 +41,6 @@ def _reversed_boost(direction):
     return fault
 
 
-def _shifted_spectrum(config, hbar):
-    """spectrum_p one level up: hbar (k + 1 + n), still positive with spacing hbar."""
-    return hbar * (config.k + 1 + np.arange(config.N + 1))
-
-
 def _scaled_entry(op, offset, index, factor):
     """``op`` with entry ``index`` of its diagonal ``offset`` times ``factor``."""
     band = op.bands[offset].copy()
@@ -156,8 +151,6 @@ FAULTS = [
      {"boost_adjoint_action", "boost_derivative"}),
     ("exp(-t T2) for exp(t T2)", "halfcyl.suite.exp_generator", _reversed_boost("T2"),
      {"boost_adjoint_action"}),
-    ("spec p = hbar(k + 1 + n)", "halfcyl.suite.spectrum_p", _shifted_spectrum,
-     {"spectrum_positive"}),
     ("MOMENTUM_MAP_SIGN = +1", "halfcyl.classical.MOMENTUM_MAP_SIGN", 1,
      {"momentum_map_sign"}),
     ("[L_j, L_k] = (k + j) L_{j+k}", "halfcyl.lie.witt_bracket", _symmetric_bracket,
@@ -246,7 +239,7 @@ FAULTS = [
      _entry_off("fock", "H", 0),
      {"ladder_algebra", "so12_relations", "casimir_value", "casimir_flat",
       "rotation_flow_sin", "rotation_flow_cos", "ladder_from_phase",
-      "spectrum_positive", "boost_adjoint_action", "realization_coherence"}),
+      "boost_adjoint_action", "realization_coherence"}),
     ("fock J entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
      _entry_off("fock", "J", 1),
      {"so12_relations", "casimir_value", "casimir_flat", "boost_adjoint_action"}),

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from halfcyl.cli import emit_spectrum
 from halfcyl.equivalence import phase_operator
 from halfcyl.projection import ProjectedSpace, ThetaSpace
 from halfcyl.rep import (
     PHASE_CONVENTIONS, REALIZATIONS, RepConfig, TruncatedOperator, _boost_svd, boost_columns,
     boost_cutoff, boost_norm, build_generators, casimir, commutator, exp_generator,
-    gram_weights, interior_residual, rotation_rep, sin_cos, spectrum_p,
-    toeplitz_measure_test, tol,
+    gram_weights, interior_residual, rotation_rep, sin_cos, toeplitz_measure_test, tol,
 )
+from halfcyl.report import ConfigError
 
 K_GRID = (0.25, 0.5, 1.0, 1.5, 3.0)
 
@@ -51,7 +52,7 @@ def test_config_rejects_unknown_convention():
 
 
 def test_config_takes_no_hbar():
-    # hbar enters only the momentum spectrum, which takes it as an argument
+    # the series has no hbar: it is only the output unit of the spectrum command
     with pytest.raises(TypeError):
         RepConfig(k=1.0, N=8, hbar=2.0)
 
@@ -239,27 +240,28 @@ def test_casimir_realization_independent():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_integer_weight():
-    assert spectrum_p(RepConfig(k=1, N=5), 1.0).tolist() == [1, 2, 3, 4, 5, 6]
+    assert fock(1, N=5).H.bands[0].tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_spectrum_fractional_weight():
-    s = spectrum_p(RepConfig(k=0.25, N=5), 1.0)
+    s = fock(0.25, N=5).H.bands[0]
     assert s[0] == 0.25
     assert np.allclose(np.diff(s), 1.0)
 
 
-@given(st.floats(min_value=1e-3, max_value=50.0),
-       st.floats(min_value=1e-3, max_value=10.0))
-def test_spectrum_positive_and_equispaced(k, hbar):
-    s = spectrum_p(RepConfig(k=k, N=16), hbar)
+@given(st.floats(min_value=1e-3, max_value=50.0))
+def test_spectrum_positive_and_equispaced(k):
+    s = fock(k, N=16).H.bands[0]
     assert s.min() > 0
-    assert np.abs(np.diff(s) - hbar).max() < 1e-12 * max(1.0, hbar)
+    assert np.abs(np.diff(s) - 1.0).max() < 1e-12 * max(1.0, k)
 
 
+# hbar is only the output unit of the spectrum command; a NaN fails its
+# finiteness check first
 @pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan")])
 def test_spectrum_rejects_hbar_that_is_not_positive(hbar):
-    with pytest.raises(ValueError, match="hbar must be positive"):
-        spectrum_p(RepConfig(k=1.0, N=8), hbar)
+    with pytest.raises(ConfigError, match="hbar must be (positive|finite)"):
+        emit_spectrum(1.0, 8, hbar)
 
 
 # ---------------------------------------------------------------------------
