@@ -396,6 +396,10 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
          lambda: cas_diag.std()),
         ("rotation_unitary", "rotation representative unitary", 1e-12,
          lambda: (u_rot.adjoint() @ u_rot - eye).max_abs()),
+        # T+ raises the weight by one, so the rotation by w turns it by e^{-2iw}
+        ("rotation_adjoint_action", "R T+ R* = e^{-2iw} T+, w = 0.777", tol(N),
+         lambda: interior_residual(u_rot @ gs.Tplus @ u_rot.adjoint()
+                                   - cmath.exp(-1.554j) * gs.Tplus)),
         ("boost_derivative", "d/dt exp(t T1) at 0 = T1", 1e-8, boost_derivative),
         ("boost_adjoint_action",
          "(cosh t H + sinh t [T, H]) exp(tT) e_n = (k + n) exp(tT) e_n", 1e-11,

@@ -2,6 +2,7 @@
 names the records that must fail on it, so that no check passes a wrong
 program unseen."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -200,6 +201,10 @@ FAULTS = [
     ("rotation representative entry 5 x (1 + 1e-6)", "halfcyl.suite.rotation_rep",
      lambda omega, config: _scaled_entry(_rotation_rep(omega, config), 0, 5, 1 + 1e-6),
      {"rotation_unitary"}),
+    # a phase keeps the entry's modulus, so only the adjoint action sees it
+    ("rotation representative entry 5 x e^{0.3i}", "halfcyl.suite.rotation_rep",
+     lambda omega, config: _scaled_entry(_rotation_rep(omega, config), 0, 5, cmath.exp(0.3j)),
+     {"rotation_adjoint_action"}),
     # a wrong adjoint weight in one of the pair breaks its hermiticity and
     # every identity that pairs it with the other
     ("cos = (U + 1.001 U*)/2", "halfcyl.equivalence.sin_cos",

@@ -839,7 +839,7 @@ def test_nan_residual_in_aggregate_fails_and_report_stays_strict(monkeypatch, tm
 @pytest.mark.parametrize("profile", ["physical", "full"])
 def test_record_names_are_unique(profile):
     names = [r.name for r in run_suite(SuiteConfig(profile=profile)).checks]
-    assert len(names) == len(set(names)) == {"physical": 120, "full": 174}[profile]
+    assert len(names) == len(set(names)) == {"physical": 123, "full": 179}[profile]
 
 
 def test_suite_draws_pin_the_random_stream(monkeypatch):
