@@ -189,7 +189,8 @@ FAULTS = [
      lambda gens: _admissibility_audit(list(gens)[:1]), {"fixed_fiber_detection", "sgp_audit"}),
     # the module checkers' records
     ("c_3 x (1 + 1e-6)", "halfcyl.equivalence.normalization_diagonal",
-     _perturbed_normalization, {"conjugation_T+", "conjugation_T-"}),
+     _perturbed_normalization,
+     {"conjugation_T+", "conjugation_T-", "identity_similarity_at_half"}),
     ("phase operator subdiagonal entry 2 x 1.001", "halfcyl.equivalence.phase_operator",
      lambda gs: _scaled_entry(_phase_operator(gs), -1, 2, 1.001),
      {"sincos_square_anomaly", "diagram_commutes"}),
@@ -273,8 +274,7 @@ def test_fault_fails_its_records(monkeypatch, config, target, fault, must_fail):
 # known holes (ROADMAP item 3).  A new record without a row fails the test
 # below, and so does a row that closes a hole still listed here.
 UNCOVERED = frozenset({
-    "gram_monotonicity", "toeplitz_measure", "identity_similarity_at_half",
-    "affine_bracket", "auxiliary_group_law", "auxiliary_symplectic",
+    "gram_monotonicity", "toeplitz_measure", "affine_bracket", "auxiliary_group_law", "auxiliary_symplectic",
     "covering_effectiveness", "group_law", "lightcone_equivariance",
     "stabilizer_fixes_fiber", "symplectic_random", "symplectic_rotation",
     "so12_dictionary", "defect_on_lowest", "projected_cos_hermitean",
