@@ -362,11 +362,12 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
     # exp(t T) H exp(-t T) = cosh t H + sinh t [T, H] is tridiagonal, so each
     # column n of exp(t T) is its eigenvector with eigenvalue k + n
     def adjoint_action():
+        h, j, t1 = (op.block(0, rows) for op in (gs.H, gs.J, gs.T1))
         for t, n_cols in certified.items():
-            for direction, turn in (("T1", -1 * gs.J), ("T2", -1j * gs.T1)):
+            for direction, turn in (("T1", -1 * j), ("T2", -1j * t1)):
                 v = boosts[direction, t][:, :n_cols]
-                a = (math.cosh(t) * gs.H + math.sinh(t) * turn).block(0, rows)
-                yield np.abs(a.dot(v) - v * gs.H.bands[0][:n_cols]).max()
+                a = math.cosh(t) * h + math.sinh(t) * turn
+                yield np.abs(a.dot(v) - v * h.bands[0][:n_cols]).max()
 
     def gram_order():
         w = gram_weights(rc)  # ratios above 1 for k < 1/2, 1 at k = 1/2, below 1 above
