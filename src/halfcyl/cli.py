@@ -4,10 +4,11 @@ Subcommands: verify (full check grid), spectrum, closure, orbit, equiv.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error (any ``ValueError`` the library raises on an input).
 
-Each subcommand imports what it runs: ``spectrum``, ``closure`` and ``orbit``
-use only exact scalar code and never load numpy; ``verify`` imports the
-suite, and ``equiv`` only the matrix modules (``equivalence``,
-``projection``, ``rep``), when they start.
+Each subcommand imports what it runs, when it starts: ``spectrum`` needs
+nothing beyond this module and ``report``, ``closure`` loads ``lie`` and
+``orbit`` ``classical`` (exact scalar code, no numpy), ``verify`` the suite,
+and ``equiv`` only the matrix modules (``equivalence``, ``projection``,
+``rep``).  hbar is the output unit of ``spectrum`` and of nothing else.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
-from . import __version__, lie
+from . import __version__
 from .report import CheckReport, ConfigError, _finite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -64,8 +64,9 @@ def _build_parser():
     p.add_argument("--generators", required=True,
                    help="comma-separated combinations of modes, e.g. 'L-1,L0,L1'"
                         " or 'L0+2*L2, 1/2*L1'")
-    p.add_argument("--mode-bound", type=int, default=lie.DEFAULT_MODE_BOUND)
-    p.add_argument("--dim-bound", type=int, default=lie.DEFAULT_DIM_BOUND)
+    # no defaults here: a bound not given keeps witt_closure's own
+    p.add_argument("--mode-bound", type=int)
+    p.add_argument("--dim-bound", type=int)
     p.set_defaults(run=_cmd_closure)
 
     p = sub.add_parser("orbit", help="transport witness between phase points")
@@ -88,6 +89,10 @@ _TERM_RE = re.compile(
 
 def parse_witt_expression(text: str) -> lie.WittElement:
     """Parse one comma-free combination like 'L0 + 2*L2 - 1/2*L-1'."""
+    from fractions import Fraction
+
+    from . import lie
+
     pos = 0
     coeffs = {}
     seen = False
@@ -199,8 +204,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from . import lie
+
     gens = parse_generators(args.generators)
-    res = lie.witt_closure(gens, mode_bound=args.mode_bound, dim_bound=args.dim_bound)
+    bounds = {name: value for name in ("mode_bound", "dim_bound")
+              if (value := getattr(args, name)) is not None}
+    res = lie.witt_closure(gens, **bounds)
     doc = {"closed": res.closed, "dimension": res.dimension,
            "witness_mode": res.witness_mode,
            "basis": [repr(b) for b in res.basis] if res.basis else None}

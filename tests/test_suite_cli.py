@@ -746,10 +746,16 @@ def test_import_leaves_numpy_out():
 
 
 def test_scalar_subcommands_leave_numpy_out():
+    # the commands share one process, so each one's check also holds after
+    # those before it: spectrum loads no algebra, orbit's classical layer
+    # brings exact and fractions but not lie, and only closure loads lie
+    absent = {"spectrum": ["numpy", "halfcyl.lie", "halfcyl.exact", "fractions"],
+              "orbit": ["numpy", "halfcyl.lie"], "closure": ["numpy"]}
     _footprint([["spectrum", "--k", "0.7", "--n", "64", "--format", "json"],
-                ["closure", "--generators", "L-3,L0,L3"],
-                ["orbit", "--l", "2", "--from", "1.0,0.5", "--to", "2.0,3.0"]],
-               "assert 'numpy' not in sys.modules, f'numpy imported by {argv}'")
+                ["orbit", "--l", "2", "--from", "1.0,0.5", "--to", "2.0,3.0"],
+                ["closure", "--generators", "L-3,L0,L3"]],
+               f"assert not (loaded := set({absent!r}[argv[0]]) & set(sys.modules)), "
+               "f'{argv} imported {loaded}'")
 
 
 def test_exact_so12_layer_and_scalar_audits_leave_numpy_out():
@@ -783,8 +789,9 @@ def test_equiv_loads_only_the_matrix_modules():
     # the report header is made in cli, so equiv needs neither the suite nor
     # the classical layer that the suite imports
     _footprint([["equiv", "--theta", "0.5"]],
-               "assert not {'halfcyl.suite', 'halfcyl.classical'} & set(sys.modules), "
-               "'suite or classical imported'")
+               "assert not {'halfcyl.suite', 'halfcyl.classical', 'halfcyl.lie', "
+               "'halfcyl.exact', 'fractions'} & set(sys.modules), "
+               "'suite, classical, lie, exact or fractions imported'")
 
 
 def test_verify_and_equiv_leave_numpy_random_out(tmp_path):
