@@ -14,7 +14,10 @@ timestamp header.
 The checks work in units hbar = 1.  Every identity they check is
 homogeneous in hbar, so a unit could change only the rounding, and
 ``SuiteConfig`` refuses an ``hbar`` key as unknown; anchors such as
-"[U, p] = -hbar U" still state the physics in units of hbar.
+"[U, p] = -hbar U" still state the physics in units of hbar, which is
+otherwise only the output unit of the ``spectrum`` command.  That the
+momentum spectrum k + n is positive is checked by ``spectra_match``, which
+compares H with the projected momentum m + theta, m >= m_min.
 """
 
 from __future__ import annotations
