@@ -4,11 +4,10 @@ Subcommands: verify (full check grid), spectrum, closure, orbit, equiv.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error (any ``ValueError`` the library raises on an input).
 
-Each subcommand imports what it runs, when it starts: ``spectrum`` needs
-nothing beyond this module and ``report``, ``closure`` loads ``lie`` and
-``orbit`` ``classical`` (exact scalar code, no numpy), ``verify`` the suite,
-and ``equiv`` only the matrix modules (``equivalence``, ``projection``,
-``rep``).  hbar is the output unit of ``spectrum`` and of nothing else.
+Each subcommand imports what it runs, when it starts: ``spectrum`` nothing
+but ``report``, ``closure`` ``lie`` and ``orbit`` ``classical`` (no numpy),
+``verify`` the suite, and ``equiv`` only the matrix modules (``equivalence``,
+``projection``, ``rep``).  hbar is the output unit of ``spectrum`` alone.
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*L\(?\s*(?P<mode>-?\d+)\s*\)?\s*")
 
 
-def parse_witt_expression(text: str) -> lie.WittElement:
-    """Parse one comma-free combination like 'L0 + 2*L2 - 1/2*L-1'."""
+def parse_witt_expression(text: str):
+    """Parse one comma-free combination like 'L0 + 2*L2 - 1/2*L-1' to a WittElement."""
     from fractions import Fraction
 
     from . import lie
@@ -207,9 +206,8 @@ def _cmd_closure(args) -> int:
     from . import lie
 
     gens = parse_generators(args.generators)
-    bounds = {name: value for name in ("mode_bound", "dim_bound")
-              if (value := getattr(args, name)) is not None}
-    res = lie.witt_closure(gens, **bounds)
+    res = lie.witt_closure(gens, **{name: value for name in ("mode_bound", "dim_bound")
+                                    if (value := getattr(args, name)) is not None})
     doc = {"closed": res.closed, "dimension": res.dimension,
            "witness_mode": res.witness_mode,
            "basis": [repr(b) for b in res.basis] if res.basis else None}

@@ -11,13 +11,11 @@ every other record, and a cell concatenates these record lists in order.
 Identical config and seed give a byte-identical JSON report up to the
 timestamp header.
 
-The checks work in units hbar = 1.  Every identity they check is
-homogeneous in hbar, so a unit could change only the rounding, and
-``SuiteConfig`` refuses an ``hbar`` key as unknown; anchors such as
-"[U, p] = -hbar U" still state the physics in units of hbar, which is
-otherwise only the output unit of the ``spectrum`` command.  That the
-momentum spectrum k + n is positive is checked by ``spectra_match``, which
-compares H with the projected momentum m + theta, m >= m_min.
+The checks work in units hbar = 1, and hbar is left only as the output unit
+of the ``spectrum`` command.  Every identity they check is homogeneous in
+hbar, so ``SuiteConfig`` refuses an ``hbar`` key as unknown; anchors such as
+"[U, p] = -hbar U" still state the physics in units of hbar.  Positive
+momentum is checked by ``spectra_match``: H against the projected m + theta.
 """
 
 from __future__ import annotations
@@ -400,7 +398,6 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
          lambda: cas_diag.std()),
         ("rotation_unitary", "rotation representative unitary", 1e-12,
          lambda: (u_rot.adjoint() @ u_rot - eye).max_abs()),
-        # T+ raises the weight by one, so the rotation by w turns it by e^{-2iw}
         ("rotation_adjoint_action", "R T+ R* = e^{-2iw} T+, w = 0.777", tol(N),
          lambda: interior_residual(u_rot @ gs.Tplus @ u_rot.adjoint()
                                    - cmath.exp(-1.554j) * gs.Tplus)),

@@ -274,7 +274,8 @@ def test_fault_fails_its_records(monkeypatch, config, target, fault, must_fail):
 # known holes (ROADMAP item 3).  A new record without a row fails the test
 # below, and so does a row that closes a hole still listed here.
 UNCOVERED = frozenset({
-    "gram_monotonicity", "toeplitz_measure", "affine_bracket", "auxiliary_group_law", "auxiliary_symplectic",
+    "gram_monotonicity", "toeplitz_measure",
+    "affine_bracket", "auxiliary_group_law", "auxiliary_symplectic",
     "covering_effectiveness", "group_law", "lightcone_equivariance",
     "stabilizer_fixes_fiber", "symplectic_random", "symplectic_rotation",
     "so12_dictionary", "defect_on_lowest", "projected_cos_hermitean",
