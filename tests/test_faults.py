@@ -26,6 +26,7 @@ _algebra_isomorphism = lie.algebra_isomorphism
 _normalization_diagonal = equivalence.normalization_diagonal
 _phase_operator = equivalence.phase_operator
 _sin_cos = equivalence.sin_cos
+_projection_sin_cos = projection.sin_cos
 _rotation_rep = suite.rotation_rep
 _theta_shift = projection.ThetaSpace.shift
 _theta_momentum = projection.ThetaSpace.momentum
@@ -63,6 +64,13 @@ def _forward_log_grid(n_points):
     h, eye = projection.HALFLINE_BOX / n_points, TruncatedOperator.diag(np.ones(n_points))
     qp = (-1j / h) * (dil.adjoint() - eye)
     return x, q, dil, qp, TruncatedOperator.diag(np.exp(-x)) @ qp
+
+
+def _dilation_entry_off(n_points):
+    """_log_grid_operators with entry 5 of the dilation's subdiagonal off by
+    a relative 1e-6."""
+    x, q, dil, qp, mom = _log_grid_operators(n_points)
+    return x, q, _scaled_entry(dil, -1, 5, 1 + 1e-6), qp, mom
 
 
 def _entry_off(target, band, offset):
@@ -234,6 +242,16 @@ FAULTS = [
      lambda ps, op: op.block(0, ps.dim), {"spectra_match"}),
     ("forward-difference scaling generator", "halfcyl.projection._log_grid_operators",
      _forward_log_grid, {"scaling_hermitean", "commutator_order"}),
+    ("dilation subdiagonal entry 5 x (1 + 1e-6)", "halfcyl.projection._log_grid_operators",
+     _dilation_entry_off, {"dilation_unitary"}),
+    # projection's sin_cos builds the theta cell's projected pair and the
+    # half-line scaling generator, the sine of the dilation
+    ("projected cos = (U + 1.001 U*)/2", "halfcyl.projection.sin_cos",
+     lambda u: (_projection_sin_cos(u)[0], 0.5 * (u + 1.001 * u.adjoint())),
+     {"projected_cos_hermitean"}),
+    ("projected sin = -i(U - 1.001 U*)/2", "halfcyl.projection.sin_cos",
+     lambda u: (-0.5j * (u - 1.001 * u.adjoint()), _projection_sin_cos(u)[1]),
+     {"projected_sin_hermitean", "scaling_hermitean", "commutator_order"}),
     # realization_coherence compares every band of disc with fock
     ("disc H entry 5 x (1 + 1e-6)", "halfcyl.suite.build_generators",
      _entry_off("disc", "H", 0), {"realization_coherence"}),
@@ -278,8 +296,7 @@ UNCOVERED = frozenset({
     "affine_bracket", "auxiliary_group_law", "auxiliary_symplectic",
     "covering_effectiveness", "group_law", "lightcone_equivariance",
     "stabilizer_fixes_fiber", "symplectic_random", "symplectic_rotation",
-    "so12_dictionary", "defect_on_lowest", "projected_cos_hermitean",
-    "projected_sin_hermitean", "dilation_unitary",
+    "so12_dictionary", "defect_on_lowest",
 })
 
 
