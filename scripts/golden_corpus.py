@@ -67,9 +67,14 @@ ENTRIES = {
 
 def render(name: str):
     """(exit code, stdout with the header stripped) of entry ``name``."""
+    return run(*ENTRIES[name])
+
+
+def run(argv: list, config):
+    """(exit code, stdout with the header stripped) of ``halfcyl argv``, with
+    the verify ``config`` (or None) passed as --config."""
     from halfcyl import cli
 
-    argv, config = ENTRIES[name]
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = os.path.join(tmp, "config.json")

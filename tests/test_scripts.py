@@ -1,6 +1,8 @@
 """Smoke test of the scripts under scripts/: each runs to completion in a
 child interpreter that imports halfcyl from this checkout's src."""
 
+import hashlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -55,3 +57,16 @@ def test_percall_prints_every_row():
     assert all(abs(float(r[3]) - int(r[1]) * float(r[2]) / 1e6) <= int(r[1]) * 5e-7 + 5e-4
                for r in rows)
     assert abs(sum(float(r[4].rstrip("%")) for r in rows) - 100) <= 0.05 * len(rows)
+
+
+def test_body_digest_hashes_the_rendered_full_body():
+    proc = _run_script("body_digest.py", "16:0")
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("golden_corpus",
+                                                  ROOT / "scripts" / "golden_corpus.py")
+    golden_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_corpus)
+    code, text = golden_corpus.run(["verify", "--profile", "full", "--seed", "0"],
+                                   {"N": 16, "M": 16})
+    assert proc.stdout == f"16:0 {hashlib.sha256(text.encode()).hexdigest()} exit {code}\n"
+    assert _run_script("body_digest.py", "16").returncode == 2
