@@ -21,7 +21,7 @@ import numpy as np
 from .projection import ProjectedSpace, ThetaSpace
 from .report import judge, worst_of
 from .rep import (GeneratorSet, RepConfig, TruncatedOperator, build_generators,
-                  commutator, gram_weights, interior_residual, sin_cos, tol)
+                  gram_weights, interior_residual, sin_cos, tol)
 
 __all__ = [
     "identification_report", "phase_operator", "tplus_from_phase", "sincos_operators",
@@ -80,13 +80,13 @@ def sincos_operators(gs: GeneratorSet, label=None) -> list:
         ("sin_hermitean", "s = s*", 1e-14, lambda: (s - s.adjoint()).max_abs()),
         ("cos_hermitean", "c = c*", 1e-14, lambda: (c - c.adjoint()).max_abs()),
         ("sincos_square_anomaly", "s^2 + c^2 = 1 - P_0/2", 1e-10,
-         lambda: interior_residual(s @ s + c @ c - (eye - 0.5 * p0))),
+         lambda: interior_residual((1, s, s), (1, c, c), (-1, eye - 0.5 * p0))),
         ("sincos_commutator_anomaly", "[s, c] = (i/2) P_0", 1e-10,
-         lambda: interior_residual(commutator(s, c) - 0.5j * p0)),
+         lambda: interior_residual((1, s, c), (-1, c, s), (-1, 0.5j * p0))),
         ("rotation_flow_sin", "[H, s] = -i c", 1e-10,
-         lambda: interior_residual(commutator(gs.H, s) + 1j * c)),
+         lambda: interior_residual((1, gs.H, s), (-1, s, gs.H), (1j, c))),
         ("rotation_flow_cos", "[H, c] = i s", 1e-10,
-         lambda: interior_residual(commutator(gs.H, c) - 1j * s)),
+         lambda: interior_residual((1, gs.H, c), (-1, c, gs.H), (-1, 1j * s))),
     ], label)
 
 
@@ -109,7 +109,7 @@ def conjugate_realizations(config: RepConfig, label=None) -> list:
     def conjugation(b_op, f_op):
         c = normalization_diagonal(config)
         d, d_inv = TruncatedOperator.diag(c), TruncatedOperator.diag(1.0 / c)
-        return interior_residual(d_inv @ b_op @ d - f_op)
+        return interior_residual((1, d_inv @ b_op, d), (-1, f_op))
 
     budget = min(tol(config.N), 1e-7)
     rows = [(f"conjugation_{name}", f"D^-1 {name}_boundary D = {name}_fock", budget,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import judge
-from .rep import TruncatedOperator, commutator, interior_residual, sin_cos
+from .rep import TruncatedOperator, interior_residual, sin_cos
 
 __all__ = [
     "ThetaSpace", "ProjectedSpace", "isometry_report",
@@ -130,7 +130,7 @@ def isometry_report(ps: ProjectedSpace, label=None) -> list:
     s, c = sin_cos(pu)
     return judge([
         ("projected_shift_isometry", "U*U = 1", 1e-12,
-         lambda: interior_residual(u.adjoint() @ u - eye)),
+         lambda: interior_residual((1, u.adjoint(), u), (-1, eye))),
         ("projected_shift_defect", "UU* = 1 - P_min", 1e-12,
          lambda: (u @ u.adjoint() - (eye - p0)).max_abs()),
         ("defect_rank_one", "rank(1 - UU*) = 1", 0.0,
@@ -142,8 +142,8 @@ def isometry_report(ps: ProjectedSpace, label=None) -> list:
         ("projected_cos_hermitean", "cos = cos*", 1e-12, lambda: hermitean_gap(c)),
         # before projection the shift is unitary on the window interior
         ("parent_shift_unitary", "UU* = 1 (parent interior)", 1e-12,
-         lambda: interior_residual(pu @ pu.adjoint()
-                                   - TruncatedOperator.diag(np.ones(ps.parent.dim)),
+         lambda: interior_residual((1, pu, pu.adjoint()),
+                                   (-1, TruncatedOperator.diag(np.ones(ps.parent.dim))),
                                    trim_bottom=2)),
     ], label)
 
@@ -179,7 +179,7 @@ def halfline_commutator_residual(n_points: int) -> float:
     """Interior residual of [q, qp] - i q on a smooth test function."""
     x, q, _, qp, _ = _log_grid_operators(n_points)
     psi = np.exp(np.cos(2 * np.pi * x / HALFLINE_BOX))[:, None]
-    resid = commutator(q, qp).dot(psi) - 1j * q.dot(psi)
+    resid = (q @ qp - qp @ q).dot(psi) - 1j * q.dot(psi)
     inner = slice(1, n_points - 1)  # drop the two seam rows
     return float(np.abs(resid[inner]).max() / np.abs(psi).max())
 

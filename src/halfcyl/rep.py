@@ -17,10 +17,10 @@ orthonormal (Hardy) basis, which is also the Hardy root form; disc, the
 differential action on the disc; boundary, on the unnormalized Fourier basis.
 
 Operators are stored as their diagonals: float64 for the real H, T+, T-,
-T1 and J, complex for the rotation.  Truncation contract: every
-operator carries a reach (its band displacement); identities are asserted
-only on the interior columns n <= N - total reach, where the finite shadow
-agrees with the infinite operator exactly.
+T1 and J, complex for the rotation.  Truncation contract: every operator
+carries a reach (its band displacement); ``interior_residual`` reads an
+identity's terms only on the interior columns n <= N - total reach,
+where the finite shadow agrees with the infinite operator exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "build_generators", "casimir", "rotation_rep",
     "exp_generator", "boost_norm", "boost_columns", "boost_cutoff",
     "gram_weights", "toeplitz_measure_test",
-    "interior_residual", "commutator", "sin_cos", "tol",
+    "interior_residual", "sin_cos", "tol",
     "REALIZATIONS", "PHASE_CONVENTIONS",
 ]
 
@@ -182,29 +182,37 @@ class TruncatedOperator:
             {-d: b.conj() for d, b in self.bands.items()}, self.dim, self.reach)
 
 
-def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    return a @ b - b @ a
-
-
 def sin_cos(u: TruncatedOperator):
     """Hermitean (sin, cos) = (-i (U - U*) / 2, (U + U*) / 2) of a unit shift U."""
     return -0.5j * (u - u.adjoint()), 0.5 * (u + u.adjoint())
 
 
-def interior_residual(expr: TruncatedOperator, trim_bottom: int = 0) -> float:
-    """Max-abs entry of ``expr`` on its interior columns.
+def interior_residual(*terms, trim_bottom: int = 0) -> float:
+    """Max-abs entry of the sum of ``terms`` on its interior columns.
 
-    ``trim_bottom`` additionally drops low columns, for windows truncated
-    at both ends.  Only the interior columns of each diagonal are read.
-    An empty interior raises: a check that compares no column must not
-    pass.
+    A term is an operator A, ``(c, A)`` for c A, or ``(c, A, B)`` for
+    c (A @ B).  Bands are scaled (``c * band``, skipped at c = 1) and added
+    in term order, as ``+`` and ``-`` add them, so (1, A, B), (-1, B, A),
+    (-1, C) read A @ B - B @ A - C to the last bit without building the sum.
+    Its reach is the largest term reach; ``trim_bottom`` also drops low
+    columns, for windows truncated at both ends.  An empty interior raises:
+    a check that compares no column must not pass.
     """
-    hi = expr.interior
+    bands, reach, first = {}, 0, None
+    for term in terms:
+        c, a, *b = term if isinstance(term, tuple) else (1, term)
+        op = a @ b[0] if b else a
+        (first := first or op)._check_dim(op)
+        reach = max(reach, op.reach)
+        for d, x in op.bands.items():
+            x = x if c == 1 else c * x
+            bands[d] = bands[d] + x if d in bands else x
+    hi = max(first.dim - reach, 0)
     if hi <= trim_bottom:
         raise ValueError(f"no interior columns to compare (interior {hi}, "
                          f"trim_bottom {trim_bottom})")
     parts = []
-    for d, b in expr.bands.items():
+    for d, b in bands.items():
         col = max(d, 0)  # column of the first entry of the diagonal
         seg = b[max(trim_bottom - col, 0):max(hi - col, 0)]
         if seg.size:

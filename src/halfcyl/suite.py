@@ -3,13 +3,13 @@
 Each grid cell (one k or one theta) is a pure function of the config and
 the seed, and returns ``report.judge`` of its rows: each row names a record,
 its anchor, its pinned tolerance and the residual that ``judge`` computes
-and judges once; the config sets only the grid.  The module checkers
+and judges once (``interior_residual`` of its terms for an operator
+identity); the config sets only the grid.  The module checkers
 (``sincos_operators``, ``conjugate_realizations``, ``isometry_report``,
 ``identification_report``, ``halfline_demo``) return ``judge`` of their
 own rows under the cell's label, so ``sin_hermitean[k=0.5]`` is made like
-every other record, and a cell concatenates these record lists in order.
-Identical config and seed give a byte-identical JSON report up to the
-timestamp header.
+every other record, and a cell concatenates these lists in order.  Identical
+config and seed give a byte-identical JSON report up to the timestamp header.
 
 The checks work in units hbar = 1, and hbar is left only as the output unit
 of the ``spectrum`` command.  Every identity they check is homogeneous in
@@ -37,7 +37,7 @@ from .equivalence import (conjugate_realizations, identification_report,
 from .projection import ProjectedSpace, ThetaSpace, halfline_demo, isometry_report
 from .report import CheckReport, ConfigError, _finite, judge, worst_of
 from .rep import (RepConfig, TruncatedOperator, boost_columns, boost_cutoff,
-                  boost_norm, build_generators, casimir, commutator, exp_generator,
+                  boost_norm, build_generators, casimir, exp_generator,
                   gram_weights, interior_residual, rotation_rep, toeplitz_measure_test, tol)
 
 __all__ = ["SuiteConfig", "ConfigError", "run_suite", "PROFILES"]
@@ -377,18 +377,19 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
 
     def ladder_from_phase():
         gm = build_generators("fock", RepConfig(k=k, N=N, phase_convention="disc_minus"))
-        return interior_residual(tplus_from_phase(gm, u) - gm.Tplus)
+        return interior_residual(tplus_from_phase(gm, u), (-1, gm.Tplus))
 
     lab = CELL_LABEL.format("k", k)
     return judge([
         ("ladder_algebra", "[H,T+]=T+, [H,T-]=-T-, [T+,T-]=-2H", 1e-7,
-         lambda: (interior_residual(commutator(gs.H, gs.Tplus) - gs.Tplus),
-                  interior_residual(commutator(gs.H, gs.Tminus) + gs.Tminus),
-                  interior_residual(commutator(gs.Tplus, gs.Tminus) + 2 * gs.H))),
+         lambda: (interior_residual((1, gs.H, gs.Tplus), (-1, gs.Tplus, gs.H), (-1, gs.Tplus)),
+                  interior_residual((1, gs.H, gs.Tminus), (-1, gs.Tminus, gs.H), gs.Tminus),
+                  interior_residual((1, gs.Tplus, gs.Tminus), (-1, gs.Tminus, gs.Tplus),
+                                    (2, gs.H)))),
         ("so12_relations", "[T0,T1]=T2, [T0,T2]=-T1, [T1,T2]=-T0", tol(N),
-         lambda: (interior_residual(commutator(gs.H, gs.T1) - gs.J),
-                  interior_residual(commutator(gs.H, gs.J) - gs.T1),
-                  interior_residual(commutator(gs.T1, gs.J) + gs.H))),
+         lambda: (interior_residual((1, gs.H, gs.T1), (-1, gs.T1, gs.H), (-1, gs.J)),
+                  interior_residual((1, gs.H, gs.J), (-1, gs.J, gs.H), (-1, gs.T1)),
+                  interior_residual((1, gs.T1, gs.J), (-1, gs.J, gs.T1), gs.H))),
         ("realization_coherence", "fock = disc entrywise", 1e-12,
          lambda: ((getattr(g, band) - getattr(gs, band)).max_abs()
                   for g in [build_generators("disc", rc)] for band in ("H", "Tplus", "Tminus"))),
@@ -399,8 +400,8 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         ("rotation_unitary", "rotation representative unitary", 1e-12,
          lambda: (u_rot.adjoint() @ u_rot - eye).max_abs()),
         ("rotation_adjoint_action", "R T+ R* = e^{-2iw} T+, w = 0.777", tol(N),
-         lambda: interior_residual(u_rot @ gs.Tplus @ u_rot.adjoint()
-                                   - cmath.exp(-1.554j) * gs.Tplus)),
+         lambda: interior_residual((1, u_rot @ gs.Tplus, u_rot.adjoint()),
+                                   (-1, cmath.exp(-1.554j) * gs.Tplus))),
         ("boost_derivative", "d/dt exp(t T1) at 0 = T1", 1e-8, boost_derivative),
         ("boost_adjoint_action",
          "(cosh t H + sinh t [T, H]) exp(tT) e_n = (k + n) exp(tT) e_n", 1e-11,
@@ -410,7 +411,7 @@ def _rep_cell(k: float, cfg: SuiteConfig) -> list:
         ("toeplitz_measure", "density exists iff k = 1/2", 0.0,
          lambda: 0.0 if toeplitz_measure_test(rc) == (k == 0.5) else 1.0),
         ("phase_isometry", "U*U = 1", 1e-12,
-         lambda: interior_residual(u.adjoint() @ u - eye)),
+         lambda: interior_residual((1, u.adjoint(), u), (-1, eye))),
         ("phase_defect", "UU* = 1 - P_0", 1e-12,
          lambda: (u @ u.adjoint() - (eye - TruncatedOperator.diag(np.eye(1, N + 1)[0])))
          .max_abs()),
@@ -425,7 +426,7 @@ def _theta_cell(theta: float, cfg: SuiteConfig) -> list:
     u, p = space.shift(), space.momentum()
     out = judge([
         ("cylinder_commutator", "[U, p] = -hbar U", 1e-12,
-         lambda: interior_residual(commutator(u, p) + u, trim_bottom=1)),
+         lambda: interior_residual((1, u, p), (-1, p, u), u, trim_bottom=1)),
     ], lab) + isometry_report(ProjectedSpace(space, 0), lab)
     for m_min in THETA_M_MINS[cfg.profile]:
         out += identification_report(theta, m_min, cfg.N, label=f"{lab},m_min={m_min}")

@@ -81,7 +81,9 @@ def test_traced_verify_sees_every_layer_through_deferred_imports(tmp_path, capsy
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    for layer in ("cli.main", "suite.run_suite", "suite.rep_cell"):
+    # the identities reach the kernel and the products through traced names
+    for layer in ("cli.main", "suite.run_suite", "suite.rep_cell",
+                  "rep.interior_residual", "rep.matmul"):
         assert tracer.stats[layer]["calls"] >= 1, layer
     assert {name: _resolve(*target) for name, target in spans.TARGETS.items()} == originals
     left = [f"{key}.{attr}" for key, mod in list(sys.modules.items())

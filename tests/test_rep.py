@@ -13,7 +13,7 @@ from halfcyl.equivalence import phase_operator
 from halfcyl.projection import ProjectedSpace, ThetaSpace
 from halfcyl.rep import (
     PHASE_CONVENTIONS, REALIZATIONS, RepConfig, TruncatedOperator, _boost_svd, boost_columns,
-    boost_cutoff, boost_norm, build_generators, casimir, commutator, exp_generator,
+    boost_cutoff, boost_norm, build_generators, casimir, exp_generator,
     gram_weights, interior_residual, rotation_rep, sin_cos, toeplitz_measure_test, tol,
 )
 from halfcyl.report import ConfigError
@@ -101,22 +101,22 @@ def test_raising_creation_plus_nonnegative():
 def test_ladder_relations(k, realization):
     gs = build_generators(realization, RepConfig(k=k, N=64))
     budget = tol(64)
-    assert interior_residual(commutator(gs.H, gs.Tplus) - gs.Tplus) < budget
-    assert interior_residual(commutator(gs.H, gs.Tminus) + gs.Tminus) < budget
-    assert interior_residual(commutator(gs.Tplus, gs.Tminus) + 2 * gs.H) < budget
+    assert interior_residual(gs.H @ gs.Tplus - gs.Tplus @ gs.H - gs.Tplus) < budget
+    assert interior_residual(gs.H @ gs.Tminus - gs.Tminus @ gs.H + gs.Tminus) < budget
+    assert interior_residual(gs.Tplus @ gs.Tminus - gs.Tminus @ gs.Tplus + 2 * gs.H) < budget
 
 
 @pytest.mark.parametrize("k", K_GRID)
 def test_so12_relations(k):
     gs = fock(k)
     t0, t1, t2 = so12_basis(gs).values()
-    real = [interior_residual(commutator(gs.H, gs.T1) - gs.J),
-            interior_residual(commutator(gs.H, gs.J) - gs.T1),
-            interior_residual(commutator(gs.T1, gs.J) + gs.H)]
+    real = [interior_residual(gs.H @ gs.T1 - gs.T1 @ gs.H - gs.J),
+            interior_residual(gs.H @ gs.J - gs.J @ gs.H - gs.T1),
+            interior_residual(gs.T1 @ gs.J - gs.J @ gs.T1 + gs.H)]
     # each real identity is i^-1 times a complex one, to the last bit
-    assert real == [interior_residual(commutator(t0, t1) - t2),
-                    interior_residual(commutator(t0, t2) + t1),
-                    interior_residual(commutator(t1, t2) + t0)]
+    assert real == [interior_residual(t0 @ t1 - t1 @ t0 - t2),
+                    interior_residual(t0 @ t2 - t2 @ t0 + t1),
+                    interior_residual(t1 @ t2 - t2 @ t1 + t0)]
     assert max(real) < tol(64)
 
 
@@ -461,7 +461,7 @@ def test_cached_boost_factors_are_read_only(k):
 
 def test_interior_residual_ignores_truncation_edge():
     gs = fock(0.5, N=8)
-    expr = commutator(gs.Tplus, gs.Tminus) + 2 * gs.H
+    expr = gs.Tplus @ gs.Tminus - gs.Tminus @ gs.Tplus + 2 * gs.H
     # full-matrix residual sees the cutoff defect, the interior does not
     assert np.abs(expr.matrix).max() > 1.0
     assert interior_residual(expr) < 1e-12
@@ -526,6 +526,19 @@ def test_banded_arithmetic_matches_dense(pair, scalar, trim):
         else:
             assert interior_residual(op, trim_bottom=trim) == np.abs(m[:, trim:hi]).max()
 
+    # terms read the operator that + and - build from them, to the last bit
+    terms = ((1, a, b), (-1, b, a), (scalar, a), b)
+    expr = a @ b - b @ a + scalar * a + b
+    if expr.interior <= trim:
+        for args in (terms, (expr,)):
+            with pytest.raises(ValueError, match="no interior columns"):
+                interior_residual(*args, trim_bottom=trim)
+    else:
+        assert (interior_residual(*terms, trim_bottom=trim)
+                == interior_residual(expr, trim_bottom=trim))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        interior_residual(a, (1, TruncatedOperator.diag(np.ones(a.dim + 1))))
+
 
 def test_dot_takes_columns_and_matches_the_dense_product():
     # a 1-D vector would broadcast each band into a square block
@@ -539,10 +552,18 @@ def test_dot_takes_columns_and_matches_the_dense_product():
     assert np.allclose(op.dot(x), op.matrix @ x, rtol=0, atol=1e-13)
 
 
+def test_interior_residual_adds_terms_left_to_right():
+    # 1e16 + 1 rounds to 1e16, so only the written order of the terms gives 0
+    big, one = (TruncatedOperator.diag(np.array([v])) for v in (1e16, 1.0))
+    assert interior_residual(big, one, (-1, big)) == (1e16 + 1 - 1e16) == 0.0
+    assert interior_residual(big, (-1, big), one) == 1.0
+
+
 def test_max_abs_and_interior_residual_propagate_nan():
     op = TruncatedOperator({0: np.array([0.0, np.nan, 5.0]), 1: np.ones(2)}, 3, 0)
     assert np.isnan(op.max_abs())
     assert np.isnan(interior_residual(op))
+    assert np.isnan(interior_residual((2, op)))
 
 
 # ---------------------------------------------------------------------------
