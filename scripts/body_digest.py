@@ -29,7 +29,7 @@ def main(args) -> int:
     try:
         pairs = [tuple(int(x) for x in arg.split(":")) for arg in args]
     except ValueError:
-        pairs = [()]
+        pairs = []
     if not pairs or any(len(p) != 2 for p in pairs):
         print("usage: body_digest.py N:SEED [N:SEED ...]", file=sys.stderr)
         return 2
